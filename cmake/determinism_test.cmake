@@ -1,59 +1,40 @@
 # Determinism contract test, run via `cmake -P`: the same command must
-# produce byte-identical stdout AND stderr for every --jobs value and for
-# every value of an optional environment-variable cross (e.g. QFS_IR mode),
-# all compared against one reference run.
+# produce byte-identical stdout AND stderr for every --jobs value, all
+# compared against the first run.
 #
 # Arguments (all -D):
 #   BINARY   path to the executable under test
 #   ARGS     semicolon-separated argument list (without --jobs)
 #   JOBS     semicolon-separated --jobs values to compare (e.g. "1;2;8")
-#   MODE_VAR optional environment variable name to cross with JOBS
-#   MODES    semicolon-separated values for MODE_VAR (e.g. "flat;legacy");
-#            requires MODE_VAR
 if(NOT DEFINED BINARY OR NOT DEFINED JOBS)
   message(FATAL_ERROR "determinism_test.cmake needs -DBINARY and -DJOBS")
 endif()
-if(DEFINED MODES AND NOT DEFINED MODE_VAR)
-  message(FATAL_ERROR "determinism_test.cmake: -DMODES requires -DMODE_VAR")
-endif()
-if(NOT DEFINED MODES)
-  set(MODES "_unset_")
-endif()
 
 set(have_reference FALSE)
-foreach(mode ${MODES})
-  if(mode STREQUAL "_unset_")
-    set(env_prefix "")
-    set(mode_desc "")
-  else()
-    set(env_prefix ${CMAKE_COMMAND} -E env ${MODE_VAR}=${mode})
-    set(mode_desc " ${MODE_VAR}=${mode}")
+foreach(jobs ${JOBS})
+  execute_process(
+    COMMAND ${BINARY} ${ARGS} --jobs ${jobs}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+        "'${BINARY}' failed with '${rc}' at --jobs ${jobs}."
+        "\nstderr:\n${err}")
   endif()
-  foreach(jobs ${JOBS})
-    execute_process(
-      COMMAND ${env_prefix} ${BINARY} ${ARGS} --jobs ${jobs}
-      RESULT_VARIABLE rc
-      OUTPUT_VARIABLE out
-      ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
+  if(NOT have_reference)
+    set(have_reference TRUE)
+    set(ref_jobs ${jobs})
+    set(ref_out "${out}")
+    set(ref_err "${err}")
+  else()
+    if(NOT out STREQUAL ref_out)
       message(FATAL_ERROR
-          "'${BINARY}' failed with '${rc}' at --jobs ${jobs}${mode_desc}."
-          "\nstderr:\n${err}")
+          "stdout differs between --jobs ${ref_jobs} and --jobs ${jobs}")
     endif()
-    if(NOT have_reference)
-      set(have_reference TRUE)
-      set(ref_desc "--jobs ${jobs}${mode_desc}")
-      set(ref_out "${out}")
-      set(ref_err "${err}")
-    else()
-      if(NOT out STREQUAL ref_out)
-        message(FATAL_ERROR
-            "stdout differs between ${ref_desc} and --jobs ${jobs}${mode_desc}")
-      endif()
-      if(NOT err STREQUAL ref_err)
-        message(FATAL_ERROR
-            "stderr differs between ${ref_desc} and --jobs ${jobs}${mode_desc}")
-      endif()
+    if(NOT err STREQUAL ref_err)
+      message(FATAL_ERROR
+          "stderr differs between --jobs ${ref_jobs} and --jobs ${jobs}")
     endif()
-  endforeach()
+  endif()
 endforeach()

@@ -1,8 +1,5 @@
 #include "circuit/flat.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "support/assert.h"
 
 namespace qfs::circuit {
@@ -47,27 +44,5 @@ Circuit unflatten(const FlatCircuit& flat, const std::string& name) {
   }
   return out;
 }
-
-namespace {
-
-IrMode& ir_mode_storage() {
-  // Read once at first use: the mode is a process-wide toggle for A/B
-  // timing and the equivalence tests, not a per-compile knob (keeping it
-  // out of MappingOptions keeps cache fingerprints identical across modes).
-  static IrMode mode = [] {
-    const char* env = std::getenv("QFS_IR");
-    if (env != nullptr && std::strcmp(env, "legacy") == 0) {
-      return IrMode::kLegacy;
-    }
-    return IrMode::kFlat;
-  }();
-  return mode;
-}
-
-}  // namespace
-
-IrMode ir_mode() { return ir_mode_storage(); }
-
-void set_ir_mode_for_testing(IrMode mode) { ir_mode_storage() = mode; }
 
 }  // namespace qfs::circuit

@@ -12,9 +12,8 @@
 //
 // Conversion happens at pipeline boundaries only (see mapper/routing.cpp):
 // a pass converts once, scans the flat array in its loops, and emits its
-// result from the *original* Gate objects, so downstream output stays
-// byte-identical to the legacy path — params are never re-encoded, and
-// Instr keeps the source gate index for that purpose.
+// result from the *original* Gate objects (instrs[i] is gate i), so params
+// are never re-encoded on the way out.
 #pragma once
 
 #include <cstdint>
@@ -114,18 +113,5 @@ FlatCircuit flatten(const Circuit& circuit);
 /// Rebuild a Circuit (named `name`) from the flat form. Round-trips
 /// byte-identically: unflatten(flatten(c), c.name()) == c.
 Circuit unflatten(const FlatCircuit& flat, const std::string& name = "");
-
-/// Which IR the hot-path passes scan. The QFS_IR environment variable
-/// ("flat" default, "legacy" for the pointer-chasing seed path) selects it
-/// process-wide; it is read once, deliberately NOT a MappingOptions field,
-/// so cache fingerprints (canonical_options_text) and compiled artifacts
-/// are identical whichever path runs — the equivalence ctest pins that.
-enum class IrMode { kFlat, kLegacy };
-IrMode ir_mode();
-
-/// Test-only override of the process-wide mode (flat_ir_test flips it to
-/// pin flat/legacy equivalence in one process). Not thread-safe: call only
-/// while no compile is in flight.
-void set_ir_mode_for_testing(IrMode mode);
 
 }  // namespace qfs::circuit

@@ -167,7 +167,7 @@ const OpTraits& op_traits() {
   return traits;
 }
 
-/// Scratch buffers of the flat lookahead path. thread_local: the
+/// Scratch buffers of the lookahead router. thread_local: the
 /// compile_resilient fallback ladder retries the same circuit several
 /// times on one thread, and SABRE refinement routes it forward and backward
 /// per round — every attempt reuses these allocations (a per-circuit arena)
@@ -185,26 +185,36 @@ LookaheadScratch& lookahead_scratch() {
   return scratch;
 }
 
-/// Flat-IR lookahead routing: the same algorithm as the legacy body below,
-/// decision for decision — identical edge iteration order, identical
-/// floating-point accumulation order, identical tie-breaks — scanning
-/// Instr operands and the flat distance rows instead of chasing Gate
-/// vectors and apply_swap/revert trials. Output is emitted from the
-/// original Gate objects, so the routed circuit is byte-identical to the
-/// legacy path's (pinned suite-wide by flat_ir_test and the QFS_IR
-/// determinism ctest). Precondition: connected topology (the caller falls
-/// back to the legacy path otherwise so disconnected chips fail with the
-/// same AssertionError they always did).
-RoutingResult route_lookahead_flat(const Circuit& circuit, const Device& device,
-                                   const Layout& initial, int window,
-                                   double weight) {
+}  // namespace
+
+/// Scans the flat IR (Instr operands, flat distance rows) in its inner
+/// loops and emits from the original Gate objects. Candidate swaps are
+/// tried arithmetically (p==ea -> eb, p==eb -> ea) rather than by mutating
+/// the layout.
+RoutingResult LookaheadRouter::route(const Circuit& circuit,
+                                     const Device& device,
+                                     const Layout& initial,
+                                     [[maybe_unused]] qfs::Rng& rng) const {
+  check_routable(circuit, device);
+  const auto& topo = device.topology();
+  const device::TopologyTables& tables = *topo.tables();
+  if (!tables.connected) {
+    // Swaps never move a qubit across components, so a two-qubit gate whose
+    // operands start in different components can never be routed. Checked
+    // once up front: the inner loops read the distance table unchecked.
+    for (const Gate& g : circuit.gates()) {
+      if (circuit::is_unitary(g.kind) && g.qubits.size() == 2) {
+        topo.distance(initial.physical(g.qubits[0]),
+                      initial.physical(g.qubits[1]));
+      }
+    }
+  }
+
   RoutingResult result;
   result.mapped = Circuit(device.num_qubits(), circuit.name());
   result.final_layout = initial;
   Layout& layout = result.final_layout;
-  const auto& topo = device.topology();
   const auto& gates = circuit.gates();
-  const device::TopologyTables& tables = *topo.tables();
   const std::vector<int>& v2p = layout.v2p();
   const OpTraits& traits = op_traits();
 
@@ -248,6 +258,12 @@ RoutingResult route_lookahead_flat(const Circuit& circuit, const Device& device,
                 static_cast<std::size_t>(pb)] != 1;
   };
 
+  // Collect the next `window_` two-qubit gates after the front (by program
+  // order among not-yet-emitted gates) for the lookahead term. `scan_start`
+  // is a persistent cursor at the first not-yet-emitted gate: indices below
+  // it stay emitted forever, so each call resumes there instead of
+  // rescanning from 0 — without it routing is O(gates x window) quadratic
+  // on the paper's 100k-gate circuits.
   std::size_t scan_start = 0;
   auto lookahead_set = [&]() -> const std::vector<int>& {
     while (scan_start < instrs.size() && emitted[scan_start] != 0)
@@ -255,7 +271,7 @@ RoutingResult route_lookahead_flat(const Circuit& circuit, const Device& device,
     std::vector<int>& ahead = scratch.ahead;
     ahead.clear();
     for (std::size_t i = scan_start;
-         i < instrs.size() && static_cast<int>(ahead.size()) < window; ++i) {
+         i < instrs.size() && static_cast<int>(ahead.size()) < window_; ++i) {
       if (emitted[i] != 0) continue;
       const circuit::Instr& ins = instrs[i];
       if (ins.num_qubits == 2 && traits.is_unitary[static_cast<int>(ins.op)]) {
@@ -290,7 +306,9 @@ RoutingResult route_lookahead_flat(const Circuit& circuit, const Device& device,
     }
     if (ready.empty()) break;  // all gates emitted
 
+    // Every ready gate is a blocked two-qubit gate: pick a swap.
     if (swaps_since_progress >= stall_limit) {
+      // Safety valve: force-route the first blocked gate trivially.
       int gi = ready.front();
       const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
       int pa = v2p[static_cast<std::size_t>(ins.q[0])];
@@ -303,12 +321,10 @@ RoutingResult route_lookahead_flat(const Circuit& circuit, const Device& device,
 
     const std::vector<int>& ahead = lookahead_set();
 
-    // Candidate swaps over the cached SoA edge arrays, in the same
-    // lexicographic order the legacy path iterates edge_list(). Trials
-    // adjust indices arithmetically (p==ea -> eb, p==eb -> ea) instead of
-    // mutating the layout — the summed per-gate distances are the same
-    // integers in the same order, so the accumulated doubles match the
-    // legacy apply_swap/revert trial exactly.
+    // Candidate swaps: coupling edges touching an operand of a front gate,
+    // scanned over the cached SoA edge arrays in lexicographic order. Only
+    // a strictly better score replaces the best, so that order fixes the
+    // tie-breaks, and with them the output bytes.
     double best_score = std::numeric_limits<double>::infinity();
     int best_a = -1, best_b = -1;
     const std::size_t num_edges = tables.edge_a.size();
@@ -356,164 +372,6 @@ RoutingResult route_lookahead_flat(const Circuit& circuit, const Device& device,
             dist[static_cast<std::size_t>(pa) * static_cast<std::size_t>(n) +
                  static_cast<std::size_t>(pb)];
       }
-
-      double score = front_term / static_cast<double>(ready.size());
-      if (!ahead.empty()) {
-        score += weight * ahead_term / static_cast<double>(ahead.size());
-      }
-      if (score < best_score) {
-        best_score = score;
-        best_a = ea;
-        best_b = eb;
-      }
-    }
-    QFS_ASSERT_MSG(best_a >= 0, "no candidate swap found");
-    emit_swap(result.mapped, layout, best_a, best_b, result.swaps_inserted);
-    last_swap_a = best_a;
-    last_swap_b = best_b;
-    ++swaps_since_progress;
-  }
-  return result;
-}
-
-}  // namespace
-
-RoutingResult LookaheadRouter::route(const Circuit& circuit,
-                                     const Device& device,
-                                     const Layout& initial,
-                                     [[maybe_unused]] qfs::Rng& rng) const {
-  check_routable(circuit, device);
-  if (circuit::ir_mode() == circuit::IrMode::kFlat &&
-      device.topology().connected()) {
-    return route_lookahead_flat(circuit, device, initial, window_, weight_);
-  }
-  RoutingResult result;
-  result.mapped = Circuit(device.num_qubits(), circuit.name());
-  result.final_layout = initial;
-  Layout& layout = result.final_layout;
-  const auto& topo = device.topology();
-  const auto& gates = circuit.gates();
-
-  circuit::DependencyDag dag(circuit);
-  std::vector<int> unresolved(gates.size(), 0);
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    unresolved[i] = static_cast<int>(dag.predecessors(static_cast<int>(i)).size());
-  }
-
-  std::deque<int> ready;  // gates with all dependencies emitted
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    if (unresolved[i] == 0) ready.push_back(static_cast<int>(i));
-  }
-
-  std::vector<bool> emitted(gates.size(), false);
-  auto resolve = [&](int gi) {
-    emitted[static_cast<std::size_t>(gi)] = true;
-    for (int s : dag.successors(gi)) {
-      if (--unresolved[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-    }
-  };
-
-  auto is_blocked_2q = [&](int gi) {
-    const Gate& g = gates[static_cast<std::size_t>(gi)];
-    if (!(circuit::is_unitary(g.kind) && g.qubits.size() == 2)) return false;
-    return !topo.adjacent(layout.physical(g.qubits[0]),
-                          layout.physical(g.qubits[1]));
-  };
-
-  // Collect the next `window_` two-qubit gates after the front (by program
-  // order among not-yet-emitted gates) for the lookahead term. `scan_start`
-  // is a persistent cursor at the first not-yet-emitted gate: indices below
-  // it stay emitted forever, so each call resumes there instead of
-  // rescanning from 0 — without it routing is O(gates x window) quadratic
-  // on the paper's 100k-gate circuits.
-  std::size_t scan_start = 0;
-  auto lookahead_set = [&]() {
-    while (scan_start < gates.size() && emitted[scan_start]) ++scan_start;
-    std::vector<int> ahead;
-    for (std::size_t i = scan_start;
-         i < gates.size() && static_cast<int>(ahead.size()) < window_; ++i) {
-      if (emitted[i]) continue;
-      const Gate& g = gates[i];
-      if (circuit::is_unitary(g.kind) && g.qubits.size() == 2) {
-        ahead.push_back(static_cast<int>(i));
-      }
-    }
-    return ahead;
-  };
-
-  int last_swap_a = -1, last_swap_b = -1;
-  int swaps_since_progress = 0;
-  const int stall_limit = 4 * std::max(4, device.num_qubits());
-
-  while (true) {
-    // Emit everything executable.
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (std::size_t k = 0; k < ready.size();) {
-        int gi = ready[k];
-        if (!is_blocked_2q(gi)) {
-          emit_remapped(result.mapped, gates[static_cast<std::size_t>(gi)], layout);
-          resolve(gi);
-          ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(k));
-          progressed = true;
-          swaps_since_progress = 0;
-          last_swap_a = last_swap_b = -1;
-        } else {
-          ++k;
-        }
-      }
-    }
-    if (ready.empty()) break;  // all gates emitted
-
-    // Every ready gate is a blocked two-qubit gate: pick a swap.
-    if (swaps_since_progress >= stall_limit) {
-      // Safety valve: force-route the first blocked gate trivially.
-      int gi = ready.front();
-      const Gate& g = gates[static_cast<std::size_t>(gi)];
-      int pa = layout.physical(g.qubits[0]);
-      int pb = layout.physical(g.qubits[1]);
-      swap_along_path(result.mapped, layout, topo.shortest_path(pa, pb),
-                      result.swaps_inserted);
-      swaps_since_progress = 0;
-      continue;
-    }
-
-    std::vector<int> ahead = lookahead_set();
-
-    // Candidate swaps: coupling edges touching an operand of a front gate.
-    double best_score = std::numeric_limits<double>::infinity();
-    int best_a = -1, best_b = -1;
-    for (const auto& [ea, eb] : topo.edge_list()) {
-      bool touches_front = false;
-      for (int gi : ready) {
-        const Gate& g = gates[static_cast<std::size_t>(gi)];
-        for (int v : g.qubits) {
-          int p = layout.physical(v);
-          if (p == ea || p == eb) {
-            touches_front = true;
-            break;
-          }
-        }
-        if (touches_front) break;
-      }
-      if (!touches_front) continue;
-      if (ea == last_swap_a && eb == last_swap_b) continue;  // no ping-pong
-
-      layout.apply_swap(ea, eb);
-      double front_term = 0.0;
-      for (int gi : ready) {
-        const Gate& g = gates[static_cast<std::size_t>(gi)];
-        front_term += topo.distance(layout.physical(g.qubits[0]),
-                                    layout.physical(g.qubits[1]));
-      }
-      double ahead_term = 0.0;
-      for (int gi : ahead) {
-        const Gate& g = gates[static_cast<std::size_t>(gi)];
-        ahead_term += topo.distance(layout.physical(g.qubits[0]),
-                                    layout.physical(g.qubits[1]));
-      }
-      layout.apply_swap(ea, eb);  // revert
 
       double score = front_term / static_cast<double>(ready.size());
       if (!ahead.empty()) {

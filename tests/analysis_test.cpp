@@ -6,7 +6,6 @@
 
 #include "analysis/checkers.h"
 #include "analysis/diagnostic.h"
-#include "circuit/flat.h"
 #include "compiler/pass_manager.h"
 #include "compiler/schedule.h"
 #include "device/device.h"
@@ -261,11 +260,9 @@ TEST(TimedProgram, CleanProgramHasNoFindings) {
   EXPECT_TRUE(analyze_timed_program(program, dev).empty());
 }
 
-TEST(TimedProgram, Qfs007ParityAcrossFlatAndLegacyIr) {
-  // The QFS007 contract must not depend on which IR drove scheduling:
-  // compile + schedule + lower under each mode and require the timed
-  // program and its full diagnostic list to be identical. A flat-path
-  // scheduling divergence would show up here as asymmetric findings.
+TEST(TimedProgram, Qfs007SilentOnCompiledSuitePrograms) {
+  // Compile + schedule + lower a slice of the paper suite: the compiled
+  // programs are well-formed, so every schedule checker stays silent.
   device::Device dev = device::surface17_device();
   workloads::SuiteOptions suite_opts;
   suite_opts.random_count = 4;
@@ -276,40 +273,20 @@ TEST(TimedProgram, Qfs007ParityAcrossFlatAndLegacyIr) {
   qfs::Rng suite_rng(21);
   auto suite = workloads::make_suite(suite_opts, suite_rng);
 
-  auto run_mode = [&](circuit::IrMode mode, const Circuit& source,
-                      std::uint64_t seed) {
-    struct Outcome {
-      std::string program_text;
-      std::vector<Diagnostic> diags;
-    };
-    circuit::set_ir_mode_for_testing(mode);
-    mapper::MappingOptions options;
-    options.placer = "degree-match";
-    options.router = "lookahead";
-    qfs::Rng rng(seed);
+  mapper::MappingOptions options;
+  options.placer = "degree-match";
+  options.router = "lookahead";
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    qfs::Rng rng(i);
     mapper::MappingResult result =
-        mapper::map_circuit(source, dev, options, rng);
+        mapper::map_circuit(suite[i].circuit, dev, options, rng);
     compiler::Schedule schedule = compiler::asap_schedule(result.mapped, dev);
     isa::TimedProgram program =
         isa::lower_to_timed_program(result.mapped, schedule);
-    Outcome outcome;
-    outcome.program_text = program.to_text();
-    outcome.diags = analyze_timed_program(program, dev);
-    circuit::set_ir_mode_for_testing(circuit::IrMode::kFlat);
-    return outcome;
-  };
-
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    auto flat = run_mode(circuit::IrMode::kFlat, suite[i].circuit, i);
-    auto legacy = run_mode(circuit::IrMode::kLegacy, suite[i].circuit, i);
-    EXPECT_EQ(flat.program_text, legacy.program_text) << suite[i].name;
-    EXPECT_EQ(flat.diags, legacy.diags) << suite[i].name;
-    // The compiled suite programs are well-formed: schedule checkers stay
-    // silent in both modes (so the parity above is not vacuous agreement
-    // on some shared failure).
-    EXPECT_TRUE(flat.diags.empty())
+    std::vector<Diagnostic> diags = analyze_timed_program(program, dev);
+    EXPECT_TRUE(diags.empty())
         << suite[i].name << ":\n"
-        << render_diagnostics(flat.diags);
+        << render_diagnostics(diags);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analysis/checkers.h"
 #include "compiler/decompose.h"
@@ -34,9 +35,19 @@ CMatrix rebuild_from_zyz(const ZyzAngles& a) {
 
 class ZyzRoundTrip : public ::testing::TestWithParam<int> {};
 
+std::vector<int> single_qubit_unitary_kinds() {
+  std::vector<int> kinds;
+  for (int k = 0; k < circuit::kNumGateKinds; ++k) {
+    auto kind = static_cast<GateKind>(k);
+    if (circuit::is_unitary(kind) && circuit::gate_arity(kind) == 1) {
+      kinds.push_back(k);
+    }
+  }
+  return kinds;
+}
+
 TEST_P(ZyzRoundTrip, ReconstructsKindExactly) {
   auto kind = static_cast<GateKind>(GetParam());
-  if (!circuit::is_unitary(kind) || circuit::gate_arity(kind) != 1) GTEST_SKIP();
   std::vector<double> params(
       static_cast<std::size_t>(circuit::gate_param_count(kind)), 0.77);
   CMatrix u = circuit::gate_matrix(circuit::make_gate(kind, {0}, params));
@@ -46,7 +57,7 @@ TEST_P(ZyzRoundTrip, ReconstructsKindExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ZyzRoundTrip,
-                         ::testing::Range(0, circuit::kNumGateKinds));
+                         ::testing::ValuesIn(single_qubit_unitary_kinds()));
 
 TEST(Zyz, RandomUnitariesRoundTrip) {
   qfs::Rng rng(3);

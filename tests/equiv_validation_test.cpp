@@ -1,9 +1,15 @@
 // Suite-wide translation-validation gate: every circuit of the paper's
 // 200-circuit benchmark suite, compiled with the lookahead-heavy
-// configuration, must validate clean under analysis/equiv.h — in both the
-// flat and the legacy IR mode. A false rejection here means the validator
-// (not the compiler) is wrong; a real rejection means the compiler shipped
-// a broken artifact. Either way this test is the tripwire.
+// configuration, must validate clean under analysis/equiv.h. A false
+// rejection here means the validator (not the compiler) is wrong; a real
+// rejection means the compiler shipped a broken artifact. Either way this
+// test is the tripwire.
+//
+// Each case also pins the compiled bytes: a golden hash128 over the
+// concatenated serialized MappingResults of the suite, next to the summed
+// swap and gate counts, so a mismatch shows whether routing decisions
+// moved or only the encoding did. The artifacts carry %.17g doubles from
+// libm, so the goldens target the Linux x86-64 / glibc toolchain CI uses.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,36 +17,43 @@
 
 #include "analysis/equiv.h"
 #include "backends/registry.h"
-#include "circuit/flat.h"
+#include "cache/artifact.h"
 #include "device/device.h"
 #include "mapper/pipeline.h"
+#include "support/hash.h"
 #include "support/rng.h"
 #include "workloads/suite.h"
 
 namespace qfs::analysis {
 namespace {
 
-class ScopedIrMode {
- public:
-  explicit ScopedIrMode(circuit::IrMode mode) {
-    circuit::set_ir_mode_for_testing(mode);
-  }
-  ~ScopedIrMode() { circuit::set_ir_mode_for_testing(circuit::IrMode::kFlat); }
+struct SuiteOutcome {
+  /// Rendered findings of the first artifact that failed ("" = all clean).
+  std::string failure;
+  /// hash128 hex over every serialized MappingResult, in suite order.
+  std::string digest;
+  long swaps_total = 0;
+  long gates_after = 0;
 };
 
-/// Compile every suite circuit and validate the artifact; returns the
-/// rendered findings of the first failure ("" = all clean).
-std::string validate_suite(const device::Device& device,
-                           const workloads::SuiteOptions& suite_options,
-                           const mapper::MappingOptions& mapping,
-                           std::uint64_t seed) {
+/// Compile every suite circuit, validate each artifact and digest them all.
+SuiteOutcome validate_suite(const device::Device& device,
+                            const workloads::SuiteOptions& suite_options,
+                            const mapper::MappingOptions& mapping,
+                            std::uint64_t seed) {
   qfs::Rng suite_rng(seed);
   std::vector<workloads::Benchmark> suite =
       workloads::make_suite(suite_options, suite_rng);
+  SuiteOutcome outcome;
+  qfs::Hasher hasher;
   for (std::size_t i = 0; i < suite.size(); ++i) {
     qfs::Rng rng(qfs::derive_seed(seed, i));
     mapper::MappingResult result =
         mapper::map_circuit(suite[i].circuit, device, mapping, rng);
+    hasher.update(cache::serialize_mapping_result(result));
+    outcome.swaps_total += result.swaps_inserted;
+    outcome.gates_after += result.gates_after;
+    if (!outcome.failure.empty()) continue;
     TranslationArtifact artifact;
     artifact.mapped = &result.mapped;
     artifact.initial_layout = result.initial_layout;
@@ -49,15 +62,31 @@ std::string validate_suite(const device::Device& device,
     std::vector<Diagnostic> findings =
         validate_translation(suite[i].circuit, device, artifact);
     if (!findings.empty()) {
-      return suite[i].name + ":\n" + render_diagnostics(findings);
+      outcome.failure = suite[i].name + ":\n" + render_diagnostics(findings);
     }
   }
-  return "";
+  outcome.digest = hasher.finish().hex();
+  return outcome;
+}
+
+/// Checked-in expectation for one compiled suite.
+struct Golden {
+  long swaps_total;
+  long gates_after;
+  const char* digest;
+};
+
+void expect_clean_and_golden(const SuiteOutcome& outcome,
+                             const Golden& golden) {
+  EXPECT_EQ(outcome.failure, "");
+  EXPECT_EQ(outcome.swaps_total, golden.swaps_total);
+  EXPECT_EQ(outcome.gates_after, golden.gates_after);
+  EXPECT_EQ(outcome.digest, golden.digest);
 }
 
 workloads::SuiteOptions paper_suite_capped() {
   // The paper's 200-circuit mix (80 random / 80 real / 40 reversible),
-  // sized for surface-17 like the suite-equivalence pin in flat_ir_test.
+  // sized for surface-17 like the suite fingerprint in flat_ir_test.
   workloads::SuiteOptions options;
   options.max_qubits = 17;
   options.max_gates = 800;
@@ -73,22 +102,13 @@ mapper::MappingOptions lookahead_config() {
 }
 
 TEST(EquivValidation, PaperSuiteValidatesCleanUnderFlatIr) {
-  ScopedIrMode mode(circuit::IrMode::kFlat);
-  std::string failure =
+  expect_clean_and_golden(
       validate_suite(device::surface17_device(), paper_suite_capped(),
-                     lookahead_config(), 2022);
-  EXPECT_EQ(failure, "");
+                     lookahead_config(), 2022),
+      {10736, 204145, "91ab674b67537e36b9c1cc378f63b4d7"});
 }
 
-TEST(EquivValidation, PaperSuiteValidatesCleanUnderLegacyIr) {
-  ScopedIrMode mode(circuit::IrMode::kLegacy);
-  std::string failure =
-      validate_suite(device::surface17_device(), paper_suite_capped(),
-                     lookahead_config(), 2022);
-  EXPECT_EQ(failure, "");
-}
-
-TEST(EquivValidation, LargeDeviceSubsetValidatesCleanBothModes) {
+TEST(EquivValidation, LargeDeviceSubsetValidatesClean) {
   // A smaller draw at full paper width (up to 54 qubits) on surface-97,
   // covering layouts with many padding qubits and long swap chains.
   workloads::SuiteOptions options;
@@ -97,18 +117,9 @@ TEST(EquivValidation, LargeDeviceSubsetValidatesCleanBothModes) {
   options.reversible_count = 4;
   options.max_qubits = 54;
   options.max_gates = 2000;
-  {
-    ScopedIrMode mode(circuit::IrMode::kFlat);
-    EXPECT_EQ(validate_suite(device::surface97_device(), options,
-                             lookahead_config(), 7),
-              "");
-  }
-  {
-    ScopedIrMode mode(circuit::IrMode::kLegacy);
-    EXPECT_EQ(validate_suite(device::surface97_device(), options,
-                             lookahead_config(), 7),
-              "");
-  }
+  expect_clean_and_golden(validate_suite(device::surface97_device(), options,
+                                         lookahead_config(), 7),
+                          {2057, 28888, "48ea4fddb3d6ca931c5c9e52abe921bb"});
 }
 
 TEST(EquivValidation, HeavyHexSuiteValidatesClean) {
@@ -122,8 +133,9 @@ TEST(EquivValidation, HeavyHexSuiteValidatesClean) {
   options.reversible_count = 5;
   options.max_qubits = 17;
   options.max_gates = 600;
-  EXPECT_EQ(validate_suite(dev.value(), options, lookahead_config(), 2022),
-            "");
+  expect_clean_and_golden(
+      validate_suite(dev.value(), options, lookahead_config(), 2022),
+      {3168, 39782, "7023a09cabfaddf9f3becdf8966b8cca"});
 }
 
 TEST(EquivValidation, TrappedIonSuiteValidatesClean) {
@@ -138,8 +150,9 @@ TEST(EquivValidation, TrappedIonSuiteValidatesClean) {
   options.reversible_count = 5;
   options.max_qubits = 17;
   options.max_gates = 600;
-  EXPECT_EQ(validate_suite(dev.value(), options, lookahead_config(), 2022),
-            "");
+  expect_clean_and_golden(
+      validate_suite(dev.value(), options, lookahead_config(), 2022),
+      {0, 11585, "43b08b0c1399a472446fbf8a89f38a04"});
 }
 
 TEST(EquivValidation, EveryRouterValidatesOnRepresentativeCircuits) {
@@ -152,17 +165,28 @@ TEST(EquivValidation, EveryRouterValidatesOnRepresentativeCircuits) {
   options.reversible_count = 2;
   options.max_qubits = 8;
   options.max_gates = 200;
-  for (const char* router : {"trivial", "lookahead", "noise-aware", "bridge"}) {
+  const struct {
+    const char* router;
+    Golden golden;
+  } kRouters[] = {
+      {"trivial", {261, 3956, "c8f8520abe68e8826dbdb273485efcb2"}},
+      {"lookahead", {148, 2939, "99a12cf2d2505e92ffbb1374a306b6b1"}},
+      {"noise-aware", {261, 3956, "c8f8520abe68e8826dbdb273485efcb2"}},
+      {"bridge", {135, 4697, "f867b7571d93296c2b6ec0a35f5c0317"}},
+  };
+  for (const auto& [router, golden] : kRouters) {
+    SCOPED_TRACE(std::string("router ") + router);
     mapper::MappingOptions mapping;
     mapping.placer = "degree-match";
     mapping.router = router;
-    EXPECT_EQ(validate_suite(device::surface17_device(), options, mapping, 11),
-              "")
-        << "router " << router;
+    expect_clean_and_golden(
+        validate_suite(device::surface17_device(), options, mapping, 11),
+        golden);
   }
   // The optimal router searches permutations exhaustively per slice, so it
   // only gets toy inputs (the same regime its own tests run it in).
   {
+    SCOPED_TRACE("router optimal");
     workloads::SuiteOptions tiny;
     tiny.random_count = 2;
     tiny.real_count = 2;
@@ -174,8 +198,9 @@ TEST(EquivValidation, EveryRouterValidatesOnRepresentativeCircuits) {
     mapper::MappingOptions mapping;
     mapping.placer = "degree-match";
     mapping.router = "optimal";
-    EXPECT_EQ(validate_suite(device::line_device(4), tiny, mapping, 11), "")
-        << "router optimal";
+    expect_clean_and_golden(
+        validate_suite(device::line_device(4), tiny, mapping, 11),
+        {8, 279, "4be6fe3e3fe864d64c3d0cc87d647051"});
   }
 }
 

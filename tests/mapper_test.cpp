@@ -568,6 +568,85 @@ TEST(Routing, NoiseAwareAvoidsBadEdges) {
   EXPECT_TRUE(respects_connectivity(result.mapped, ring));
 }
 
+/// Two four-qubit lines, 0-1-2-3 and 4-5-6-7, with no coupler between them.
+Device two_component_device() {
+  graph::Graph g(8);
+  for (int base : {0, 4}) {
+    for (int i = 0; i < 3; ++i) g.add_edge(base + i, base + i + 1);
+  }
+  return Device("two-lines-4", device::Topology("two-lines-4", std::move(g)),
+                device::surface_code_gateset(),
+                device::ErrorModel(0.999, 0.99, 0.997));
+}
+
+TEST(Routing, LookaheadOnDisconnectedChip) {
+  Device d = two_component_device();
+  ASSERT_FALSE(d.topology().connected());
+
+  // Confined: every two-qubit gate's operands share a component under the
+  // initial layout, and swaps stay inside a component, so routing succeeds.
+  Circuit confined(8);
+  confined.cx(0, 3).cx(4, 7).h(5).cx(1, 3).cx(6, 4).cx(0, 2).cz(7, 5);
+  qfs::Rng rng(1);
+  auto routed = LookaheadRouter().route(confined, d, Layout::identity(8), rng);
+  EXPECT_EQ(routed.swaps_inserted, 8);
+  EXPECT_EQ(routed.mapped.to_string(),
+            R"(circuit <anonymous> (8 qubits, 15 gates)
+  h q[5]
+  swap q[0],q[1]
+  swap q[1],q[2]
+  cx q[2],q[3]
+  cx q[2],q[1]
+  swap q[0],q[1]
+  swap q[1],q[2]
+  cx q[2],q[3]
+  swap q[4],q[5]
+  swap q[5],q[6]
+  cx q[6],q[7]
+  cx q[5],q[6]
+  swap q[4],q[5]
+  swap q[5],q[6]
+  cz q[7],q[6]
+)");
+  EXPECT_TRUE(respects_connectivity(routed.mapped, d));
+
+  // Spanning: cx(1, 6) crosses components, which no swap sequence can fix.
+  Circuit spanning = confined;
+  spanning.cx(1, 6);
+  try {
+    LookaheadRouter().route(spanning, d, Layout::identity(8), rng);
+    ADD_FAILURE() << "routing a component-spanning gate must throw";
+  } catch (const AssertionError& e) {
+    EXPECT_NE(std::string(e.what()).find("disconnected topology"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The resilient driver records each aborted rung and climbs the ladder
+  // until a placement confines the pair (here only the subgraph placer).
+  Circuit pair(8);
+  pair.cx(0, 5);
+  ResilientOptions options;
+  options.base.placer = "trivial";
+  options.base.router = "lookahead";
+  CompileAttemptLog log;
+  auto resilient = compile_resilient(pair, d, options, &log);
+  ASSERT_FALSE(log.empty());
+  EXPECT_NE(log[0].status.to_string().find("disconnected topology"),
+            std::string::npos)
+      << attempt_log_to_string(log);
+  std::string rungs;
+  for (const CompileAttempt& a : log) {
+    rungs += a.placer + "/" + a.router + (a.status.is_ok() ? " ok;" : " failed;");
+  }
+  EXPECT_EQ(rungs,
+            "trivial/lookahead failed;trivial/trivial failed;"
+            "degree-match/lookahead failed;annealing/lookahead failed;"
+            "noise-aware/noise-aware failed;subgraph/lookahead ok;")
+      << attempt_log_to_string(log);
+  EXPECT_TRUE(resilient.is_ok());
+}
+
 TEST(Routing, FactoryRejectsUnknown) {
   EXPECT_THROW(make_router("bogus"), AssertionError);
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "circuit/matrix.h"
 
@@ -80,9 +81,16 @@ TEST(CMatrix, ApproxEqualUpToPhaseRejectsDifferent) {
 // Every unitary gate kind must produce a unitary matrix.
 class AllUnitaryGates : public ::testing::TestWithParam<int> {};
 
+std::vector<int> unitary_kinds() {
+  std::vector<int> kinds;
+  for (int k = 0; k < kNumGateKinds; ++k) {
+    if (is_unitary(static_cast<GateKind>(k))) kinds.push_back(k);
+  }
+  return kinds;
+}
+
 TEST_P(AllUnitaryGates, MatrixIsUnitary) {
   auto kind = static_cast<GateKind>(GetParam());
-  if (!is_unitary(kind)) GTEST_SKIP();
   int arity = gate_arity(kind);
   std::vector<int> qubits;
   for (int i = 0; i < arity; ++i) qubits.push_back(i);
@@ -96,7 +104,6 @@ TEST_P(AllUnitaryGates, MatrixIsUnitary) {
 
 TEST_P(AllUnitaryGates, InverseMatrixIsAdjoint) {
   auto kind = static_cast<GateKind>(GetParam());
-  if (!is_unitary(kind)) GTEST_SKIP();
   int arity = gate_arity(kind);
   std::vector<int> qubits;
   for (int i = 0; i < arity; ++i) qubits.push_back(i);
@@ -109,7 +116,7 @@ TEST_P(AllUnitaryGates, InverseMatrixIsAdjoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AllUnitaryGates,
-                         ::testing::Range(0, kNumGateKinds));
+                         ::testing::ValuesIn(unitary_kinds()));
 
 // ---------------------------------------------------------------------------
 // Specific gate matrices (spot values)
