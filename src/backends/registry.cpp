@@ -174,35 +174,6 @@ ParamInfo real_param(std::string name, double min, double max, double def,
   return p;
 }
 
-/// Levenshtein distance, small inputs only (did-you-mean on backend names).
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    cur[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      std::size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[b.size()];
-}
-
-std::string closest_name(std::string_view arg,
-                         const std::vector<std::string>& candidates) {
-  std::string best;
-  std::size_t best_distance = 4;  // suggest only within edit distance 3
-  for (const auto& c : candidates) {
-    std::size_t d = edit_distance(arg, c);
-    if (d < best_distance) {
-      best_distance = d;
-      best = c;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 BackendRegistry::BackendRegistry() {
@@ -288,7 +259,7 @@ qfs::StatusOr<device::Device> BackendRegistry::make(
     names.reserve(infos_.size());
     for (const auto& e : infos_) names.push_back(e.name);
     std::string message = "unknown device '" + spec.name + "'";
-    std::string suggestion = closest_name(spec.name, names);
+    std::string suggestion = closest_match(spec.name, names);
     if (!suggestion.empty()) {
       message += " (did you mean '" + suggestion + "'?)";
     } else {
@@ -324,7 +295,7 @@ qfs::StatusOr<device::Device> BackendRegistry::make(
         for (const auto& p : info->params) names.push_back(p.name);
         std::string message = "backend '" + info->name +
                               "' has no parameter '" + arg.name + "'";
-        std::string suggestion = closest_name(arg.name, names);
+        std::string suggestion = closest_match(arg.name, names);
         if (!suggestion.empty()) {
           message += " (did you mean '" + suggestion + "'?)";
         }

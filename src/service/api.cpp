@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "qasm/writer.h"
-#include "service/flags.h"
 #include "support/assert.h"
+#include "support/strings.h"
 
 namespace qfs::service {
 
@@ -349,7 +349,7 @@ qfs::StatusOr<CompileRequest> request_from_json(const JsonValue& json) {
       }
     } else {
       std::string message = "unknown request field '" + field + "'";
-      std::string suggestion = suggest_flag(field, known_request_fields());
+      std::string suggestion = closest_match(field, known_request_fields());
       if (!suggestion.empty()) {
         message += " (did you mean '" + suggestion + "'?)";
       }

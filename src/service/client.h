@@ -19,8 +19,9 @@
 // with the *remaining* budget, and backoff sleeps are clamped to it.
 //
 // The low-level pieces (connect_endpoint, send_all, LineReader, private
-// daemon spawn) are exposed too: qfsd_loadgen, qfsd_chaos and the tests
-// all speak the same wire through this one translation unit.
+// daemon spawn) are exposed too: qfsd_loadgen (load, chaos storm and
+// --once) and the tests all speak the same wire through this one
+// translation unit.
 #pragma once
 
 #include <cstdint>

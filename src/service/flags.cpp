@@ -64,34 +64,4 @@ qfs::Status parse_request_flags(int argc, char** argv,
   return qfs::Status::ok();
 }
 
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      std::size_t next = std::min({row[j] + 1, row[j - 1] + 1,
-                                   diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-      diag = row[j];
-      row[j] = next;
-    }
-  }
-  return row[b.size()];
-}
-
-std::string suggest_flag(std::string_view arg,
-                         const std::vector<std::string>& candidates) {
-  std::size_t best = 4;  // only suggest reasonably close matches
-  std::string suggestion;
-  for (const std::string& candidate : candidates) {
-    std::size_t d = edit_distance(arg, candidate);
-    if (d < best) {
-      best = d;
-      suggestion = candidate;
-    }
-  }
-  return suggestion;
-}
-
 }  // namespace qfs::service

@@ -5,14 +5,13 @@
 // --router were parsed three times (qfsc's flag loop, bench::parse_jobs,
 // bench::parse_cache_dir) with three divergent error messages. This header
 // is the single implementation: a per-argument consumer for strict parsers
-// that enumerate every flag (qfsc), a whole-argv scanner for lenient ones
-// that only pick out the shared set (benches), and the Levenshtein
-// did-you-mean helper the strict parsers use to reject near-miss flags.
+// that enumerate every flag (qfsc) and a whole-argv scanner for lenient ones
+// that only pick out the shared set (benches). The strict parsers reject a
+// near-miss flag with qfs::closest_match (support/strings.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "support/status.h"
@@ -58,13 +57,5 @@ FlagParse consume_request_flag(int argc, char** argv, int& i,
 /// benches call this once instead of hand-rolling their own loops. The only
 /// error is a malformed value for a recognised flag.
 qfs::Status parse_request_flags(int argc, char** argv, RequestFlagValues& out);
-
-/// Classic dynamic-programming edit distance (small inputs only).
-std::size_t edit_distance(std::string_view a, std::string_view b);
-
-/// The candidate closest to `arg` within edit distance 3, or "" when
-/// nothing is close enough to suggest.
-std::string suggest_flag(std::string_view arg,
-                         const std::vector<std::string>& candidates);
 
 }  // namespace qfs::service

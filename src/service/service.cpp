@@ -23,7 +23,6 @@
 #include "qasm/cqasm_writer.h"
 #include "qasm/parser.h"
 #include "qasm/writer.h"
-#include "service/flags.h"
 #include "support/hash.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -275,7 +274,7 @@ CompileResponse execute_impl(const ServiceConfig& config,
     if (!mapper::is_known_placer(options.placer)) {
       std::string message = "unknown placer '" + options.placer + "'";
       std::string suggestion =
-          suggest_flag(options.placer, mapper::known_placer_names());
+          closest_match(options.placer, mapper::known_placer_names());
       if (!suggestion.empty()) {
         message += " (did you mean '" + suggestion + "'?)";
       }
@@ -284,7 +283,7 @@ CompileResponse execute_impl(const ServiceConfig& config,
     if (!mapper::is_known_router(options.router)) {
       std::string message = "unknown router '" + options.router + "'";
       std::string suggestion =
-          suggest_flag(options.router, mapper::known_router_names());
+          closest_match(options.router, mapper::known_router_names());
       if (!suggestion.empty()) {
         message += " (did you mean '" + suggestion + "'?)";
       }

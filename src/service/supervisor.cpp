@@ -80,6 +80,12 @@ int CircuitBreaker::restarts_in_window(double now_ms) {
 
 namespace {
 
+/// SIGKILL a worker's whole process group: the worker leads its own group
+/// (see spawn_worker_locked), so its descendants die with it.
+void kill_worker_group(pid_t pid) {
+  if (pid > 0) ::kill(-pid, SIGKILL);
+}
+
 CompileResponse typed_response(const CompileRequest& request, ErrorCode code,
                                std::string message) {
   CompileResponse response;
@@ -150,13 +156,18 @@ bool Supervisor::spawn_worker_locked(Worker& worker, double now) {
   if (pid == 0) {
     // Child: the worker speaks the line protocol on stdin/stdout (both
     // ends of one bidirectional socketpair fd). Everything else we own is
-    // CLOEXEC, so exec drops it.
+    // CLOEXEC, so exec drops it. It leads a new process group, so one
+    // kill reaches everything it spawns.
+    ::setpgid(0, 0);
     ::dup2(sp[1], STDIN_FILENO);
     ::dup2(sp[1], STDOUT_FILENO);
     ::close(sp[1]);
     ::execv(argv[0], argv.data());
     ::_exit(127);
   }
+  // Set the group from both sides: whichever runs first wins the race
+  // against a kill aimed at the group (EACCES after exec is harmless).
+  ::setpgid(pid, pid);
   ::close(sp[1]);
   worker.pid = pid;
   worker.fd = sp[0];
@@ -313,7 +324,7 @@ CompileResponse Supervisor::execute(const CompileRequest& request,
     // The watchdog fired: the worker is wedged (or just too slow, which is
     // indistinguishable). SIGKILL is the only reliable remedy; the monitor
     // reaps it and schedules the restart.
-    if (pid > 0) ::kill(pid, SIGKILL);
+    kill_worker_group(pid);
     mark_dead_locked(*worker, now, /*hung=*/true);
     return typed_response(
         request, ErrorCode::kDeadlineExceeded,
@@ -334,7 +345,7 @@ CompileResponse Supervisor::execute(const CompileRequest& request,
   if (!decoded.is_ok()) {
     // A worker that breaks the wire protocol can no longer be trusted:
     // treat it like a crash.
-    if (pid > 0) ::kill(pid, SIGKILL);
+    kill_worker_group(pid);
     mark_dead_locked(*worker, now, /*hung=*/false);
     return typed_response(request, ErrorCode::kInternal,
                           "compile worker returned a malformed response: " +
@@ -441,12 +452,12 @@ void Supervisor::shutdown() {
     }
     if (pending.empty()) break;
     if (attempt == 19) {
-      for (pid_t pid : pending) ::kill(pid, SIGKILL);
+      for (pid_t pid : pending) kill_worker_group(pid);
     }
     ::usleep(5 * 1000);
   }
   for (pid_t pid : pending) {
-    ::kill(pid, SIGKILL);
+    kill_worker_group(pid);
     int status = 0;
     ::waitpid(pid, &status, 0);
   }

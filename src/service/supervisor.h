@@ -13,6 +13,9 @@
 //   - a worker that hangs past the request deadline is SIGKILLed by the
 //     per-request watchdog and the request fails fast with
 //     `deadline_exceeded` instead of wedging a slot forever;
+//   - every worker leads its own process group, and every kill (watchdog,
+//     malformed output, shutdown) goes to the whole group, so nothing a
+//     worker started outlives it;
 //   - dead workers are restarted with jittered exponential backoff, and a
 //     restart storm (too many restarts inside a sliding window) trips a
 //     circuit breaker: the supervisor stops respawning and sheds incoming

@@ -1,5 +1,6 @@
 #include "support/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -10,6 +11,23 @@ namespace qfs {
 namespace {
 bool is_space(char c) {
   return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+/// Levenshtein distance, one DP row (small inputs only).
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      std::size_t next = std::min({row[j] + 1, row[j - 1] + 1,
+                                   diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+      diag = row[j];
+      row[j] = next;
+    }
+  }
+  return row[b.size()];
 }
 }  // namespace
 
@@ -79,6 +97,20 @@ bool parse_double(std::string_view s, double& out) {
   // std::from_chars for double is available in GCC 12.
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
   return ec == std::errc() && ptr == s.data() + s.size();
+}
+
+std::string closest_match(std::string_view s,
+                          const std::vector<std::string>& candidates) {
+  std::size_t best = 4;  // only suggest reasonably close matches
+  std::string suggestion;
+  for (const std::string& candidate : candidates) {
+    std::size_t d = edit_distance(s, candidate);
+    if (d < best) {
+      best = d;
+      suggestion = candidate;
+    }
+  }
+  return suggestion;
 }
 
 }  // namespace qfs

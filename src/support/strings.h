@@ -28,4 +28,10 @@ std::string format_double(double value, int precision);
 bool parse_int(std::string_view s, int& out);
 bool parse_double(std::string_view s, double& out);
 
+/// The candidate closest to `s` within Levenshtein edit distance 3 (the
+/// first one on a tie), or "" when nothing is close enough to suggest: the
+/// one did-you-mean behind every unknown flag, field, device and parameter.
+std::string closest_match(std::string_view s,
+                          const std::vector<std::string>& candidates);
+
 }  // namespace qfs

@@ -7,7 +7,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -17,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/client.h"
 #include "service/server.h"
 #include "support/json.h"
 
@@ -26,7 +26,9 @@ namespace {
 const char* kBellQasm =
     "OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
 
-/// Minimal blocking line-protocol client for the tests.
+/// Minimal blocking line-protocol client for the tests, on the library's
+/// wire plumbing (no retry, unlike service::Client: the tests drive raw
+/// frames and want to see exactly what comes back).
 class Client {
  public:
   explicit Client(const std::string& endpoint) { connect(endpoint); }
@@ -34,33 +36,10 @@ class Client {
  private:
   // ASSERT_* needs a void function, so the constructor delegates.
   void connect(const std::string& endpoint) {
-    if (endpoint.rfind("unix:", 0) == 0) {
-      fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      ASSERT_GE(fd_, 0);
-      sockaddr_un addr{};
-      addr.sun_family = AF_UNIX;
-      std::string path = endpoint.substr(5);
-      ASSERT_LT(path.size(), sizeof(addr.sun_path));
-      std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-      ASSERT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof(addr)),
-                0)
-          << "connect " << endpoint << ": " << std::strerror(errno);
-    } else {
-      // "tcp:127.0.0.1:<port>"
-      std::size_t colon = endpoint.rfind(':');
-      int port = std::stoi(endpoint.substr(colon + 1));
-      fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-      ASSERT_GE(fd_, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(static_cast<std::uint16_t>(port));
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      ASSERT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof(addr)),
-                0)
-          << "connect " << endpoint << ": " << std::strerror(errno);
-    }
+    std::string error;
+    fd_ = connect_endpoint(endpoint, error);
+    ASSERT_GE(fd_, 0) << error;
+    reader_ = LineReader(fd_);
   }
 
  public:
@@ -71,28 +50,13 @@ class Client {
   void send_line(const std::string& line) { send_raw(line + "\n"); }
 
   void send_raw(const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent, 0);
-      ASSERT_GT(n, 0) << "send: " << std::strerror(errno);
-      sent += static_cast<std::size_t>(n);
-    }
+    ASSERT_TRUE(send_all(fd_, bytes)) << "send: " << std::strerror(errno);
   }
 
   /// Next '\n'-terminated line, or "" on EOF.
   std::string read_line() {
-    while (true) {
-      std::size_t pos = buffer_.find('\n');
-      if (pos != std::string::npos) {
-        std::string line = buffer_.substr(0, pos);
-        buffer_.erase(0, pos + 1);
-        return line;
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
+    std::string line;
+    return reader_.next(line) ? line : "";
   }
 
   JsonValue read_json() {
@@ -108,7 +72,7 @@ class Client {
 
  private:
   int fd_ = -1;
-  std::string buffer_;
+  LineReader reader_{-1};
 };
 
 std::string field(const JsonValue& v, const char* key) {

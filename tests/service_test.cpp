@@ -17,6 +17,7 @@
 #include "service/api.h"
 #include "service/flags.h"
 #include "service/service.h"
+#include "support/strings.h"
 
 namespace qfs::service {
 namespace {
@@ -250,10 +251,10 @@ TEST(RequestFlags, MalformedValueIsAnError) {
 }
 
 TEST(RequestFlags, SuggestsNearMissFlags) {
-  EXPECT_EQ(suggest_flag("--jbos", shared_request_flags()), "--jobs");
-  EXPECT_EQ(suggest_flag("--cachedir", shared_request_flags()),
+  EXPECT_EQ(closest_match("--jbos", shared_request_flags()), "--jobs");
+  EXPECT_EQ(closest_match("--cachedir", shared_request_flags()),
             "--cache-dir");
-  EXPECT_EQ(suggest_flag("--zzzzzzzz", shared_request_flags()), "");
+  EXPECT_EQ(closest_match("--zzzzzzzz", shared_request_flags()), "");
 }
 
 // ---------------------------------------------------------------------------

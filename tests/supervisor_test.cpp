@@ -4,9 +4,15 @@
 // against a real in-process server.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -205,6 +211,42 @@ TEST(SupervisorTest, HungWorkerIsKilledByTheDeadlineWatchdog) {
   EXPECT_NE(response.error_message.find("watchdog"), std::string::npos);
   EXPECT_EQ(supervisor.counters().hung_killed, 1u);
   supervisor.shutdown();
+}
+
+TEST(SupervisorTest, WatchdogKillsTheHungWorkersGrandchildren) {
+  // The worker backgrounds a grandchild and publishes its pid (atomically,
+  // via rename) before it reads the request, then hangs. Made a subreaper,
+  // this process inherits the orphaned grandchild and can reap it, so
+  // "dead" below means gone, not a zombie nobody waits for.
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const std::string pid_file = ::testing::TempDir() + "qfs-grandchild-" +
+                               std::to_string(::getpid()) + ".pid";
+  std::remove(pid_file.c_str());
+  Supervisor supervisor(sh_worker("sleep 30 & echo $! > " + pid_file +
+                                  ".tmp && mv " + pid_file + ".tmp " +
+                                  pid_file + "; read line; sleep 30"));
+  ASSERT_TRUE(supervisor.start().is_ok());
+  pid_t grandchild = 0;
+  for (int i = 0; i < 500 && grandchild <= 0; ++i) {
+    std::ifstream in(pid_file);
+    if (!(in >> grandchild)) ::usleep(10 * 1000);
+  }
+  ASSERT_GT(grandchild, 1) << "the worker never published its child's pid";
+
+  CompileResponse response = supervisor.execute(bell_request("g-1"), 150.0);
+  EXPECT_EQ(response.code, ErrorCode::kDeadlineExceeded);
+  bool gone = false;
+  for (int i = 0; i < 200 && !gone; ++i) {
+    ::waitpid(grandchild, nullptr, WNOHANG);
+    gone = ::kill(grandchild, 0) != 0 && errno == ESRCH;
+    if (!gone) ::usleep(10 * 1000);
+  }
+  EXPECT_TRUE(gone) << "grandchild " << grandchild
+                    << " outlived its watchdog-killed worker";
+  if (!gone) ::kill(grandchild, SIGKILL);
+  supervisor.shutdown();
+  std::remove(pid_file.c_str());
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
 }
 
 TEST(SupervisorTest, MalformedWorkerOutputIsTypedInternal) {

@@ -4,25 +4,27 @@
 # well-formed response and the daemon never exits.  Afterwards, warm
 # retried results must stay byte-identical to offline `qfsc --emit-json`.
 #
-# Expects: -DCHAOS=<qfsd_chaos> -DQFSC=<qfsc> -DQFSD=<qfsd>
-#          -DLOADGEN=<qfsd_loadgen> -DINPUTS=<qasm;files> -DSEED=<n>
+# The storm is `qfsd_loadgen --chaos`.
+#
+# Expects: -DQFSC=<qfsc> -DQFSD=<qfsd> -DLOADGEN=<qfsd_loadgen>
+#          -DINPUTS=<qasm;files> -DSEED=<n>
 if(NOT DEFINED SEED)
   set(SEED 2022)
 endif()
 
 execute_process(
-  COMMAND ${CHAOS} --spawn ${QFSD} --seed ${SEED}
-          --clients 8 --requests 120 --worker-procs 2
+  COMMAND ${LOADGEN} --chaos --spawn ${QFSD} --seed ${SEED}
+          --clients 8 --requests 120
+          --spawn-arg --worker-procs --spawn-arg 2
           --deadline-ms 8000 --retries 4
-          --kill-interval-ms 150 --chaos-fraction 0.15
           ${INPUTS}
   OUTPUT_VARIABLE chaos_out
   ERROR_VARIABLE chaos_err
   RESULT_VARIABLE chaos_rc)
-message(STATUS "qfsd_chaos output:\n${chaos_out}")
+message(STATUS "qfsd_loadgen --chaos output:\n${chaos_out}\n${chaos_err}")
 if(NOT chaos_rc EQUAL 0)
   message(FATAL_ERROR
-    "qfsd_chaos contract violated (exit ${chaos_rc}):\n"
+    "qfsd_loadgen --chaos contract violated (exit ${chaos_rc}):\n"
     "${chaos_out}\n${chaos_err}")
 endif()
 

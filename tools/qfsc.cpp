@@ -455,7 +455,7 @@ int main(int argc, char** argv) {
       cli.draw_circuit = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "qfsc: unknown option '" << arg << "'";
-      std::string suggestion = service::suggest_flag(arg, known_flags());
+      std::string suggestion = closest_match(arg, known_flags());
       if (!suggestion.empty()) std::cerr << " (did you mean " << suggestion
                                          << "?)";
       std::cerr << " (try --help)\n";

@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
       worker_mode = true;
     } else {
       std::cerr << "qfsd: unknown option '" << arg << "'";
-      std::string suggestion = service::suggest_flag(arg, known_flags());
+      std::string suggestion = closest_match(arg, known_flags());
       if (!suggestion.empty()) {
         std::cerr << " (did you mean " << suggestion << "?)";
       }

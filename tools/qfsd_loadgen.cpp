@@ -1,4 +1,4 @@
-// qfsd_loadgen — load generator and wire client for qfsd.
+// qfsd_loadgen — load generator, chaos harness and wire client for qfsd.
 //
 // Modes:
 //
@@ -17,6 +17,25 @@
 //   shed/deadline-expired counts, which are reported and recorded but are
 //   not failures.
 //
+//   Chaos storm (--chaos, needs --spawn): the open-loop load (every request
+//   due at once when --rate is 0) against a supervised daemon spawned with
+//   --enable-chaos, while every fault class the supervision layer claims to
+//   survive is injected from the one --seed:
+//     - SIGKILL of a random live worker (pids read off the stats op) every
+//       150 ms for the whole run;
+//     - hang/crash/exit directives on 15% of the requests (a hang runs
+//       into the per-request watchdog);
+//     - malformed frames (non-JSON garbage, JSON non-objects, unknown
+//       fields), oversized frames and mid-write disconnects.
+//   A fault-free warm-up compiles each circuit once first. The run passes
+//   only when: every request is answered exactly once; no load connection
+//   is lost (worker death is not connection death); every ok result of a
+//   clean request carries a digest, one per circuit across the whole run;
+//   the warm-up is all ok; every complete malformed frame earns a typed
+//   error; the daemon answers stats after the storm and exits 0; and the
+//   chaos really happened (faults injected, worker deaths observed,
+//   workers restarted).
+//
 //   --once <file>: send one compile request and print the response's
 //   "metrics" document verbatim, pretty-printed. Byte-identical to
 //   `qfsc --emit-json` stdout for the same flags — the cross-entrypoint
@@ -27,15 +46,21 @@
 //   ask it to shut down and reap it. Makes ctest self-contained.
 //
 //   qfsd_loadgen --spawn $(which qfsd) --clients 8 --requests 100 a.qasm
-//   qfsd_loadgen --spawn ./qfsd --spawn-arg --worker-procs --spawn-arg 2 \
+//   qfsd_loadgen --spawn ./qfsd --spawn-arg --worker-procs --spawn-arg 2
 //                --rate 200 --requests 400 --retries 3 a.qasm
+//   qfsd_loadgen --spawn ./qfsd --spawn-arg --worker-procs --spawn-arg 2
+//                --chaos --seed 2022 --deadline-ms 8000 --retries 4 a.qasm
 //   qfsd_loadgen --connect unix:/tmp/qfsd.sock --once qft4.qasm
+#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -47,6 +72,7 @@
 #include "service/flags.h"
 #include "stats/descriptive.h"
 #include "support/json.h"
+#include "support/rng.h"
 #include "support/status.h"
 #include "support/strings.h"
 #include "support/timer.h"
@@ -71,6 +97,7 @@ struct LoadgenOptions {
   double rate = 0.0;            // > 0: open-loop arrivals per second
   int retries = 1;              // client attempts per request (1 = no retry)
   double deadline_ms = -1.0;
+  bool chaos = false;           // fault storm against a chaos-enabled daemon
   bool require_warm_hits = false;
   std::string bench_json;       // "" = don't write
   service::RequestFlagValues shared;  // --device/--placer/--router/--seed
@@ -112,13 +139,22 @@ service::RetryPolicy retry_policy(const LoadgenOptions& opts) {
 // Server-side stats surfacing (supervision counters)
 // ---------------------------------------------------------------------------
 
-/// Fetch {"op":"stats"} and print/collect the supervision counters the PR's
-/// satellite asks for. Returns the raw stats doc (null JsonValue on error).
+/// Fetch {"op":"stats"}. Returns the raw stats doc (null JsonValue when the
+/// daemon does not answer).
 JsonValue fetch_stats(const std::string& endpoint) {
   service::Client client(endpoint);
   auto stats = client.op("stats");
   if (!stats.is_ok()) return JsonValue::null();
   return std::move(stats).value();
+}
+
+/// The supervisor's `key` counter out of a stats doc (0 when the daemon
+/// runs no supervisor).
+long long supervisor_count(const JsonValue& stats, const char* key) {
+  const JsonValue* sup = stats.is_object() ? stats.find("supervisor") : nullptr;
+  const JsonValue* v = sup != nullptr && sup->is_object() ? sup->find(key)
+                                                          : nullptr;
+  return v != nullptr && v->is_integer() ? v->as_integer() : 0;
 }
 
 void report_server_stats(const JsonValue& stats) {
@@ -131,17 +167,13 @@ void report_server_stats(const JsonValue& stats) {
                 << " retried requests\n";
     }
   }
-  const JsonValue* sup = stats.find("supervisor");
-  if (sup != nullptr && sup->is_object()) {
-    auto count = [&sup](const char* key) -> long long {
-      const JsonValue* v = sup->find(key);
-      return v != nullptr && v->is_integer() ? v->as_integer() : 0;
-    };
-    std::cerr << "qfsd_loadgen: supervisor: " << count("restarts")
-              << " worker restarts (" << count("crashes") << " crashes, "
-              << count("hung_killed") << " hung-killed), "
-              << count("breaker_trips") << " breaker trips, "
-              << count("shed") << " requests shed\n";
+  if (stats.find("supervisor") != nullptr) {
+    std::cerr << "qfsd_loadgen: supervisor: "
+              << supervisor_count(stats, "restarts") << " worker restarts ("
+              << supervisor_count(stats, "crashes") << " crashes, "
+              << supervisor_count(stats, "hung_killed") << " hung-killed), "
+              << supervisor_count(stats, "breaker_trips") << " breaker trips, "
+              << supervisor_count(stats, "shed") << " requests shed\n";
   }
 }
 
@@ -197,7 +229,22 @@ struct LoadStats {
   long long cache_hits = 0;
   long long retries = 0;          ///< client-side retry attempts
   long long dropped_connections = 0;
+  long long digest_conflicts = 0; ///< a circuit compiled to two digests
+  long long missing_digests = 0;  ///< clean ok result without a digest
+  std::map<std::string, std::string> digest_by_source;  ///< first seen
 };
+
+/// Record the digest of a clean (directive-free) request's ok result: one
+/// digest per circuit, crashes and retries included.
+void record_digest(LoadStats& stats, const std::string& source,
+                   const std::string& digest) {
+  if (digest.empty()) {
+    ++stats.missing_digests;
+    return;
+  }
+  auto [it, inserted] = stats.digest_by_source.emplace(source, digest);
+  if (!inserted && it->second != digest) ++stats.digest_conflicts;
+}
 
 void merge_into(LoadStats& stats, std::mutex& mu, LoadStats local) {
   std::lock_guard<std::mutex> lock(mu);
@@ -208,6 +255,11 @@ void merge_into(LoadStats& stats, std::mutex& mu, LoadStats local) {
   stats.cache_hits += local.cache_hits;
   stats.retries += local.retries;
   stats.dropped_connections += local.dropped_connections;
+  stats.digest_conflicts += local.digest_conflicts;
+  stats.missing_digests += local.missing_digests;
+  for (const auto& [source, digest] : local.digest_by_source) {
+    record_digest(stats, source, digest);
+  }
   stats.latencies_ms.insert(stats.latencies_ms.end(),
                             local.latencies_ms.begin(),
                             local.latencies_ms.end());
@@ -224,13 +276,6 @@ void count_response(LoadStats& local, const service::CompileResponse& resp) {
     }
   }
   if (resp.cache_hit) ++local.cache_hits;
-}
-
-// Percentile semantics live in one shared implementation
-// (stats::percentile_nearest_rank): empty-safe, exact at p=0/p=1, no
-// round-half-up index excursion for small sample counts.
-double percentile(const std::vector<double>& values, double p) {
-  return stats::percentile_nearest_rank(values, p);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,12 +385,166 @@ void run_client_open(const std::string& endpoint,
     local.dropped_connections +=
         retry_stats.connect_failures + retry_stats.dropped_connections;
     count_response(local, response);
+    if (response.ok() && requests[i].chaos.empty()) {
+      record_digest(local, requests[i].source_name, response.mapped_digest);
+    }
   }
   merge_into(stats, stats_mu, std::move(local));
 }
 
 // ---------------------------------------------------------------------------
-// Load driver (both modes)
+// Chaos storm (--chaos)
+// ---------------------------------------------------------------------------
+
+constexpr double kKillIntervalMs = 150.0;  // worker-killer cadence
+constexpr double kChaosFraction = 0.15;    // share of requests with a directive
+constexpr int kVandalRounds = 24;
+
+/// What the storm did besides the load itself.
+struct ChaosTally {
+  LoadStats warm;                   ///< the fault-free warm-up
+  std::size_t warmups = 0;
+  long long directives = 0;         ///< requests carrying a chaos directive
+  std::atomic<long long> kills{0};  ///< worker SIGKILLs delivered
+  long long vandal_frames = 0;      ///< complete malformed frames sent
+  long long vandal_typed_errors = 0;  ///< ...answered with a typed error
+};
+
+/// The worker killer: every interval, read the live worker pids off the
+/// stats op and SIGKILL one chosen by the seeded Rng.
+void run_worker_killer(const std::string& endpoint, std::uint64_t seed,
+                       const std::atomic<bool>& stop,
+                       std::atomic<long long>& kills) {
+  Rng rng(derive_seed(seed, /*stream=*/2));
+  service::Client client(endpoint);
+  while (!stop.load()) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(kKillIntervalMs));
+    auto stats = client.op("stats");
+    if (!stats.is_ok() || !stats.value().is_object()) continue;
+    const JsonValue* sup = stats.value().find("supervisor");
+    if (sup == nullptr || !sup->is_object()) continue;
+    const JsonValue* pids = sup->find("worker_pids");
+    if (pids == nullptr || !pids->is_array() || pids->size() == 0) continue;
+    std::size_t which =
+        static_cast<std::size_t>(rng.uniform_index(pids->size()));
+    if (pids->at(which).is_integer()) {
+      pid_t pid = static_cast<pid_t>(pids->at(which).as_integer());
+      if (pid > 1 && ::kill(pid, SIGKILL) == 0) ++kills;
+    }
+  }
+}
+
+/// The vandal: malformed frames, oversized frames and mid-write
+/// disconnects on throwaway connections. Every complete frame must earn a
+/// typed error response; half frames may simply be dropped with the
+/// connection, but the daemon must survive all of it.
+void run_vandal(const std::string& endpoint, std::uint64_t seed,
+                ChaosTally& tally) {
+  Rng rng(derive_seed(seed, /*stream=*/3));
+  // Send one complete frame; count it, and its answer when the reply
+  // carries `marker`.
+  auto frame = [&tally](int fd, const std::string& text, const char* marker) {
+    if (!service::send_all(fd, text)) return false;
+    ++tally.vandal_frames;
+    std::string line;
+    if (service::LineReader(fd).next(line) &&
+        line.find(marker) != std::string::npos) {
+      ++tally.vandal_typed_errors;
+    }
+    return true;
+  };
+  for (int round = 0; round < kVandalRounds; ++round) {
+    std::string error;
+    int fd = service::connect_endpoint(endpoint, error);
+    if (fd < 0) continue;  // transient; the stats probe at the end decides
+    int which = rng.uniform_int(0, 3);
+    if (which == 0) {
+      // Non-JSON garbage and a JSON non-object: one typed error each.
+      if (frame(fd, "this is not json\n", "\"code\"")) {
+        frame(fd, "[1,2,3]\n", "\"code\"");
+      }
+    } else if (which == 1) {
+      // Unknown field: typed invalid_request with a did-you-mean.
+      frame(fd, "{\"qasm\":\"x\",\"devcie\":\"s17\"}\n", "invalid_request");
+    } else if (which == 2) {
+      // Oversized source (past --max-request-bytes): typed
+      // resource_exhausted, connection stays up.
+      frame(fd, "{\"qasm\":\"" + std::string(96 * 1024, 'x') + "\"}\n",
+            "resource_exhausted");
+    } else {
+      // Mid-write disconnect: half a request line, then hang up. No
+      // response owed; the daemon just must not die (SIGPIPE hardening).
+      service::send_all(fd, "{\"qasm\":\"OPENQASM 2.0; include \\\"qel");
+    }
+    ::close(fd);
+  }
+}
+
+/// The storm's pass/fail verdict (see the header comment), after the load
+/// and supervisor reports. The daemon's exit code on shutdown, the last
+/// invariant, is checked by main for every mode.
+bool chaos_invariants_hold(const LoadgenOptions& opts, const LoadStats& stats,
+                           const ChaosTally& tally,
+                           const JsonValue& server_stats) {
+  const long long crashes = supervisor_count(server_stats, "crashes");
+  const long long hung_killed = supervisor_count(server_stats, "hung_killed");
+  const long long answered = stats.ok + stats.failed;
+  std::cerr << "qfsd_loadgen: warm-up " << tally.warm.ok << "/"
+            << tally.warmups << " ok, " << answered << "/" << opts.requests
+            << " requests answered, " << tally.directives
+            << " chaos directives, " << tally.kills.load()
+            << " worker SIGKILLs\n"
+            << "qfsd_loadgen: vandal sent " << tally.vandal_frames
+            << " bad frames, " << tally.vandal_typed_errors
+            << " answered with typed errors\n";
+
+  bool held = true;
+  auto check = [&held](bool ok, const std::string& what) {
+    if (!ok) {
+      std::cerr << "qfsd_loadgen: INVARIANT VIOLATED: " << what << "\n";
+      held = false;
+    }
+  };
+  check(answered == opts.requests,
+        "every accepted request gets exactly one response (" +
+            std::to_string(answered) + "/" + std::to_string(opts.requests) +
+            ")");
+  check(stats.dropped_connections == 0,
+        "load-client connections must survive worker death (" +
+            std::to_string(stats.dropped_connections) + " transport losses)");
+  check(stats.digest_conflicts == 0,
+        "ok results must be byte-consistent per circuit (" +
+            std::to_string(stats.digest_conflicts) + " digest conflicts)");
+  check(stats.missing_digests == 0,
+        "ok results must carry a mapped digest (" +
+            std::to_string(stats.missing_digests) + " missing)");
+  // The warm-up ran with no faults in flight: anything short of all-ok
+  // there is a real service bug, not storm collateral. (Storm-phase ok
+  // counts are load-dependent and deliberately not an invariant — a full
+  // brownout under a saturated machine is typed, answered, and correct.)
+  check(tally.warm.ok == static_cast<long long>(tally.warmups) &&
+            tally.warm.dropped_connections == 0,
+        "pre-storm warm-up compiles all complete ok (" +
+            std::to_string(tally.warm.ok) + "/" +
+            std::to_string(tally.warmups) + ")");
+  check(tally.vandal_typed_errors == tally.vandal_frames,
+        "every complete malformed frame earns a typed error (" +
+            std::to_string(tally.vandal_typed_errors) + "/" +
+            std::to_string(tally.vandal_frames) + ")");
+  check(server_stats.is_object(), "daemon answers stats after the storm");
+  check(tally.kills.load() > 0 || tally.directives > 0,
+        "chaos was actually injected");
+  check(crashes + hung_killed > 0,
+        "worker deaths were actually observed by the supervisor");
+  check(supervisor_count(server_stats, "restarts") > 0,
+        "the supervisor actually restarted workers");
+  if (held) std::cerr << "qfsd_loadgen: chaos invariants held\n";
+  return held;
+}
+
+// ---------------------------------------------------------------------------
+// Load driver (every mode but --once)
 // ---------------------------------------------------------------------------
 
 int run_load(const LoadgenOptions& opts, const std::string& endpoint) {
@@ -361,7 +560,12 @@ int run_load(const LoadgenOptions& opts, const std::string& endpoint) {
     }
     sources.push_back(std::move(source).value());
   }
-  const bool open_loop = opts.rate > 0.0;
+  // Chaos rides on the open-loop path: retrying clients, and with no
+  // --rate every request is due at once.
+  const bool open_loop = opts.rate > 0.0 || opts.chaos;
+  ChaosTally tally;
+  Rng chaos_rng(derive_seed(opts.shared.seed, /*stream=*/1));
+  const std::vector<std::string> directives = {"hang", "crash", "exit"};
   std::vector<std::vector<service::CompileRequest>> per_client(
       static_cast<std::size_t>(opts.clients));
   std::vector<std::vector<double>> per_client_schedule(
@@ -371,19 +575,46 @@ int run_load(const LoadgenOptions& opts, const std::string& endpoint) {
     service::CompileRequest request = base_request(
         opts, sources[which], opts.qasm_paths[which]);
     request.id = "r" + std::to_string(i);
+    if (opts.chaos && chaos_rng.bernoulli(kChaosFraction)) {
+      request.chaos = directives[static_cast<std::size_t>(
+          chaos_rng.uniform_index(directives.size()))];
+      ++tally.directives;
+    }
     std::size_t slot = static_cast<std::size_t>(i) %
                        static_cast<std::size_t>(opts.clients);
     per_client[slot].push_back(std::move(request));
     if (open_loop) {
       // Deterministic fixed-rate arrivals: request i is due at i/rate.
-      per_client_schedule[slot].push_back(1000.0 * static_cast<double>(i) /
-                                          opts.rate);
+      per_client_schedule[slot].push_back(
+          opts.rate > 0.0 ? 1000.0 * static_cast<double>(i) / opts.rate
+                          : 0.0);
     }
   }
 
   LoadStats stats;
   std::mutex stats_mu;
   service::RetryPolicy policy = retry_policy(opts);
+  std::atomic<bool> stop_storm{false};
+  std::vector<std::thread> storm;
+  if (opts.chaos) {
+    // Pre-storm warm-up: one clean compile per circuit while nothing is
+    // injecting faults yet. These must all succeed, and they seed the
+    // digest table the storm's results must stay byte-identical with.
+    std::vector<service::CompileRequest> warmup;
+    for (std::size_t which = 0; which < sources.size(); ++which) {
+      warmup.push_back(
+          base_request(opts, sources[which], opts.qasm_paths[which]));
+      warmup.back().id = "w" + std::to_string(which);
+    }
+    tally.warmups = warmup.size();
+    run_client_open(endpoint, warmup, std::vector<double>(warmup.size(), 0.0),
+                    Clock::now(), policy, tally.warm, stats_mu);
+    stats.digest_by_source = tally.warm.digest_by_source;
+    storm.emplace_back([&] {
+      run_worker_killer(endpoint, opts.shared.seed, stop_storm, tally.kills);
+    });
+    storm.emplace_back([&] { run_vandal(endpoint, opts.shared.seed, tally); });
+  }
   Clock::time_point start = Clock::now();
   std::vector<std::thread> clients;
   clients.reserve(per_client.size());
@@ -400,15 +631,21 @@ int run_load(const LoadgenOptions& opts, const std::string& endpoint) {
   }
   for (std::thread& t : clients) t.join();
   double wall_ms = ms_since(start);
+  stop_storm.store(true);
+  for (std::thread& t : storm) t.join();
 
-  double p50 = percentile(stats.latencies_ms, 0.50);
-  double p99 = percentile(stats.latencies_ms, 0.99);
+  // One shared percentile implementation: empty-safe, exact at p=0/p=1.
+  double p50 = qfs::stats::percentile_nearest_rank(stats.latencies_ms, 0.50);
+  double p99 = qfs::stats::percentile_nearest_rank(stats.latencies_ms, 0.99);
   double throughput =
       wall_ms > 0.0 ? 1000.0 * static_cast<double>(stats.ok) / wall_ms : 0.0;
 
-  std::cerr << "qfsd_loadgen: " << (open_loop ? "open-loop @" : "closed-loop")
-            << (open_loop ? " " + format_double(opts.rate, 1) + " req/s"
-                          : std::string())
+  const std::string mode =
+      opts.chaos ? "chaos" : open_loop ? "open" : "closed";
+  std::cerr << "qfsd_loadgen: " << mode << (opts.chaos ? " storm" : "-loop")
+            << (opts.rate > 0.0 ? " @ " + format_double(opts.rate, 1) +
+                                      " req/s"
+                                : std::string())
             << ": " << stats.ok << "/" << opts.requests << " ok, "
             << stats.failed << " failed (" << stats.shed << " shed, "
             << stats.deadline_expired << " deadline), "
@@ -426,7 +663,7 @@ int run_load(const LoadgenOptions& opts, const std::string& endpoint) {
   if (!opts.bench_json.empty()) {
     JsonValue doc = JsonValue::object();
     doc.set("bench", JsonValue::string("service"))
-        .set("mode", JsonValue::string(open_loop ? "open" : "closed"))
+        .set("mode", JsonValue::string(mode))
         .set("clients", JsonValue::integer(opts.clients))
         .set("requests", JsonValue::integer(opts.requests))
         .set("burst", JsonValue::integer(opts.burst))
@@ -459,7 +696,9 @@ int run_load(const LoadgenOptions& opts, const std::string& endpoint) {
     out << doc.to_pretty_string() << "\n";
   }
 
-  if (open_loop) {
+  if (opts.chaos) {
+    if (!chaos_invariants_hold(opts, stats, tally, server_stats)) return 1;
+  } else if (open_loop) {
     // Under deliberate overload sheds and expired deadlines are the signal
     // being measured, not a failure; hard failures and transport losses
     // still are.
@@ -506,6 +745,11 @@ void print_usage() {
       "                    connect/internal/resource_exhausted and never\n"
       "                    past the deadline                  (default 1)\n"
       "  --deadline-ms <x> per-request deadline               (default none)\n"
+      "  --chaos           fault storm (needs --spawn): worker SIGKILLs,\n"
+      "                    hang/crash/exit directives and hostile frames,\n"
+      "                    seeded by --seed; exit 0 only when every chaos\n"
+      "                    invariant holds. The daemon also gets\n"
+      "                    --enable-chaos --max-request-bytes 65536\n"
       "  --require-warm-hits  fail unless the daemon reports cache hits\n"
       "  --bench-json <f>  write the load report as JSON to <f>\n"
       "  --device/--placer/--router/--seed  forwarded into every request\n"
@@ -517,7 +761,7 @@ const std::vector<std::string>& known_loadgen_flags() {
       "--help",     "--connect", "--spawn",   "--spawn-arg",
       "--once",     "--clients", "--requests",
       "--burst",    "--rate",    "--retries",
-      "--deadline-ms", "--require-warm-hits",
+      "--deadline-ms", "--chaos",   "--require-warm-hits",
       "--bench-json",
   };
   return flags;
@@ -547,6 +791,11 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto bad_value = [&] {
+      std::cerr << "qfsd_loadgen: bad " << arg << " value '" << argv[i]
+                << "'\n";
+      return 1;
+    };
     if (arg == "--help" || arg == "-h") {
       print_usage();
       return 0;
@@ -560,37 +809,32 @@ int main(int argc, char** argv) {
       opts.once_path = next();
     } else if (arg == "--clients") {
       if (!parse_int(next(), opts.clients) || opts.clients < 1) {
-        std::cerr << "qfsd_loadgen: bad --clients value '" << argv[i] << "'\n";
-        return 1;
+        return bad_value();
       }
     } else if (arg == "--requests") {
       if (!parse_int(next(), opts.requests) || opts.requests < 1) {
-        std::cerr << "qfsd_loadgen: bad --requests value '" << argv[i]
-                  << "'\n";
-        return 1;
+        return bad_value();
       }
     } else if (arg == "--burst") {
-      if (!parse_int(next(), opts.burst) || opts.burst < 1) {
-        std::cerr << "qfsd_loadgen: bad --burst value '" << argv[i] << "'\n";
-        return 1;
-      }
+      if (!parse_int(next(), opts.burst) || opts.burst < 1) return bad_value();
     } else if (arg == "--rate") {
-      if (!parse_double(next(), opts.rate) || opts.rate < 0) {
-        std::cerr << "qfsd_loadgen: bad --rate value '" << argv[i] << "'\n";
-        return 1;
+      // NaN compares false against everything: reject it (and infinity)
+      // explicitly rather than fall back to a silent closed loop.
+      if (!parse_double(next(), opts.rate) || !std::isfinite(opts.rate) ||
+          opts.rate < 0) {
+        return bad_value();
       }
     } else if (arg == "--retries") {
       if (!parse_int(next(), opts.retries) || opts.retries < 1) {
-        std::cerr << "qfsd_loadgen: bad --retries value '" << argv[i]
-                  << "'\n";
-        return 1;
+        return bad_value();
       }
     } else if (arg == "--deadline-ms") {
-      if (!parse_double(next(), opts.deadline_ms)) {
-        std::cerr << "qfsd_loadgen: bad --deadline-ms value '" << argv[i]
-                  << "'\n";
-        return 1;
+      if (!parse_double(next(), opts.deadline_ms) ||
+          !std::isfinite(opts.deadline_ms)) {
+        return bad_value();
       }
+    } else if (arg == "--chaos") {
+      opts.chaos = true;
     } else if (arg == "--require-warm-hits") {
       opts.require_warm_hits = true;
     } else if (arg == "--bench-json") {
@@ -598,7 +842,7 @@ int main(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "qfsd_loadgen: unknown option '" << arg << "'";
       std::string suggestion =
-          service::suggest_flag(arg, known_loadgen_flags());
+          closest_match(arg, known_loadgen_flags());
       if (!suggestion.empty()) {
         std::cerr << " (did you mean " << suggestion << "?)";
       }
@@ -616,6 +860,16 @@ int main(int argc, char** argv) {
   if (opts.connect.empty() && opts.spawn.empty()) {
     std::cerr << "qfsd_loadgen: need --connect or --spawn (try --help)\n";
     return 1;
+  }
+  if (opts.chaos) {
+    if (opts.spawn.empty()) {
+      std::cerr << "qfsd_loadgen: --chaos needs --spawn (try --help)\n";
+      return 1;
+    }
+    // A small request-size cap so the vandal's oversized frames are
+    // rejected fast.
+    opts.spawn_args.insert(opts.spawn_args.end(),
+                           {"--enable-chaos", "--max-request-bytes", "65536"});
   }
 
   service::SpawnedDaemon daemon;
