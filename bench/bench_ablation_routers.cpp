@@ -3,7 +3,6 @@
 // and a noise-aware router. This bench quantifies what better routing buys
 // on the same suite/device — the "hardware-aware compilation" side of the
 // paper's co-design argument.
-#include <cstdlib>
 #include <iostream>
 
 #include "common.h"
@@ -12,29 +11,10 @@
 
 using namespace qfs;
 
-namespace {
-
-int parse_int_flag(int argc, char** argv, const std::string& flag,
-                   int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) {
-      int value = 0;
-      if (!qfs::parse_int(argv[i + 1], value) || value < 0) {
-        std::cerr << "bench_ablation_routers: bad value for " << flag << "\n";
-        std::exit(1);
-      }
-      return value;
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const service::RequestFlagValues flags = bench::request_flags(argc, argv);
   const int jobs = flags.jobs;
-  const int max_gates = parse_int_flag(argc, argv, "--max-gates", 1500);
+  const int max_gates = bench::int_flag(argc, argv, "--max-gates", 1500);
   std::cout << "=== Ablation: routers (surface-97, trivial placement) ===\n\n";
 
   device::Device dev = bench::resolve_device(flags, "surface97");

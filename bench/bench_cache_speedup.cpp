@@ -8,7 +8,6 @@
 //      0 disables the timing assertion for load-sensitive CI runners).
 //
 //   bench_cache_speedup [--jobs N] [--min-speedup X] [--max-gates N]
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -22,31 +21,6 @@
 using namespace qfs;
 
 namespace {
-
-double parse_double_flag(int argc, char** argv, const std::string& flag,
-                         double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) {
-      return std::atof(argv[i + 1]);
-    }
-  }
-  return fallback;
-}
-
-int parse_int_flag(int argc, char** argv, const std::string& flag,
-                   int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == flag) {
-      int value = 0;
-      if (!qfs::parse_int(argv[i + 1], value) || value < 0) {
-        std::cerr << "bench_cache_speedup: bad value for " << flag << "\n";
-        std::exit(1);
-      }
-      return value;
-    }
-  }
-  return fallback;
-}
 
 struct TimedRun {
   std::string csv;
@@ -72,14 +46,14 @@ TimedRun timed_suite_run(const device::Device& device,
 int main(int argc, char** argv) {
   const service::RequestFlagValues flags = bench::request_flags(argc, argv);
   const int jobs = flags.jobs;
-  const double min_speedup = parse_double_flag(argc, argv, "--min-speedup", 5.0);
+  const double min_speedup = bench::double_flag(argc, argv, "--min-speedup", 5.0);
   std::cout << "=== Compilation cache: cold vs warm suite run ===\n\n";
 
   device::Device dev = bench::resolve_device(flags, "surface17");
   bench::SuiteRunConfig config;
   config.jobs = jobs;
   config.suite.max_qubits = 17;
-  config.suite.max_gates = parse_int_flag(argc, argv, "--max-gates", 3000);
+  config.suite.max_gates = bench::int_flag(argc, argv, "--max-gates", 3000);
   // An expensive pipeline, so the cold path pays for real placement and
   // routing work (the configuration the cache is for): annealing placement
   // plus SABRE refinement dominates the shared per-run work (suite

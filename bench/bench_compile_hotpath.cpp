@@ -99,7 +99,9 @@ Options parse_options(int argc, char** argv) {
     } else if (arg == "--validate") {
       opts.validate = true;
     } else if (arg == "--floor-route-kgps") {
-      opts.floor_route_kgps = std::atof(value("--floor-route-kgps").c_str());
+      opts.floor_route_kgps =
+          bench::double_flag(argc, argv, "--floor-route-kgps", 0.0);
+      ++i;  // double_flag exits on a missing value
     } else {
       std::cerr << "bench_compile_hotpath: unknown flag " << arg << "\n";
       std::exit(1);

@@ -1,6 +1,7 @@
 // Shared helpers for the figure/table reproduction benches.
 #pragma once
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -184,6 +185,43 @@ inline service::RequestFlagValues request_flags(int argc, char** argv) {
     std::exit(1);
   }
   return flags;
+}
+
+/// Value of a bench-local integer flag (`--max-gates 800`), or `fallback`
+/// when the flag is absent. A missing, malformed or negative value exits 1.
+inline int int_flag(int argc, char** argv, const std::string& flag,
+                    int fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] != flag) continue;
+    int value = 0;
+    if (i + 1 >= argc || !qfs::parse_int(argv[i + 1], value) || value < 0) {
+      std::cerr << argv[0] << ": bad " << flag << " value '"
+                << (i + 1 < argc ? argv[i + 1] : "") << "'\n";
+      std::exit(1);
+    }
+    return value;
+  }
+  return fallback;
+}
+
+/// Value of a bench-local real flag (a gate such as `--min-speedup 5`), or
+/// `fallback` when the flag is absent. A missing, malformed, non-finite or
+/// negative value exits 1: a typo must never read as 0 (what atof makes of
+/// "abc") and silently switch a gate off.
+inline double double_flag(int argc, char** argv, const std::string& flag,
+                          double fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i] != flag) continue;
+    double value = 0.0;
+    if (i + 1 >= argc || !qfs::parse_double(argv[i + 1], value) ||
+        !std::isfinite(value) || value < 0.0) {
+      std::cerr << argv[0] << ": bad " << flag << " value '"
+                << (i + 1 < argc ? argv[i + 1] : "") << "'\n";
+      std::exit(1);
+    }
+    return value;
+  }
+  return fallback;
 }
 
 /// Print the standard suite-bench cache summary line (stderr, alongside the

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -102,18 +103,37 @@ bool send_all(int fd, const std::string& text) {
   return true;
 }
 
-bool LineReader::next(std::string& line) {
+LineReader::Result LineReader::read(std::string& line, double timeout_ms) {
+  const Clock::time_point start = Clock::now();
   for (;;) {
-    std::size_t nl = buffer_.find('\n');
+    std::size_t nl = buffer_.find('\n', scanned_);
     if (nl != std::string::npos) {
-      line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return true;
+      line.assign(buffer_, start_, nl - start_);
+      start_ = scanned_ = nl + 1;
+      return Result::kLine;
     }
+    scanned_ = buffer_.size();
+    if (buffer_.size() - start_ > max_pending_) return Result::kOverflow;
+    if (timeout_ms >= 0.0) {
+      double remaining_ms = timeout_ms - ms_since(start);
+      if (remaining_ms <= 0.0) return Result::kTimeout;
+      // One millisecond of slack: poll rounds down, and the caller's
+      // deadline must have passed when kTimeout comes back.
+      pollfd pfd{fd_, POLLIN, 0};
+      int rc = ::poll(&pfd, 1,
+                      static_cast<int>(std::min(remaining_ms + 1.0, 1e9)));
+      if (rc < 0 && errno == EINTR) continue;
+      if (rc < 0) return Result::kEof;
+      if (rc == 0) return Result::kTimeout;
+    }
+    // Every line already returned leaves the buffer in one erase.
+    buffer_.erase(0, start_);
+    scanned_ -= start_;
+    start_ = 0;
     char chunk[64 * 1024];
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
+    if (n <= 0) return Result::kEof;
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }
@@ -203,29 +223,14 @@ void Client::disconnect() {
     ::close(fd_);
     fd_ = -1;
   }
-  inbuf_.clear();
+  reader_ = LineReader(-1);
 }
 
 bool Client::ensure_connected(std::string& error) {
   if (fd_ >= 0) return true;
   fd_ = connect_endpoint(endpoint_, error);
+  reader_ = LineReader(fd_);
   return fd_ >= 0;
-}
-
-bool Client::read_line(std::string& line) {
-  for (;;) {
-    std::size_t nl = inbuf_.find('\n');
-    if (nl != std::string::npos) {
-      line = inbuf_.substr(0, nl);
-      inbuf_.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[64 * 1024];
-    ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    inbuf_.append(chunk, static_cast<std::size_t>(n));
-  }
 }
 
 namespace {
@@ -280,10 +285,9 @@ CompileResponse Client::call(CompileRequest request, RetryStats* stats) {
       last_failure = synthesized(request, ErrorCode::kInternal,
                                  "connect failed: " + error);
     } else {
-      std::string line = request_to_json(request).to_string();
-      line.push_back('\n');
+      const std::string line = request_to_json(request).to_string() + '\n';
       std::string response_line;
-      bool got = send_all(fd_, line) && read_line(response_line);
+      bool got = send_all(fd_, line) && reader_.next(response_line);
       if (!got) {
         ++s.dropped_connections;
         disconnect();
@@ -348,7 +352,7 @@ qfs::StatusOr<JsonValue> Client::op(const std::string& name) {
     return qfs::io_error("send failed for op '" + name + "'");
   }
   std::string response_line;
-  if (!read_line(response_line)) {
+  if (!reader_.next(response_line)) {
     disconnect();
     return qfs::io_error("connection dropped during op '" + name + "'");
   }

@@ -19,13 +19,16 @@
 // with the *remaining* budget, and backoff sleeps are clamped to it.
 //
 // The low-level pieces (connect_endpoint, send_all, LineReader, private
-// daemon spawn) are exposed too: qfsd_loadgen (load, chaos storm and
-// --once) and the tests all speak the same wire through this one
-// translation unit.
+// daemon spawn) are exposed too. send_all and LineReader are the only
+// socket writer and reader of the wire: the server's connections, the
+// supervisor's worker channel, `qfsd --worker`, qfsd_loadgen (load, chaos
+// storm and --once) and the tests all frame lines through them.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/api.h"
@@ -47,17 +50,44 @@ int connect_endpoint(const std::string& spec, std::string& error);
 /// process-killing SIGPIPE).
 bool send_all(int fd, const std::string& text);
 
-/// Buffered '\n'-framed line reader over a socket.
+/// Buffered '\n'-framed line reader over a socket. The buffer is compacted
+/// once per recv, not once per line, so a chunk holding many pipelined
+/// lines is split in linear time.
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  /// Why read() returned.
+  enum class Result {
+    kLine,      ///< `line` holds the next line, without its newline
+    kEof,       ///< peer closed or the socket failed; see pending()
+    kTimeout,   ///< no complete line within the timeout
+    kOverflow,  ///< more than `max_pending` bytes arrived without a newline
+  };
 
-  /// Next line without its newline; false on EOF/error.
-  bool next(std::string& line);
+  /// `max_pending` bounds the unterminated bytes buffered before read()
+  /// gives up with kOverflow (default: unbounded).
+  explicit LineReader(
+      int fd,
+      std::size_t max_pending = std::numeric_limits<std::size_t>::max())
+      : fd_(fd), max_pending_(max_pending) {}
+
+  /// Next line without its newline; false on EOF/error/overflow.
+  bool next(std::string& line) { return read(line) == Result::kLine; }
+
+  /// Next line, waiting at most `timeout_ms` in total (< 0: no limit).
+  Result read(std::string& line, double timeout_ms = -1.0);
+
+  /// The unterminated bytes received so far: at kEof, a final line the
+  /// peer sent without a newline.
+  std::string_view pending() const {
+    return std::string_view(buffer_).substr(start_);
+  }
 
  private:
   int fd_;
+  std::size_t max_pending_;
   std::string buffer_;
+  std::size_t start_ = 0;    ///< first byte not yet returned as a line
+  std::size_t scanned_ = 0;  ///< buffer_[start_, scanned_) holds no '\n'
 };
 
 /// A private daemon forked for the duration of a test/tool run.
@@ -135,12 +165,11 @@ class Client {
 
  private:
   bool ensure_connected(std::string& error);
-  bool read_line(std::string& line);
 
   std::string endpoint_;
   RetryPolicy policy_;
   int fd_ = -1;
-  std::string inbuf_;
+  LineReader reader_{-1};
   std::string last_line_;
 };
 

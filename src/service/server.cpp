@@ -13,6 +13,7 @@
 
 #include "backends/registry.h"
 #include "report/cache_summary.h"
+#include "service/client.h"
 #include "support/json.h"
 #include "support/strings.h"
 #include "support/timer.h"
@@ -41,19 +42,7 @@ struct Server::Connection {
   /// is gone; the error is not fatal to the server.
   bool write_line(const std::string& text) {
     std::lock_guard<std::mutex> lock(write_mu);
-    std::string framed = text;
-    framed.push_back('\n');
-    std::size_t sent = 0;
-    while (sent < framed.size()) {
-      ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
-                         MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
+    return send_all(fd, text + '\n');
   }
 
   const int fd;
@@ -199,40 +188,27 @@ void Server::accept_loop() {
 }
 
 void Server::serve_connection(std::shared_ptr<Connection> conn) {
-  std::string buffer;
-  char chunk[64 * 1024];
-  for (;;) {
-    ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (;;) {
-      std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
-      handle_line(conn, buffer.substr(start, nl - start));
-      start = nl + 1;
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > config_.max_line_bytes) {
-      conn->write_line(
-          error_response_json(
-              ErrorCode::kResourceExhausted,
-              "request line exceeds " +
-                  std::to_string(config_.max_line_bytes) + " bytes")
-              .to_string());
-      std::lock_guard<std::mutex> lock(counters_mu_);
-      ++counters_.rejected;
-      // Framing can't be trusted past an overlong line: hang up without
-      // falling through to the trailing-line handler below.
-      return;
-    }
+  LineReader reader(conn->fd, config_.max_line_bytes);
+  std::string line;
+  LineReader::Result result;
+  while ((result = reader.read(line)) == LineReader::Result::kLine) {
+    handle_line(conn, std::move(line));
+  }
+  if (result == LineReader::Result::kOverflow) {
+    // Framing can't be trusted past an overlong line: answer once and hang
+    // up without handling the unterminated tail.
+    conn->write_line(
+        error_response_json(
+            ErrorCode::kResourceExhausted,
+            "request line exceeds " +
+                std::to_string(config_.max_line_bytes) + " bytes")
+            .to_string());
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++counters_.rejected;
+    return;
   }
   // A trailing request without a final newline still deserves an answer.
-  if (!buffer.empty() &&
-      buffer.find_first_not_of(" \t\r") != std::string::npos) {
-    handle_line(conn, buffer);
-  }
+  handle_line(conn, std::string(reader.pending()));
 }
 
 void Server::handle_line(const std::shared_ptr<Connection>& conn,
@@ -492,6 +468,12 @@ void Server::shutdown() {
   // Only after the pool is gone is no execute() in flight, so the worker
   // fleet can be torn down safely.
   if (supervisor_) supervisor_->shutdown();
+  // accept_loop reads listen_fd_ until it returns: close the fd only after
+  // that, joining the thread unless it is the one driving this stop.
+  if (accept_thread_.joinable() &&
+      accept_thread_.get_id() != std::this_thread::get_id()) {
+    accept_thread_.join();
+  }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -505,10 +487,9 @@ void Server::shutdown() {
 }
 
 void Server::wait() {
-  {
-    std::unique_lock<std::mutex> lock(stop_mu_);
-    stopped_cv_.wait(lock, [this] { return stopped_; });
-  }
+  // Joined under stop_mu_ so two waiters never join the same thread.
+  std::unique_lock<std::mutex> lock(stop_mu_);
+  stopped_cv_.wait(lock, [this] { return stopped_; });
   if (accept_thread_.joinable() &&
       accept_thread_.get_id() != std::this_thread::get_id()) {
     accept_thread_.join();

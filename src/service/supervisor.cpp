@@ -1,6 +1,5 @@
 #include "service/supervisor.h"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -12,6 +11,7 @@
 #include <cstring>
 #include <utility>
 
+#include "service/client.h"
 #include "support/json.h"
 #include "support/rng.h"
 
@@ -173,7 +173,6 @@ bool Supervisor::spawn_worker_locked(Worker& worker, double now) {
   worker.fd = sp[0];
   worker.alive = true;
   worker.busy = false;
-  worker.inbuf.clear();
   worker.restart_at_ms = now;
   ++spawn_seq_;
   ++counters_.spawns;
@@ -190,7 +189,6 @@ void Supervisor::mark_dead_locked(Worker& worker, double now, bool hung) {
   }
   if (worker.pid > 0) zombies_.push_back(worker.pid);
   worker.pid = -1;
-  worker.inbuf.clear();
   ++worker.consecutive_failures;
   if (hung) {
     ++counters_.hung_killed;
@@ -260,67 +258,25 @@ CompileResponse Supervisor::execute(const CompileRequest& request,
   if (budget_ms >= 0.0) {
     forwarded.deadline_ms = std::max(0.0, budget_ms - (now_ms() - start));
   }
-  std::string line = request_to_json(forwarded).to_string();
-  line.push_back('\n');
+  const std::string line = request_to_json(forwarded).to_string() + '\n';
 
-  const int fd = worker->fd;
   const pid_t pid = worker->pid;
-  bool write_ok = true;
-  std::size_t sent = 0;
-  while (sent < line.size()) {
-    ssize_t n =
-        ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      write_ok = false;
-      break;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-
+  // The channel carries one response line per request line, so a reader
+  // per request has nothing to carry over. EOF: the worker exited or was
+  // killed mid-request. Timeout: it outlived the watchdog.
   std::string response_line;
-  bool hung = false;
-  bool dead = !write_ok;
-  while (!dead && !hung) {
-    std::size_t nl = worker->inbuf.find('\n');
-    if (nl != std::string::npos) {
-      response_line = worker->inbuf.substr(0, nl);
-      worker->inbuf.erase(0, nl + 1);
-      break;
-    }
-    double remaining_ms =
-        watchdog_ms >= 0.0 ? watchdog_ms - (now_ms() - start) : -1.0;
-    if (watchdog_ms >= 0.0 && remaining_ms <= 0.0) {
-      hung = true;
-      break;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    int timeout = remaining_ms < 0.0
-                      ? -1
-                      : static_cast<int>(std::min(remaining_ms + 1.0, 1e9));
-    int rc = ::poll(&pfd, 1, timeout);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      dead = true;
-      break;
-    }
-    if (rc == 0) {
-      hung = true;
-      break;
-    }
-    char chunk[64 * 1024];
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      dead = true;  // EOF: the worker exited or was killed mid-request
-      break;
-    }
-    worker->inbuf.append(chunk, static_cast<std::size_t>(n));
+  LineReader::Result result = LineReader::Result::kEof;
+  if (send_all(worker->fd, line)) {
+    LineReader reader(worker->fd);
+    result = reader.read(
+        response_line,
+        watchdog_ms >= 0.0 ? std::max(0.0, watchdog_ms - (now_ms() - start))
+                           : -1.0);
   }
 
   std::lock_guard<std::mutex> lock(mu_);
   double now = now_ms();
-  if (hung) {
+  if (result == LineReader::Result::kTimeout) {
     // The watchdog fired: the worker is wedged (or just too slow, which is
     // indistinguishable). SIGKILL is the only reliable remedy; the monitor
     // reaps it and schedules the restart.
@@ -331,7 +287,7 @@ CompileResponse Supervisor::execute(const CompileRequest& request,
         "compile worker killed by the deadline watchdog after " +
             std::to_string(watchdog_ms) + " ms");
   }
-  if (dead) {
+  if (result == LineReader::Result::kEof) {
     mark_dead_locked(*worker, now, /*hung=*/false);
     return typed_response(
         request, ErrorCode::kInternal,

@@ -176,7 +176,6 @@ class Supervisor {
     bool busy = false;
     int consecutive_failures = 0;
     double restart_at_ms = 0.0;  ///< earliest respawn time (monotonic ms)
-    std::string inbuf;           ///< partial response line
   };
 
   double now_ms() const;

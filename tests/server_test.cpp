@@ -53,6 +53,9 @@ class Client {
     ASSERT_TRUE(send_all(fd_, bytes)) << "send: " << std::strerror(errno);
   }
 
+  /// Half-close: the server sees EOF, responses still flow back.
+  void finish_sending() { ::shutdown(fd_, SHUT_WR); }
+
   /// Next '\n'-terminated line, or "" on EOF.
   std::string read_line() {
     std::string line;
@@ -231,6 +234,18 @@ TEST_F(ServerTest, OverlongLineClosesTheConnection) {
   EXPECT_TRUE(client.eof());
 }
 
+TEST_F(ServerTest, UnterminatedFinalLineIsAnswered) {
+  start(tcp_config());
+  Client client(server_->endpoint());
+  // The last request before the client's EOF carries no newline.
+  client.send_raw("{\"op\":\"ping\"}");
+  client.finish_sending();
+  JsonValue resp = client.read_json();
+  EXPECT_TRUE(resp.find("ok")->as_bool());
+  EXPECT_EQ(field(resp, "op"), "ping");
+  EXPECT_TRUE(client.eof());
+}
+
 TEST_F(ServerTest, AdmissionQueueBouncesWhenFull) {
   ServerConfig config = tcp_config();
   config.workers = 1;
@@ -309,6 +324,20 @@ TEST_F(ServerTest, ShutdownOpDrainsAndStops) {
   EXPECT_NE(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   ::close(fd);
+}
+
+TEST_F(ServerTest, ShutdownOpUnlinksTheUnixSocket) {
+  ServerConfig config = tcp_config();
+  const std::string path =
+      "/tmp/qfsd-test-unlink-" + std::to_string(::getpid()) + ".sock";
+  config.listen = "unix:" + path;
+  start(config);
+  ASSERT_EQ(::access(path.c_str(), F_OK), 0);
+  Client client(server_->endpoint());
+  client.send_line("{\"op\":\"shutdown\"}");
+  EXPECT_TRUE(client.read_json().find("ok")->as_bool());
+  server_->wait();
+  EXPECT_NE(::access(path.c_str(), F_OK), 0) << path << " left behind";
 }
 
 TEST_F(ServerTest, MidWriteClientDisconnectDoesNotKillTheDaemon) {
@@ -410,6 +439,92 @@ TEST_F(ServerTest, ConcurrentClientsAllSucceed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(server_->counters().ok, expected);
+}
+
+// ---------------------------------------------------------------------------
+// LineReader: the one '\n' framer behind every qfsd socket reader.
+// ---------------------------------------------------------------------------
+
+class LineReaderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds_), 0);
+  }
+  void TearDown() override {
+    for (int fd : fds_) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+  void peer_send(const std::string& bytes) {
+    ASSERT_TRUE(send_all(fds_[1], bytes));
+  }
+  void peer_close() {
+    ::close(fds_[1]);
+    fds_[1] = -1;
+  }
+  int fd() const { return fds_[0]; }
+
+  int fds_[2] = {-1, -1};
+};
+
+TEST_F(LineReaderTest, SeveralLinesInOneRead) {
+  peer_send("a\nbb\n\nccc\n");
+  peer_close();
+  LineReader reader(fd());
+  std::string line;
+  for (const char* expected : {"a", "bb", "", "ccc"}) {
+    ASSERT_EQ(reader.read(line), LineReader::Result::kLine);
+    EXPECT_EQ(line, expected);
+  }
+  EXPECT_EQ(reader.read(line), LineReader::Result::kEof);
+  EXPECT_TRUE(reader.pending().empty());
+}
+
+TEST_F(LineReaderTest, EofMidLineLeavesTheTailPending) {
+  peer_send("one\ntw");
+  peer_send("o");
+  peer_close();
+  LineReader reader(fd());
+  std::string line;
+  ASSERT_TRUE(reader.next(line));
+  EXPECT_EQ(line, "one");
+  EXPECT_FALSE(reader.next(line));
+  EXPECT_EQ(reader.pending(), "two");
+}
+
+TEST_F(LineReaderTest, ByteLimitBoundsTheUnterminatedTail) {
+  // The bound is on the unterminated bytes left once every complete line
+  // of a read is split off: exactly 8 of them still fit.
+  peer_send("0123456789\n01234567");
+  LineReader reader(fd(), 8);
+  std::string line;
+  ASSERT_EQ(reader.read(line), LineReader::Result::kLine);
+  EXPECT_EQ(line, "0123456789");
+  EXPECT_EQ(reader.read(line, 20.0), LineReader::Result::kTimeout);
+  peer_send("8");
+  EXPECT_EQ(reader.read(line), LineReader::Result::kOverflow);
+  EXPECT_EQ(reader.pending(), "012345678");
+}
+
+TEST_F(LineReaderTest, TimeoutOnASilentPeer) {
+  LineReader reader(fd());
+  std::string line;
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(reader.read(line, 50.0), LineReader::Result::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
+  // A partial line survives the timeout and completes on the next read.
+  peer_send("par");
+  EXPECT_EQ(reader.read(line, 20.0), LineReader::Result::kTimeout);
+  EXPECT_EQ(reader.pending(), "par");
+  peer_send("tial\n");
+  ASSERT_EQ(reader.read(line, 1000.0), LineReader::Result::kLine);
+  EXPECT_EQ(line, "partial");
+  // A zero budget still returns a line that is already buffered.
+  peer_send("x\ny\n");
+  ASSERT_EQ(reader.read(line, 1000.0), LineReader::Result::kLine);
+  ASSERT_EQ(reader.read(line, 0.0), LineReader::Result::kLine);
+  EXPECT_EQ(line, "y");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-# Exit-code/stderr contract test for qfsc, run via `cmake -P`.
+# Exit-code/stderr contract test for a command-line binary (qfsc, qfsd, a
+# bench), run via `cmake -P`.
 #
 # Arguments (all -D):
-#   QFSC          path to the qfsc binary
+#   BINARY        path to the binary under test
 #   ARGS          semicolon-separated argument list
 #   EXPECT_EXIT   required exit code
 #   EXPECT_STDERR regex that must match stderr
@@ -10,28 +11,29 @@
 # ctest's WILL_FAIL/PASS_REGULAR_EXPRESSION cannot express "this exact
 # nonzero exit code AND this stderr text", which is precisely the CLI
 # contract on invalid input — hence this script.
-if(NOT DEFINED QFSC OR NOT DEFINED EXPECT_EXIT)
-  message(FATAL_ERROR "contract_test.cmake needs -DQFSC and -DEXPECT_EXIT")
+if(NOT DEFINED BINARY OR NOT DEFINED EXPECT_EXIT)
+  message(FATAL_ERROR "contract_test.cmake needs -DBINARY and -DEXPECT_EXIT")
 endif()
+get_filename_component(name "${BINARY}" NAME)
 
 execute_process(
-  COMMAND ${QFSC} ${ARGS}
+  COMMAND ${BINARY} ${ARGS}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 
 if(NOT rc EQUAL ${EXPECT_EXIT})
   message(FATAL_ERROR
-      "qfsc exited with '${rc}', expected '${EXPECT_EXIT}'.\n"
+      "${name} exited with '${rc}', expected '${EXPECT_EXIT}'.\n"
       "stderr:\n${err}")
 endif()
 
 if(DEFINED EXPECT_STDERR AND NOT err MATCHES "${EXPECT_STDERR}")
   message(FATAL_ERROR
-      "qfsc stderr does not match '${EXPECT_STDERR}'.\nstderr:\n${err}")
+      "${name} stderr does not match '${EXPECT_STDERR}'.\nstderr:\n${err}")
 endif()
 
 if(DEFINED EXPECT_STDOUT AND NOT out MATCHES "${EXPECT_STDOUT}")
   message(FATAL_ERROR
-      "qfsc stdout does not match '${EXPECT_STDOUT}'.\nstdout:\n${out}")
+      "${name} stdout does not match '${EXPECT_STDOUT}'.\nstdout:\n${out}")
 endif()

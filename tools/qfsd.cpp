@@ -15,9 +15,8 @@
 //   qfsd --listen unix:/tmp/qfsd.sock --workers 8 --cache-dir /var/qfs
 //   qfsd --listen tcp:7717 --worker-procs 4
 //   echo '{"op":"ping"}' | nc -U /tmp/qfsd.sock
+#include <cmath>
 #include <csignal>
-#include <cerrno>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include <unistd.h>
 
 #include "cache/cache.h"
+#include "service/client.h"
 #include "service/flags.h"
 #include "service/server.h"
 #include "support/strings.h"
@@ -101,40 +101,17 @@ const std::vector<std::string>& known_flags() {
   return flags;
 }
 
-bool write_all(int fd, const std::string& text) {
-  std::size_t sent = 0;
-  while (sent < text.size()) {
-    ssize_t n = ::write(fd, text.data() + sent, text.size() - sent);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// `qfsd --worker`: one request at a time off stdin, one response line to
 /// stdout, exit 0 on EOF (the supervisor hanging up). Both fds are the
-/// supervisor's socketpair end. The only state a worker owns is its
+/// supervisor's socketpair end, framed by the same LineReader and send_all
+/// as every other qfsd socket. The only state a worker owns is its
 /// CompileService — a crash loses nothing the supervisor can't replay.
 int run_worker(const service::ServiceConfig& service_config,
                bool enable_chaos) {
-  std::signal(SIGPIPE, SIG_IGN);
   service::CompileService compile_service(service_config);
-  std::string buffer;
-  char chunk[64 * 1024];
-  for (;;) {
-    std::size_t nl;
-    while ((nl = buffer.find('\n')) == std::string::npos) {
-      ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return 0;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-    std::string line = buffer.substr(0, nl);
-    buffer.erase(0, nl + 1);
-
+  service::LineReader reader(STDIN_FILENO);
+  std::string line;
+  while (reader.next(line)) {
     auto request = service::parse_request_line(line);
     std::string out;
     if (!request.is_ok()) {
@@ -157,9 +134,9 @@ int run_worker(const service::ServiceConfig& service_config,
       out = service::response_to_json(compile_service.execute(request.value()))
                 .to_string();
     }
-    out.push_back('\n');
-    if (!write_all(STDOUT_FILENO, out)) return 0;
+    if (!service::send_all(STDOUT_FILENO, out + '\n')) return 0;
   }
+  return 0;
 }
 
 /// Path of this binary for re-exec as a worker: /proc/self/exe when the
@@ -211,7 +188,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       cache_dir = next();
     } else if (arg == "--default-deadline-ms") {
-      if (!parse_double(next(), config.default_deadline_ms)) {
+      if (!parse_double(next(), config.default_deadline_ms) ||
+          !std::isfinite(config.default_deadline_ms)) {
         std::cerr << "qfsd: bad --default-deadline-ms value '" << argv[i]
                   << "'\n";
         return 1;
@@ -230,7 +208,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg == "--hang-timeout-ms") {
-      if (!parse_double(next(), config.supervisor.hang_timeout_ms)) {
+      if (!parse_double(next(), config.supervisor.hang_timeout_ms) ||
+          !std::isfinite(config.supervisor.hang_timeout_ms)) {
         std::cerr << "qfsd: bad --hang-timeout-ms value '" << argv[i]
                   << "'\n";
         return 1;
@@ -243,6 +222,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--restart-window-ms") {
       if (!parse_double(next(), config.supervisor.breaker.window_ms) ||
+          !std::isfinite(config.supervisor.breaker.window_ms) ||
           config.supervisor.breaker.window_ms <= 0) {
         std::cerr << "qfsd: bad --restart-window-ms value '" << argv[i]
                   << "'\n";
