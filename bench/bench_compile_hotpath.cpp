@@ -8,8 +8,9 @@
 // (class, phase) but a *different* label records a speedup_vs delta against
 // it — the before/after evidence for an optimization lands in the file
 // itself. Each row also carries a digest of the serialized MappingResult
-// (pipeline phase) or routed circuit (routing phases), so cross-label
-// byte-identity of compiler output is checkable straight from the JSON.
+// (pipeline phase), routed circuit (routing phases) or start cycles and
+// makespan (schedule phase), so cross-label byte-identity of compiler
+// output is checkable straight from the JSON.
 //
 //   bench_compile_hotpath --label NAME [--out FILE] [--repeat N] [--smoke]
 //                         [--validate] [--floor-route-kgps X]
@@ -188,6 +189,15 @@ std::string digest_of(const std::string& bytes) {
   return qfs::hash128(bytes).hex();
 }
 
+/// Start cycles in program order plus the makespan: the bytes a schedule
+/// phase's digest covers.
+std::string schedule_bytes(const compiler::Schedule& schedule) {
+  std::ostringstream os;
+  for (const auto& sg : schedule.gates) os << sg.start_cycle << '\n';
+  os << "makespan " << schedule.makespan_cycles << '\n';
+  return os.str();
+}
+
 /// Run every phase for one class and return its rows.
 std::vector<Row> bench_class(const CircuitClass& cls,
                              const device::Device& device, int repeat,
@@ -249,13 +259,13 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   // Phase: ASAP scheduling of the routed circuit (SWAPs expanded to
   // primitives first, as the pipeline does before scheduling).
   circuit::Circuit physical = compiler::expand_swaps(routed.mapped);
+  compiler::Schedule schedule;
   add("schedule_asap", median_ms(repeat,
                                  [&] {
-                                   auto sched =
+                                   schedule =
                                        compiler::asap_schedule(physical, device);
-                                   (void)sched;
                                  }),
-      static_cast<int>(physical.size()));
+      static_cast<int>(physical.size()), digest_of(schedule_bytes(schedule)));
 
   // Phase: the full mapping pipeline under the heavy configuration
   // (degree placer + lookahead router), whose MappingResult digest is the
