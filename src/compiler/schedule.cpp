@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 
 #include "circuit/flat.h"
@@ -14,56 +16,125 @@ using circuit::GateKind;
 
 namespace {
 
+constexpr const char* kDurationTooLong =
+    "gate duration does not fit in an int count of cycles";
+
+/// Cycles a gate of `ns` nanoseconds occupies (at least one), or -1 when
+/// the count is not finite or does not fit in int. Calibrations only
+/// promise finite positive durations, so a huge one over a small cycle time
+/// must be caught here: casting it would be UB.
+int cycles_for_ns(double ns, double cycle_time_ns) {
+  const double cycles = std::ceil(ns / cycle_time_ns);
+  if (!(cycles <= std::numeric_limits<int>::max())) return -1;  // NaN too
+  return cycles < 1.0 ? 1 : static_cast<int>(cycles);
+}
+
 int duration_in_cycles(const Gate& g, const device::Device& device,
                        double cycle_time_ns) {
   if (g.kind == GateKind::kBarrier) return 0;
-  double ns = device.error_model().gate_duration_ns(g.kind);
-  return std::max(1, static_cast<int>(std::ceil(ns / cycle_time_ns)));
+  const int cycles = cycles_for_ns(
+      device.error_model().gate_duration_ns(g.kind), cycle_time_ns);
+  QFS_ASSERT_MSG(cycles >= 0, kDurationTooLong);
+  return cycles;
 }
 
-/// Occupancy of one control group: which gate kind holds each cycle.
-/// Same-kind gates may share a cycle; different kinds may not.
+/// Rejects a gate whose end cycle would overflow int.
+void check_end_fits(int start, int duration) {
+  QFS_ASSERT_MSG(start <= std::numeric_limits<int>::max() - duration,
+                 "schedule end cycle does not fit in int");
+}
+
+static_assert(circuit::kNumGateKinds < 255, "kind + 1 must fit in a byte");
+
+/// Occupancy of one control group: one byte per cycle, 0 when free and
+/// kind + 1 when held. Same-kind gates may share a cycle; different kinds
+/// may not. The table grows to the group's last occupied cycle.
 class GroupOccupancy {
  public:
-  bool compatible(int start, int duration, GateKind kind) const {
-    for (int c = start; c < start + duration; ++c) {
-      auto it = kind_by_cycle_.find(c);
-      if (it != kind_by_cycle_.end() && it->second != kind) return false;
+  /// The latest cycle in [start, start + duration) held by a kind other
+  /// than `tag`, or -1 when the window is compatible. Scanning from the
+  /// end makes the returned cycle the largest exact skip (see
+  /// asap_schedule).
+  int last_conflict(int start, int duration, std::uint8_t tag) const {
+    const int end = std::min(start + duration,
+                             static_cast<int>(tag_by_cycle_.size()));
+    for (int c = end - 1; c >= start; --c) {
+      const std::uint8_t held = tag_by_cycle_[static_cast<std::size_t>(c)];
+      if (held != 0 && held != tag) return c;
     }
-    return true;
+    return -1;
   }
 
-  void occupy(int start, int duration, GateKind kind) {
-    for (int c = start; c < start + duration; ++c) kind_by_cycle_[c] = kind;
+  void occupy(int start, int duration, std::uint8_t tag) {
+    const auto end = static_cast<std::size_t>(start + duration);
+    if (tag_by_cycle_.size() < end) tag_by_cycle_.resize(end, 0);
+    std::fill(tag_by_cycle_.begin() + start,
+              tag_by_cycle_.begin() + static_cast<std::ptrdiff_t>(end), tag);
   }
 
  private:
-  std::map<int, GateKind> kind_by_cycle_;
+  std::vector<std::uint8_t> tag_by_cycle_;
 };
 
-}  // namespace
-
-namespace {
-
-/// Scheduled two-qubit span, for crosstalk exclusion checks.
-struct TwoQubitSpan {
+/// Scheduled two-qubit span [start, end), for crosstalk exclusion checks.
+struct Span {
   int start, end;
-  int a, b;
 };
 
-/// True when gates on edges {a1,b1} and {a2,b2} would crosstalk: the edges
-/// are distinct but some endpoint of one couples to an endpoint of the
-/// other (spectator coupling).
-bool edges_crosstalk(const device::Device& device, int a1, int b1, int a2,
-                     int b2) {
-  const auto& topo = device.topology();
-  for (int p : {a1, b1}) {
-    for (int q : {a2, b2}) {
-      if (p == q || topo.adjacent(p, q)) return true;
-    }
+/// Calls `visit(q)` for every qubit of the closed coupling neighbourhood of
+/// `a` and of `b` (a qubit near both is visited twice). Two gates on
+/// edges {a,b} and {c,d} crosstalk exactly when c or d is visited: the
+/// edges share a qubit or some endpoint of one couples to an endpoint of
+/// the other (spectator coupling).
+template <typename Visit>
+void for_each_neighbourhood_qubit(const device::Device& device, int a, int b,
+                                  Visit&& visit) {
+  const device::TopologyTables* tables = device.topology().tables();
+  for (int p : {a, b}) {
+    visit(p);
+    if (tables == nullptr || p >= tables->n) continue;
+    const auto first = static_cast<std::size_t>(
+        tables->nbr_offsets[static_cast<std::size_t>(p)]);
+    const auto last = static_cast<std::size_t>(
+        tables->nbr_offsets[static_cast<std::size_t>(p) + 1]);
+    for (std::size_t k = first; k < last; ++k) visit(tables->nbr[k]);
   }
-  return false;
 }
+
+/// The two-qubit spans placed so far, indexed by each physical qubit they
+/// touch. Qubit exclusivity keeps each qubit's list in time order (starts
+/// and ends ascending), so the spans still live at a cycle are a suffix.
+class CrosstalkIndex {
+ public:
+  explicit CrosstalkIndex(int num_qubits)
+      : spans_by_qubit_(static_cast<std::size_t>(num_qubits)) {}
+
+  /// `start` when a two-qubit gate on {a, b} may run in
+  /// [start, start + duration) without crosstalk; otherwise the latest end
+  /// among the spans it would crosstalk with, the earliest start not ruled
+  /// out by them.
+  int next_start(const device::Device& device, int a, int b, int start,
+                 int duration) const {
+    int next = start;
+    for_each_neighbourhood_qubit(device, a, b, [&](int q) {
+      if (q >= static_cast<int>(spans_by_qubit_.size())) return;
+      const auto& spans = spans_by_qubit_[static_cast<std::size_t>(q)];
+      for (auto it = spans.rbegin(); it != spans.rend() && it->end > start;
+           ++it) {
+        if (it->start < start + duration) next = std::max(next, it->end);
+      }
+    });
+    return next;
+  }
+
+  void add(int a, int b, Span span) {
+    spans_by_qubit_[static_cast<std::size_t>(a)].push_back(span);
+    spans_by_qubit_[static_cast<std::size_t>(b)].push_back(span);
+  }
+
+ private:
+  std::vector<std::vector<Span>> spans_by_qubit_;
+};
 
 }  // namespace
 
@@ -73,78 +144,93 @@ Schedule asap_schedule(const Circuit& circuit, const device::Device& device,
   schedule.cycle_time_ns = options.cycle_time_ns;
   const bool use_groups =
       options.respect_control_groups && device.has_control_groups();
+  const int num_qubits = circuit.num_qubits();
 
   // Flat scan: the inner loop reads contiguous Instr operand slots and
   // per-kind tables (duration, two-qubit flag) instead of walking each
   // Gate's qubit vector and re-deriving its duration from the error model.
-  // Every computed start cycle is the same arithmetic in the same order as
-  // the per-Gate loop this replaces, so the schedule is identical.
+  // A kind whose duration does not fit is rejected only if it occurs.
   const circuit::FlatCircuit flat = circuit::flatten(circuit);
   int duration_by_op[circuit::kNumOps];
   bool two_qubit_op[circuit::kNumOps];
   for (int k = 0; k < circuit::kNumOps; ++k) {
     const GateKind kind = static_cast<GateKind>(k);
     two_qubit_op[k] = circuit::is_two_qubit(kind);
-    if (kind == GateKind::kBarrier) {
-      duration_by_op[k] = 0;
-      continue;
-    }
-    double ns = device.error_model().gate_duration_ns(kind);
     duration_by_op[k] =
-        std::max(1, static_cast<int>(std::ceil(ns / options.cycle_time_ns)));
+        kind == GateKind::kBarrier
+            ? 0
+            : cycles_for_ns(device.error_model().gate_duration_ns(kind),
+                            options.cycle_time_ns);
   }
 
-  std::vector<int> qubit_free(static_cast<std::size_t>(circuit.num_qubits()), 0);
-  std::map<int, GroupOccupancy> groups;
-  std::vector<TwoQubitSpan> two_qubit_spans;
+  // Each qubit's control group, read once; -1 past the device's qubits,
+  // which is an error only if such a qubit runs a gate.
+  std::vector<int> group_of;
+  std::vector<GroupOccupancy> groups;
+  if (use_groups) {
+    group_of.assign(static_cast<std::size_t>(num_qubits), -1);
+    int num_groups = 0;
+    for (int q = 0; q < std::min(num_qubits, device.num_qubits()); ++q) {
+      group_of[static_cast<std::size_t>(q)] = device.control_group(q);
+      num_groups =
+          std::max(num_groups, group_of[static_cast<std::size_t>(q)] + 1);
+    }
+    groups.resize(static_cast<std::size_t>(num_groups));
+  }
+  const bool avoid_crosstalk = options.avoid_crosstalk;
+  CrosstalkIndex crosstalk(avoid_crosstalk ? num_qubits : 0);
 
+  std::vector<int> qubit_free(static_cast<std::size_t>(num_qubits), 0);
+  schedule.gates.reserve(flat.size());
   for (std::size_t i = 0; i < flat.size(); ++i) {
     const circuit::Instr& ins = flat.instrs[i];
     const int op = static_cast<int>(ins.op);
-    const GateKind kind = circuit::to_gate_kind(ins.op);
+    const auto tag = static_cast<std::uint8_t>(op + 1);
     int operand_count = 0;
     const std::int32_t* operands = flat.qubits_of(i, &operand_count);
     const int duration = duration_by_op[op];
-    const bool is_2q = two_qubit_op[op];
-    int ready = 0;
+    QFS_ASSERT_MSG(duration >= 0, kDurationTooLong);
+    int start = 0;
     for (int s = 0; s < operand_count; ++s) {
-      ready = std::max(ready, qubit_free[static_cast<std::size_t>(operands[s])]);
+      start = std::max(start, qubit_free[static_cast<std::size_t>(operands[s])]);
     }
-    int start = ready;
     if (duration > 0) {
+      // Probe, then skip to the earliest start the probe did not rule out.
+      // Each skip is exact: a window conflicting at a foreign-kind cycle c
+      // of a group conflicts there for every start in (start, c], and one
+      // overlapping a crosstalking span [s, e) does so for every start in
+      // (start, e). So the first feasible start is the one a one-cycle
+      // retry would reach.
       while (true) {
-        bool ok = true;
+        check_end_fits(start, duration);
+        int next = start;
         if (use_groups) {
           for (int s = 0; s < operand_count; ++s) {
-            int group = device.control_group(operands[s]);
-            if (!groups[group].compatible(start, duration, kind)) {
-              ok = false;
-              break;
-            }
+            const int group = group_of[static_cast<std::size_t>(operands[s])];
+            QFS_ASSERT_MSG(group >= 0, "qubit out of range");
+            next = std::max(next, groups[static_cast<std::size_t>(group)]
+                                          .last_conflict(start, duration, tag) +
+                                      1);
           }
         }
-        if (ok && options.avoid_crosstalk && is_2q) {
-          for (const auto& span : two_qubit_spans) {
-            bool overlaps = start < span.end && span.start < start + duration;
-            if (overlaps && edges_crosstalk(device, operands[0], operands[1],
-                                            span.a, span.b)) {
-              ok = false;
-              break;
-            }
-          }
+        if (avoid_crosstalk && two_qubit_op[op]) {
+          next = std::max(next, crosstalk.next_start(device, operands[0],
+                                                     operands[1], start,
+                                                     duration));
         }
-        if (ok) break;
-        ++start;
+        if (next == start) break;
+        start = next;
       }
       if (use_groups) {
         for (int s = 0; s < operand_count; ++s) {
-          groups[device.control_group(operands[s])].occupy(start, duration,
-                                                           kind);
+          groups[static_cast<std::size_t>(
+                     group_of[static_cast<std::size_t>(operands[s])])]
+              .occupy(start, duration, tag);
         }
       }
-      if (options.avoid_crosstalk && is_2q) {
-        two_qubit_spans.push_back(
-            TwoQubitSpan{start, start + duration, operands[0], operands[1]});
+      if (avoid_crosstalk && two_qubit_op[op]) {
+        crosstalk.add(operands[0], operands[1],
+                      Span{start, start + duration});
       }
     }
     for (int s = 0; s < operand_count; ++s) {
@@ -158,24 +244,44 @@ Schedule asap_schedule(const Circuit& circuit, const device::Device& device,
 
 int count_crosstalk_pairs(const Circuit& circuit, const device::Device& device,
                           const Schedule& schedule) {
-  std::vector<TwoQubitSpan> spans;
+  struct Edge {
+    Span span;
+    int a, b;
+  };
+  std::vector<Edge> edges;
   for (const auto& sg : schedule.gates) {
     const Gate& g = circuit.gates()[static_cast<std::size_t>(sg.gate_index)];
     if (!circuit::is_two_qubit(g.kind)) continue;
-    spans.push_back(TwoQubitSpan{sg.start_cycle,
-                                 sg.start_cycle + sg.duration_cycles,
-                                 g.qubits[0], g.qubits[1]});
+    edges.push_back(Edge{{sg.start_cycle, sg.start_cycle + sg.duration_cycles},
+                         g.qubits[0], g.qubits[1]});
   }
+  // Sweep in start order. Every overlapping pair is found once, by its
+  // later-starting member, among the spans still live on its
+  // neighbourhood qubits; a span seen through two qubits is counted once.
+  std::stable_sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+    return x.span.start < y.span.start;
+  });
+  int num_qubits = circuit.num_qubits();
+  for (const Edge& e : edges) num_qubits = std::max({num_qubits, e.a + 1, e.b + 1});
+  std::vector<std::vector<std::size_t>> live(static_cast<std::size_t>(num_qubits));
+  std::vector<std::size_t> counted_by(edges.size(), edges.size());
   int pairs = 0;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    for (std::size_t j = i + 1; j < spans.size(); ++j) {
-      bool overlaps =
-          spans[i].start < spans[j].end && spans[j].start < spans[i].end;
-      if (overlaps && edges_crosstalk(device, spans[i].a, spans[i].b,
-                                      spans[j].a, spans[j].b)) {
+  for (std::size_t j = 0; j < edges.size(); ++j) {
+    const Edge& e = edges[j];
+    for_each_neighbourhood_qubit(device, e.a, e.b, [&](int q) {
+      if (q >= num_qubits) return;
+      auto& spans = live[static_cast<std::size_t>(q)];
+      std::erase_if(spans, [&](std::size_t i) {
+        return edges[i].span.end <= e.span.start;
+      });
+      for (std::size_t i : spans) {
+        if (counted_by[i] == j || edges[i].span.start >= e.span.end) continue;
+        counted_by[i] = j;
         ++pairs;
       }
-    }
+    });
+    live[static_cast<std::size_t>(e.a)].push_back(j);
+    live[static_cast<std::size_t>(e.b)].push_back(j);
   }
   return pairs;
 }
@@ -268,6 +374,9 @@ bool schedule_is_valid(const Circuit& circuit, const device::Device& device,
         duration_in_cycles(g, device, options.cycle_time_ns);
     if (sg.duration_cycles != expected) return false;
     if (sg.start_cycle < 0) return false;
+    if (sg.start_cycle > std::numeric_limits<int>::max() - sg.duration_cycles) {
+      return false;  // end cycle overflows int
+    }
     if (sg.start_cycle + sg.duration_cycles > schedule.makespan_cycles) {
       return false;
     }

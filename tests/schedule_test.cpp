@@ -193,6 +193,58 @@ TEST(Schedule, CustomCycleTime) {
   EXPECT_DOUBLE_EQ(s.makespan_ns(), 40.0);
 }
 
+TEST(Schedule, DurationBeyondIntCyclesIsRejected) {
+  // Calibrations only promise finite positive durations: 1e300 ns is
+  // 5e298 cycles, which no int holds.
+  Device d = device::surface7_device();
+  d.mutable_error_model().set_durations_ns(1e300, 40.0, 600.0);
+  Circuit c(7);
+  c.x(0);
+  EXPECT_THROW(asap_schedule(c, d), AssertionError);
+  EXPECT_THROW(alap_schedule(c, d), AssertionError);
+  Schedule s;
+  s.gates.push_back(ScheduledGate{0, 0, 1});
+  s.makespan_cycles = 1;
+  EXPECT_THROW(schedule_is_valid(c, d, s), AssertionError);
+
+  // Only a kind the circuit uses is rejected.
+  Circuit two_qubit_only(7);
+  two_qubit_only.cz(0, 2);
+  Schedule ok = asap_schedule(two_qubit_only, d);
+  EXPECT_EQ(ok.makespan_cycles, 2);
+  EXPECT_TRUE(schedule_is_valid(two_qubit_only, d, ok));
+}
+
+TEST(Schedule, EndCycleOverflowIsRejected) {
+  // 1.5e9 cycles fit in an int; two of them back to back do not.
+  Device d = ungrouped_line(1);
+  d.mutable_error_model().set_durations_ns(3e10, 40.0, 600.0);
+  Circuit one(1);
+  one.x(0);
+  EXPECT_EQ(asap_schedule(one, d).makespan_cycles, 1500000000);
+  Circuit two(1);
+  two.x(0).x(0);
+  EXPECT_THROW(asap_schedule(two, d), AssertionError);
+}
+
+TEST(Schedule, LongConflictIsSkippedInOneProbe) {
+  // x and y on qubits 0 and 1 share control group 0, so y waits for all
+  // 5e6 cycles of x. A one-cycle retry would probe 5e6 starts of 5e6
+  // cycles each; the skip jumps straight past the conflict.
+  Device d = device::surface7_device();
+  d.mutable_error_model().set_durations_ns(1e9, 40.0, 600.0);
+  ScheduleOptions opts;
+  opts.cycle_time_ns = 200.0;
+  Circuit c(7);
+  c.x(0).y(1).x(1);
+  Schedule s = asap_schedule(c, d, opts);
+  EXPECT_EQ(s.gates[0].start_cycle, 0);
+  EXPECT_EQ(s.gates[1].start_cycle, 5000000);
+  EXPECT_EQ(s.gates[2].start_cycle, 10000000);
+  EXPECT_EQ(s.makespan_cycles, 15000000);
+  EXPECT_TRUE(schedule_is_valid(c, d, s, opts));
+}
+
 TEST(Crosstalk, AdjacentTwoQubitGatesSerialised) {
   // Line 0-1-2-3: cz(0,1) and cz(2,3) share the coupled pair (1,2), so the
   // crosstalk-aware schedule must not overlap them.
