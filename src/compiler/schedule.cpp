@@ -38,12 +38,6 @@ int duration_in_cycles(const Gate& g, const device::Device& device,
   return cycles;
 }
 
-/// Rejects a gate whose end cycle would overflow int.
-void check_end_fits(int start, int duration) {
-  QFS_ASSERT_MSG(start <= std::numeric_limits<int>::max() - duration,
-                 "schedule end cycle does not fit in int");
-}
-
 static_assert(circuit::kNumGateKinds < 255, "kind + 1 must fit in a byte");
 
 /// Occupancy of one control group: one byte per cycle, 0 when free and
@@ -202,15 +196,17 @@ Schedule asap_schedule(const Circuit& circuit, const device::Device& device,
       // (start, e). So the first feasible start is the one a one-cycle
       // retry would reach.
       while (true) {
-        check_end_fits(start, duration);
+        QFS_ASSERT_MSG(start <= std::numeric_limits<int>::max() - duration,
+                       "schedule end cycle does not fit in int");
         int next = start;
         if (use_groups) {
           for (int s = 0; s < operand_count; ++s) {
             const int group = group_of[static_cast<std::size_t>(operands[s])];
             QFS_ASSERT_MSG(group >= 0, "qubit out of range");
-            next = std::max(next, groups[static_cast<std::size_t>(group)]
-                                          .last_conflict(start, duration, tag) +
-                                      1);
+            const GroupOccupancy& occupancy =
+                groups[static_cast<std::size_t>(group)];
+            next = std::max(next,
+                            occupancy.last_conflict(start, duration, tag) + 1);
           }
         }
         if (avoid_crosstalk && two_qubit_op[op]) {
@@ -258,11 +254,10 @@ int count_crosstalk_pairs(const Circuit& circuit, const device::Device& device,
   // Sweep in start order. Every overlapping pair is found once, by its
   // later-starting member, among the spans still live on its
   // neighbourhood qubits; a span seen through two qubits is counted once.
-  std::stable_sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
+  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
     return x.span.start < y.span.start;
   });
-  int num_qubits = circuit.num_qubits();
-  for (const Edge& e : edges) num_qubits = std::max({num_qubits, e.a + 1, e.b + 1});
+  const int num_qubits = circuit.num_qubits();
   std::vector<std::vector<std::size_t>> live(static_cast<std::size_t>(num_qubits));
   std::vector<std::size_t> counted_by(edges.size(), edges.size());
   int pairs = 0;

@@ -38,7 +38,9 @@ struct ScheduleOptions {
   bool avoid_crosstalk = false;
 };
 
-/// As-soon-as-possible list schedule.
+/// As-soon-as-possible list schedule. Throws qfs::AssertionError when a
+/// gate kind the circuit uses lasts more cycles than an int holds, or a
+/// gate would end past INT_MAX cycles.
 Schedule asap_schedule(const circuit::Circuit& circuit,
                        const device::Device& device,
                        const ScheduleOptions& options = {});

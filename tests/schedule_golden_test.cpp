@@ -20,7 +20,7 @@ namespace qfs::compiler {
 namespace {
 
 /// The paper's suite on surface97 (degree-match placer, lookahead router as
-/// perfbench compiles it), shrunk to keep each test near a second.
+/// perfbench compiles it), shrunk to keep the test near a second.
 bench::SuiteRunConfig shrunken_suite_config() {
   bench::SuiteRunConfig config;
   config.suite.max_gates = 1000;
@@ -39,47 +39,38 @@ void hash_schedule(qfs::Hasher& hasher, const Schedule& schedule) {
   hasher.update(os.str());
 }
 
-TEST(ScheduleGolden, SuiteLatencyMatchesGolden) {
+TEST(ScheduleGolden, SuiteSchedulesMatchGolden) {
   const device::Device dev = device::surface97_device();
   ASSERT_TRUE(dev.has_control_groups());
   bench::SuiteRunConfig config = shrunken_suite_config();
   config.mapping.compute_latency = true;
-  const auto rows = bench::run_suite(dev, config);
-  qfs::Hasher hasher;
-  std::ostringstream os;
-  os.precision(17);
-  for (const auto& row : rows) {
-    EXPECT_GT(row.mapping.latency_after_ns, 0.0) << row.name;
-    os << row.name << ' ' << row.mapping.latency_before_ns << ' '
-       << row.mapping.latency_after_ns << '\n';
-  }
-  hasher.update(os.str());
-  // Golden for the Linux x86-64 / glibc toolchain.
-  EXPECT_EQ(hasher.finish().hex(), "dfb100d008501341e440f99a9a635d24");
-}
-
-TEST(ScheduleGolden, FullSchedulesMatchGolden) {
-  const device::Device dev = device::surface97_device();
-  const bench::SuiteRunConfig config = shrunken_suite_config();
   qfs::Rng suite_rng(config.seed);
   const auto suite = workloads::make_suite(config.suite, suite_rng);
   const auto rows = bench::run_suite(dev, config, suite);
 
+  std::ostringstream latencies;
+  latencies.precision(17);
   qfs::Hasher asap_plain, asap_safe, alap_plain, alap_safe;
   ScheduleOptions plain;
   ScheduleOptions safe;
   safe.avoid_crosstalk = true;
   for (std::size_t i = 0; i < rows.size(); ++i) {
+    const mapper::MappingResult& mapping = rows[i].mapping;
+    EXPECT_GT(mapping.latency_after_ns, 0.0) << rows[i].name;
+    latencies << rows[i].name << ' ' << mapping.latency_before_ns << ' '
+              << mapping.latency_after_ns << '\n';
     const circuit::Circuit decomposed =
         decompose_to_gateset(suite[i].circuit, dev.gateset());
-    for (const circuit::Circuit* c : {&decomposed, &rows[i].mapping.mapped}) {
+    for (const circuit::Circuit* c : {&decomposed, &mapping.mapped}) {
       hash_schedule(asap_plain, asap_schedule(*c, dev, plain));
       hash_schedule(alap_plain, alap_schedule(*c, dev, plain));
       hash_schedule(asap_safe, asap_schedule(*c, dev, safe));
       hash_schedule(alap_safe, alap_schedule(*c, dev, safe));
     }
   }
-  // Golden for the Linux x86-64 / glibc toolchain.
+  // Goldens for the Linux x86-64 / glibc toolchain.
+  EXPECT_EQ(qfs::hash128(latencies.str()).hex(),
+            "dfb100d008501341e440f99a9a635d24");
   EXPECT_EQ(asap_plain.finish().hex(), "d09f47ed3db9056b00f22913f54ca4d2");
   EXPECT_EQ(alap_plain.finish().hex(), "455b3054e8f65c843d80f083e83cec66");
   EXPECT_EQ(asap_safe.finish().hex(), "42cd7a68ab7d46104c85df834bea9ef8");
