@@ -29,12 +29,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cache/artifact.h"
 #include "cache/cache.h"
@@ -226,8 +226,8 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   const int gates = static_cast<int>(decomposed.size());
 
   // Phase: placement (degree-match: the distance-table-heavy placer that
-  // is cheap enough to time per class; annealing is covered by
-  // bench_perf_microbench).
+  // is cheap enough to time per class; annealing is timed by
+  // bench_cache_speedup's cold run).
   mapper::Layout placement = mapper::Layout::identity(device.num_qubits());
   add("place_degree", median_ms(repeat,
                                 [&] {
@@ -308,30 +308,25 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   return rows;
 }
 
-// --- BENCH_compile.json append/delta machinery ----------------------------
+// --- BENCH_compile.json rows and deltas -----------------------------------
 
-JsonValue load_or_init(const std::string& path, bool fresh) {
-  std::ifstream in(path);
-  if (in && !fresh) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = JsonValue::parse(buffer.str());
-    if (parsed.is_ok() && parsed.value().is_object() &&
-        parsed.value().find("rows") != nullptr) {
-      return std::move(parsed.value());
-    }
-    std::cerr << "bench_compile_hotpath: " << path
-              << " exists but is not a valid bench file; refusing to "
-                 "overwrite it\n";
-    std::exit(1);
+std::string check_compile_row(const JsonValue& row) {
+  const JsonValue* ms = row.find("ms");
+  const JsonValue* gates = row.find("gates");
+  if (ms == nullptr || !ms->is_number() || ms->as_number() < 0.0 ||
+      gates == nullptr || !gates->is_integer() || gates->as_integer() < 0) {
+    return "has bad ms/gates";
   }
-  JsonValue root = JsonValue::object();
-  root.set("bench", JsonValue::string("compile"));
-  root.set("schema", JsonValue::integer(kSchemaVersion));
-  root.set("device", JsonValue::string("surface97"));
-  root.set("rows", JsonValue::array());
-  return root;
+  return "";
 }
+
+const bench::BenchFileFormat kFormat{
+    .tool = "bench_compile_hotpath",
+    .bench = "compile",
+    .schema = kSchemaVersion,
+    .header = {{"device", "surface97"}},
+    .string_fields = {"label", "class", "phase"},
+    .check_row = check_compile_row};
 
 /// The most recent existing row with the same (class, phase) and a
 /// different label — the "before" a new row's delta is computed against.
@@ -342,62 +337,13 @@ const JsonValue* find_predecessor(const JsonValue& rows,
   const JsonValue* best = nullptr;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const JsonValue& row = rows.at(i);
-    const JsonValue* row_class = row.find("class");
-    const JsonValue* row_phase = row.find("phase");
-    const JsonValue* row_label = row.find("label");
-    if (row_class == nullptr || row_phase == nullptr || row_label == nullptr)
-      continue;
-    if (row_class->as_string() == cls && row_phase->as_string() == phase &&
-        row_label->as_string() != label) {
+    if (row.find("class")->as_string() == cls &&
+        row.find("phase")->as_string() == phase &&
+        row.find("label")->as_string() != label) {
       best = &row;  // keep scanning: later rows are more recent
     }
   }
   return best;
-}
-
-bool validate_bench_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "validate: cannot open " << path << "\n";
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = JsonValue::parse(buffer.str());
-  if (!parsed.is_ok()) {
-    std::cerr << "validate: " << parsed.status().message() << "\n";
-    return false;
-  }
-  const JsonValue& root = parsed.value();
-  const JsonValue* schema = root.find("schema");
-  const JsonValue* bench = root.find("bench");
-  const JsonValue* rows = root.find("rows");
-  if (schema == nullptr || !schema->is_integer() ||
-      schema->as_integer() != kSchemaVersion || bench == nullptr ||
-      bench->as_string() != "compile" || rows == nullptr ||
-      !rows->is_array() || rows->size() == 0) {
-    std::cerr << "validate: bad top-level schema\n";
-    return false;
-  }
-  for (std::size_t i = 0; i < rows->size(); ++i) {
-    const JsonValue& row = rows->at(i);
-    for (const char* key : {"label", "class", "phase"}) {
-      const JsonValue* field = row.find(key);
-      if (field == nullptr || !field->is_string() ||
-          field->as_string().empty()) {
-        std::cerr << "validate: row " << i << " missing " << key << "\n";
-        return false;
-      }
-    }
-    const JsonValue* ms = row.find("ms");
-    const JsonValue* gates = row.find("gates");
-    if (ms == nullptr || !ms->is_number() || ms->as_number() < 0.0 ||
-        gates == nullptr || !gates->is_integer() || gates->as_integer() < 0) {
-      std::cerr << "validate: row " << i << " has bad ms/gates\n";
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -407,14 +353,16 @@ int main(int argc, char** argv) {
   std::cout << "=== Compile hot-path phase timings (label: " << opts.label
             << (opts.smoke ? ", smoke" : "") << ") ===\n\n";
 
-  device::Device device = device::surface97_device();
-  std::string cache_dir =
-      (std::filesystem::temp_directory_path() / "qfs_bench_compile_hotpath")
-          .string();
-  std::filesystem::remove_all(cache_dir);
+  bench::BenchFile file = bench::load_bench_file(kFormat, opts.out, opts.fresh);
 
-  JsonValue root = load_or_init(opts.out, opts.fresh);
-  JsonValue rows_json = *root.find("rows");
+  // One cache directory per process, so concurrent runs (parallel ctest)
+  // never delete each other's artifacts.
+  device::Device device = device::surface97_device();
+  std::string cache_dir = (std::filesystem::temp_directory_path() /
+                           ("qfs_bench_compile_hotpath." +
+                            std::to_string(::getpid())))
+                              .string();
+  std::filesystem::remove_all(cache_dir);
 
   report::TextTable table(
       {"class", "phase", "ms (median)", "kgates/s", "vs prior"});
@@ -439,7 +387,7 @@ int main(int argc, char** argv) {
 
       std::string delta_text = "-";
       const JsonValue* prior =
-          find_predecessor(rows_json, cls.name, row.phase, opts.label);
+          find_predecessor(file.rows, cls.name, row.phase, opts.label);
       if (prior != nullptr) {
         const JsonValue* prior_ms = prior->find("ms");
         const JsonValue* prior_label = prior->find("label");
@@ -460,31 +408,18 @@ int main(int argc, char** argv) {
       table.add_row({cls.name, row.phase, bench::fmt(row.ms, 3),
                      row.kgps > 0.0 ? bench::fmt(row.kgps, 1) : "-",
                      delta_text});
-      rows_json.push_back(std::move(entry));
+      file.rows.push_back(std::move(entry));
     }
   }
   std::cerr << "\n";
   std::cout << table.to_string() << "\n";
 
-  root.set("rows", std::move(rows_json));
-  std::ofstream out(opts.out, std::ios::trunc);
-  if (!out) {
-    std::cerr << "bench_compile_hotpath: cannot write " << opts.out << "\n";
-    return 1;
-  }
-  out << root.to_pretty_string() << "\n";
-  out.close();
-  std::cout << "appended rows to " << opts.out << "\n";
+  if (!bench::write_bench_file(kFormat, opts.out, std::move(file))) return 1;
 
   std::filesystem::remove_all(cache_dir);
 
   bool ok = true;
-  if (opts.validate) {
-    const bool valid = validate_bench_file(opts.out);
-    std::cout << (valid ? "PASS" : "FAIL") << ": " << opts.out
-              << " matches the bench schema\n";
-    ok = ok && valid;
-  }
+  if (opts.validate) ok = bench::validate_bench_file(kFormat, opts.out);
   if (opts.floor_route_kgps > 0.0) {
     floor_ok = floor_kgps_seen >= opts.floor_route_kgps;
     std::cout << (floor_ok ? "PASS" : "FAIL")

@@ -21,9 +21,7 @@
 //   --qasm-dir DIR   compile the .qasm corpus in DIR (e.g. the QASMBench
 //                    fixtures) instead of the generated paper suite
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -108,27 +106,6 @@ struct ZooRow {
   double compile_ms = 0.0;
 };
 
-/// Physical-stage verification, error severity only: sparse zoo targets
-/// legitimately route swap chains through already-measured qubits, which
-/// the checker flags as QFS003 warnings — benign for a routed artifact,
-/// so only errors (non-native gates, non-adjacent pairs, ...) abort.
-void verify_rows_errors_only(const std::vector<bench::SuiteRow>& rows,
-                             const device::Device& device) {
-  analysis::CheckOptions check;
-  check.device = &device;
-  check.physical = true;
-  for (const auto& r : rows) {
-    auto diags = analysis::analyze_circuit(r.mapping.mapped, check);
-    std::erase_if(diags, [](const analysis::Diagnostic& d) {
-      return d.severity != analysis::Severity::kError;
-    });
-    if (diags.empty()) continue;
-    std::cerr << "suite verification failed:\n"
-              << analysis::render_diagnostics(diags, r.name);
-    std::exit(2);
-  }
-}
-
 ZooRow bench_backend(const std::string& spec,
                      const std::vector<workloads::Benchmark>& suite) {
   auto dev = backends::make_device(spec);
@@ -144,7 +121,7 @@ ZooRow bench_backend(const std::string& spec,
   qfs::StopWatch watch;
   std::vector<bench::SuiteRow> rows = bench::run_suite(device, config, suite);
   const double compile_ms = watch.elapsed_ms();
-  verify_rows_errors_only(rows, device);
+  bench::verify_suite_rows(rows, device, /*errors_only=*/true);
 
   ZooRow out;
   out.backend = device.spec();
@@ -165,77 +142,25 @@ ZooRow bench_backend(const std::string& spec,
   return out;
 }
 
-JsonValue load_or_init(const std::string& path, bool fresh) {
-  std::ifstream in(path);
-  if (in && !fresh) {
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = JsonValue::parse(buffer.str());
-    if (parsed.is_ok() && parsed.value().is_object() &&
-        parsed.value().find("rows") != nullptr) {
-      return std::move(parsed.value());
-    }
-    std::cerr << "bench_device_zoo: " << path
-              << " exists but is not a valid bench file; refusing to "
-                 "overwrite it\n";
-    std::exit(1);
+std::string check_zoo_row(const JsonValue& row) {
+  for (const char* key : {"qubits", "edges", "circuits", "swaps"}) {
+    const JsonValue* field = row.find(key);
+    if (field == nullptr || !field->is_integer() || field->as_integer() < 0)
+      return std::string("has bad ") + key;
   }
-  JsonValue root = JsonValue::object();
-  root.set("bench", JsonValue::string("device_zoo"));
-  root.set("schema", JsonValue::integer(kSchemaVersion));
-  root.set("rows", JsonValue::array());
-  return root;
+  const JsonValue* ms = row.find("compile_ms");
+  if (ms == nullptr || !ms->is_number() || ms->as_number() < 0.0)
+    return "has bad compile_ms";
+  return "";
 }
 
-bool validate_bench_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "validate: cannot open " << path << "\n";
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = JsonValue::parse(buffer.str());
-  if (!parsed.is_ok()) {
-    std::cerr << "validate: " << parsed.status().message() << "\n";
-    return false;
-  }
-  const JsonValue& root = parsed.value();
-  const JsonValue* schema = root.find("schema");
-  const JsonValue* bench = root.find("bench");
-  const JsonValue* rows = root.find("rows");
-  if (schema == nullptr || !schema->is_integer() ||
-      schema->as_integer() != kSchemaVersion || bench == nullptr ||
-      bench->as_string() != "device_zoo" || rows == nullptr ||
-      !rows->is_array() || rows->size() == 0) {
-    std::cerr << "validate: bad top-level schema\n";
-    return false;
-  }
-  for (std::size_t i = 0; i < rows->size(); ++i) {
-    const JsonValue& row = rows->at(i);
-    for (const char* key : {"label", "backend", "device", "suite"}) {
-      const JsonValue* field = row.find(key);
-      if (field == nullptr || !field->is_string() ||
-          field->as_string().empty()) {
-        std::cerr << "validate: row " << i << " missing " << key << "\n";
-        return false;
-      }
-    }
-    for (const char* key : {"qubits", "edges", "circuits", "swaps"}) {
-      const JsonValue* field = row.find(key);
-      if (field == nullptr || !field->is_integer() || field->as_integer() < 0) {
-        std::cerr << "validate: row " << i << " has bad " << key << "\n";
-        return false;
-      }
-    }
-    const JsonValue* ms = row.find("compile_ms");
-    if (ms == nullptr || !ms->is_number() || ms->as_number() < 0.0) {
-      std::cerr << "validate: row " << i << " has bad compile_ms\n";
-      return false;
-    }
-  }
-  return true;
-}
+const bench::BenchFileFormat kFormat{
+    .tool = "bench_device_zoo",
+    .bench = "device_zoo",
+    .schema = kSchemaVersion,
+    .header = {},
+    .string_fields = {"label", "backend", "device", "suite"},
+    .check_row = check_zoo_row};
 
 }  // namespace
 
@@ -272,8 +197,7 @@ int main(int argc, char** argv) {
     suite_name = opts.smoke ? "paper-smoke" : "paper";
   }
 
-  JsonValue root = load_or_init(opts.out, opts.fresh);
-  JsonValue rows_json = *root.find("rows");
+  bench::BenchFile file = bench::load_bench_file(kFormat, opts.out, opts.fresh);
 
   report::TextTable table({"backend", "qubits", "edges", "circuits",
                            "overhead %", "fid. loss %", "swaps",
@@ -301,26 +225,12 @@ int main(int argc, char** argv) {
     entry.set("swaps", JsonValue::integer(row.swaps));
     entry.set("compile_ms", JsonValue::number(row.compile_ms));
     entry.set("smoke", JsonValue::boolean(opts.smoke));
-    rows_json.push_back(std::move(entry));
+    file.rows.push_back(std::move(entry));
   }
   std::cerr << "\n";
   std::cout << table.to_string() << "\n";
 
-  root.set("rows", std::move(rows_json));
-  std::ofstream out(opts.out, std::ios::trunc);
-  if (!out) {
-    std::cerr << "bench_device_zoo: cannot write " << opts.out << "\n";
-    return 1;
-  }
-  out << root.to_pretty_string() << "\n";
-  out.close();
-  std::cout << "appended rows to " << opts.out << "\n";
-
-  if (opts.validate) {
-    const bool valid = validate_bench_file(opts.out);
-    std::cout << (valid ? "PASS" : "FAIL") << ": " << opts.out
-              << " matches the bench schema\n";
-    return valid ? 0 : 1;
-  }
+  if (!bench::write_bench_file(kFormat, opts.out, std::move(file))) return 1;
+  if (opts.validate && !bench::validate_bench_file(kFormat, opts.out)) return 1;
   return 0;
 }

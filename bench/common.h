@@ -3,9 +3,11 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/checkers.h"
@@ -17,6 +19,7 @@
 #include "service/flags.h"
 #include "service/service.h"
 #include "support/assert.h"
+#include "support/json.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/strings.h"
@@ -128,16 +131,26 @@ inline std::string fmt(double v, int precision = 3) {
 }
 
 /// Run the static verifier (analysis::analyze_circuit, physical stage) over
-/// every mapped circuit of the suite and abort on the first diagnostic.
+/// every mapped circuit of the suite and exit 2 on the first diagnostic.
 /// A mapper bug that emits a non-native or non-adjacent gate would silently
 /// skew every figure downstream — better to die loudly here.
+///
+/// `errors_only` ignores warnings: sparse targets legitimately route swap
+/// chains through already-measured qubits, which the checker flags as
+/// QFS003 warnings — benign for a routed artifact — so only errors
+/// (non-native gates, non-adjacent pairs, ...) abort.
 inline void verify_suite_rows(const std::vector<SuiteRow>& rows,
-                              const device::Device& device) {
+                              const device::Device& device, bool errors_only) {
   analysis::CheckOptions opts;
   opts.device = &device;
   opts.physical = true;
   for (const auto& r : rows) {
     auto diags = analysis::analyze_circuit(r.mapping.mapped, opts);
+    if (errors_only) {
+      std::erase_if(diags, [](const analysis::Diagnostic& d) {
+        return d.severity != analysis::Severity::kError;
+      });
+    }
     if (diags.empty()) continue;
     std::cerr << "suite verification failed:\n"
               << analysis::render_diagnostics(diags, r.name);
@@ -229,6 +242,144 @@ inline double double_flag(int argc, char** argv, const std::string& flag,
 inline void print_cache_summary(const SuiteRunConfig& config) {
   if (config.cache == nullptr) return;
   std::cerr << report::cache_summary_line(config.cache->stats()) << "\n";
+}
+
+// --- BENCH_*.json row files -------------------------------------------------
+//
+// The append-only perf-trajectory files (BENCH_compile.json,
+// BENCH_device_zoo.json) share one format: a top-level object with the
+// bench's name, a schema version, optional header members and a `rows`
+// array. Each invocation appends its rows under its --label, so the
+// before/after evidence for a change lands in the file itself.
+
+/// One bench's row-file format.
+struct BenchFileFormat {
+  /// Binary name that prefixes the refusal and write-failure messages.
+  std::string tool;
+  /// The top-level "bench" value, e.g. "compile".
+  std::string bench;
+  int schema = 1;
+  /// Extra top-level string members of a fresh file, written in order
+  /// between "schema" and "rows".
+  std::vector<std::pair<std::string, std::string>> header;
+  /// Members every row carries as non-empty strings.
+  std::vector<std::string> string_fields;
+  /// The bench's own row check, run after the string fields: why `row` is
+  /// malformed (e.g. "has bad ms/gates"), or "" when it is well formed.
+  std::string (*check_row)(const JsonValue& row) = nullptr;
+};
+
+/// A bench file open for appending: the top-level members, and the rows
+/// kept apart so a bench can append rows while it reads the earlier ones.
+struct BenchFile {
+  JsonValue root;
+  JsonValue rows;
+};
+
+/// Why `root` is not a file of `format` ("bad top-level schema", "row 3
+/// missing class"), or "" when it is one. Never aborts on malformed input.
+inline std::string bench_file_error(const BenchFileFormat& format,
+                                    const JsonValue& root) {
+  if (!root.is_object()) return "bad top-level schema";
+  const JsonValue* schema = root.find("schema");
+  const JsonValue* bench = root.find("bench");
+  const JsonValue* rows = root.find("rows");
+  if (schema == nullptr || !schema->is_integer() ||
+      schema->as_integer() != format.schema || bench == nullptr ||
+      !bench->is_string() || bench->as_string() != format.bench ||
+      rows == nullptr || !rows->is_array() || rows->size() == 0) {
+    return "bad top-level schema";
+  }
+  for (std::size_t i = 0; i < rows->size(); ++i) {
+    const JsonValue& row = rows->at(i);
+    const std::string where = "row " + std::to_string(i) + " ";
+    if (!row.is_object()) return where + "is not an object";
+    for (const std::string& key : format.string_fields) {
+      const JsonValue* field = row.find(key);
+      if (field == nullptr || !field->is_string() ||
+          field->as_string().empty()) {
+        return where + "missing " + key;
+      }
+    }
+    std::string problem = format.check_row(row);
+    if (!problem.empty()) return where + problem;
+  }
+  return "";
+}
+
+/// Open `path` for appending. A fresh root comes back when `fresh` is set
+/// or the file cannot be read. An existing file that is not a valid file of
+/// `format` (what --validate would reject) exits 1 and is left untouched,
+/// before the bench times anything.
+inline BenchFile load_bench_file(const BenchFileFormat& format,
+                                 const std::string& path, bool fresh) {
+  std::ifstream in(path);
+  if (in && !fresh) {
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    auto parsed = JsonValue::parse(buffer.str());
+    if (parsed.is_ok() && bench_file_error(format, parsed.value()).empty()) {
+      JsonValue rows = *parsed.value().find("rows");
+      return {std::move(parsed.value()), std::move(rows)};
+    }
+    std::cerr << format.tool << ": " << path
+              << " exists but is not a valid bench file; refusing to "
+                 "overwrite it\n";
+    std::exit(1);
+  }
+  BenchFile file{JsonValue::object(), JsonValue::array()};
+  file.root.set("bench", JsonValue::string(format.bench));
+  file.root.set("schema", JsonValue::integer(format.schema));
+  for (const auto& [key, value] : format.header)
+    file.root.set(key, JsonValue::string(value));
+  file.root.set("rows", JsonValue::array());
+  return file;
+}
+
+/// Write `file` to `path` with its rows in place. Prints "appended rows to
+/// PATH" on stdout, or returns false after "TOOL: cannot write PATH".
+inline bool write_bench_file(const BenchFileFormat& format,
+                             const std::string& path, BenchFile file) {
+  file.root.set("rows", std::move(file.rows));
+  std::ofstream out(path, std::ios::trunc);
+  if (!out) {
+    std::cerr << format.tool << ": cannot write " << path << "\n";
+    return false;
+  }
+  out << file.root.to_pretty_string() << "\n";
+  out.close();
+  std::cout << "appended rows to " << path << "\n";
+  return true;
+}
+
+/// --validate: re-read the written `path` and check it against `format`.
+/// The reason for a failure goes to stderr, then a PASS/FAIL line to
+/// stdout. Returns whether the file passed.
+inline bool validate_bench_file(const BenchFileFormat& format,
+                                const std::string& path) {
+  const bool valid = [&] {
+    std::ifstream in(path);
+    if (!in) {
+      std::cerr << "validate: cannot open " << path << "\n";
+      return false;
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    auto parsed = JsonValue::parse(buffer.str());
+    if (!parsed.is_ok()) {
+      std::cerr << "validate: " << parsed.status().message() << "\n";
+      return false;
+    }
+    const std::string error = bench_file_error(format, parsed.value());
+    if (!error.empty()) {
+      std::cerr << "validate: " << error << "\n";
+      return false;
+    }
+    return true;
+  }();
+  std::cout << (valid ? "PASS" : "FAIL") << ": " << path
+            << " matches the bench schema\n";
+  return valid;
 }
 
 }  // namespace qfs::bench

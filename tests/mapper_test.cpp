@@ -647,6 +647,24 @@ TEST(Routing, LookaheadOnDisconnectedChip) {
   EXPECT_TRUE(resilient.is_ok());
 }
 
+TEST(Routing, LookaheadRoutes100kGatesInLinearTime) {
+  // Guards the lookahead window's persistent cursor: with a from-zero
+  // rescan per call the router is quadratic and this case takes minutes
+  // instead of under a second (Release), blowing the tier-1 budget.
+  Device d = device::surface97_device();
+  qfs::Rng gen(42);
+  workloads::RandomCircuitSpec spec;
+  spec.num_qubits = 40;
+  spec.num_gates = 100000;
+  spec.two_qubit_fraction = 0.35;
+  Circuit c = compiler::decompose_to_gateset(
+      workloads::random_circuit(spec, gen), d.gateset());
+  qfs::Rng rng(1);
+  auto result = LookaheadRouter().route(c, d, Layout::identity(97), rng);
+  EXPECT_TRUE(respects_connectivity(result.mapped, d));
+  EXPECT_EQ(result.swaps_inserted, 67011);
+}
+
 TEST(Routing, FactoryRejectsUnknown) {
   EXPECT_THROW(make_router("bogus"), AssertionError);
 }

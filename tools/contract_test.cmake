@@ -7,6 +7,9 @@
 #   EXPECT_EXIT   required exit code
 #   EXPECT_STDERR regex that must match stderr
 #   EXPECT_STDOUT optional regex that must match stdout (lint diagnostics)
+#   FIXTURE       optional checked-in file, copied to FIXTURE_COPY before
+#                 the run; FIXTURE_COPY must still equal it afterwards (a
+#                 refused write leaves the file alone)
 #
 # ctest's WILL_FAIL/PASS_REGULAR_EXPRESSION cannot express "this exact
 # nonzero exit code AND this stderr text", which is precisely the CLI
@@ -15,6 +18,11 @@ if(NOT DEFINED BINARY OR NOT DEFINED EXPECT_EXIT)
   message(FATAL_ERROR "contract_test.cmake needs -DBINARY and -DEXPECT_EXIT")
 endif()
 get_filename_component(name "${BINARY}" NAME)
+
+if(DEFINED FIXTURE)
+  file(READ "${FIXTURE}" fixture_bytes)
+  file(WRITE "${FIXTURE_COPY}" "${fixture_bytes}")
+endif()
 
 execute_process(
   COMMAND ${BINARY} ${ARGS}
@@ -36,4 +44,11 @@ endif()
 if(DEFINED EXPECT_STDOUT AND NOT out MATCHES "${EXPECT_STDOUT}")
   message(FATAL_ERROR
       "${name} stdout does not match '${EXPECT_STDOUT}'.\nstdout:\n${out}")
+endif()
+
+if(DEFINED FIXTURE)
+  file(READ "${FIXTURE_COPY}" copy_bytes)
+  if(NOT copy_bytes STREQUAL fixture_bytes)
+    message(FATAL_ERROR "${name} changed ${FIXTURE_COPY}")
+  endif()
 endif()
