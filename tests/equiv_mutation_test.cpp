@@ -12,11 +12,14 @@
 #include <vector>
 
 #include "analysis/equiv.h"
+#include "backends/registry.h"
 #include "circuit/circuit.h"
+#include "compiler/decompose.h"
 #include "compiler/schedule.h"
 #include "device/device.h"
 #include "isa/timed_program.h"
 #include "mapper/pipeline.h"
+#include "support/hash.h"
 #include "support/rng.h"
 #include "workloads/algorithms.h"
 
@@ -36,8 +39,10 @@ struct Compiled {
 
 /// GHZ-like source with measurements, compiled with a router that is
 /// guaranteed to insert swaps on surface-17 (the chain spans the chip).
-Compiled compile_fixture() {
+Compiled compile_fixture(
+    const device::Device& device = device::surface17_device()) {
   Compiled c;
+  c.device = device;
   Circuit src(8, "mutant-fixture");
   src.h(0);
   for (int q = 0; q + 1 < 8; ++q) src.cx(q, q + 1);
@@ -363,6 +368,124 @@ TEST(EquivMutation, MaxDiagnosticsBoundsTheCascade) {
       validate_translation(c.source, c.device, a, options);
   EXPECT_FALSE(findings.empty());
   EXPECT_LE(static_cast<int>(findings.size()), 2);
+}
+
+/// Start of every inserted SWAP window in `mapped`, found by scanning for
+/// the pipeline's own lowering of swap(a,b) on each coupler orientation.
+std::vector<std::pair<int, int>> swap_windows(const Compiled& c) {
+  const auto& gates = c.result.mapped.gates();
+  std::vector<std::vector<Gate>> templates;
+  for (const auto& [a, b] : c.device.topology().edge_list()) {
+    for (int flip = 0; flip < 2; ++flip) {
+      Circuit s(c.device.num_qubits());
+      s.swap(flip ? b : a, flip ? a : b);
+      templates.push_back(compiler::decompose_to_gateset(
+                              compiler::expand_swaps(s), c.device.gateset())
+                              .gates());
+    }
+  }
+  std::vector<std::pair<int, int>> windows;  // (start, length)
+  for (std::size_t i = 0; i < gates.size();) {
+    std::size_t length = 0;
+    for (const auto& t : templates) {
+      if (i + t.size() <= gates.size() &&
+          std::equal(t.begin(), t.end(), gates.begin() + i)) {
+        length = t.size();
+        break;
+      }
+    }
+    if (length == 0) {
+      ++i;
+      continue;
+    }
+    windows.emplace_back(static_cast<int>(i), static_cast<int>(length));
+    i += length;
+  }
+  return windows;
+}
+
+TEST(EquivDiagnosticsGolden, SwapWindowMutantsMatchGolden) {
+  // One device per swap-template path of the matcher: CX (heavyhex27),
+  // Ry/CZ (surface17) and CZ-only without Ry (sycamore). Every gate of
+  // every inserted SWAP window is mutated four ways; each mutant must be
+  // rejected, and the rendered diagnostics of all of them (plus the clean
+  // artifacts) are pinned to one digest, so a validator rewrite keeps its
+  // verdicts and its text byte-identical.
+  auto sycamore = backends::make_device("sycamore(rows=5,cols=4)");
+  ASSERT_TRUE(sycamore.is_ok());
+  const device::Device devices[] = {device::heavy_hex27_device(),
+                                    device::surface17_device(),
+                                    sycamore.value()};
+  qfs::Hasher hasher;
+  int mutants = 0;
+  for (const device::Device& dev : devices) {
+    SCOPED_TRACE(dev.name());
+    Compiled c = compile_fixture(dev);
+    const device::Topology& topology = dev.topology();
+    auto record = [&](const std::string& label, const Circuit& mapped) {
+      TranslationArtifact a = artifact_of(c, mapped);
+      std::string text = render_diagnostics(
+          validate_translation(c.source, c.device, a), dev.name());
+      hasher.update(label + "\n" + text);
+      return text;
+    };
+    EXPECT_EQ(record("clean", c.result.mapped), "");
+
+    const auto windows = swap_windows(c);
+    ASSERT_EQ(static_cast<int>(windows.size()), c.result.swaps_inserted);
+    for (const auto& [start, length] : windows) {
+      for (int i = start; i < start + length; ++i) {
+        const auto at = static_cast<std::size_t>(i);
+        const Gate& g = c.result.mapped.gates()[at];
+        std::vector<std::pair<std::string, Circuit>> cases;
+        cases.emplace_back("drop", mutate_gates(c.result.mapped,
+                                                [at](std::vector<Gate>& m) {
+                                                  m.erase(m.begin() + at);
+                                                }));
+        if (g.qubits.size() == 2) {
+          cases.emplace_back(
+              "reverse",
+              mutate_gates(c.result.mapped, [at](std::vector<Gate>& m) {
+                std::swap(m[at].qubits[0], m[at].qubits[1]);
+              }));
+        }
+        // Move the last operand to the first other coupler-graph
+        // neighbour of the first operand (of itself, for a 1q gate).
+        const int anchor = g.qubits.front();
+        const int moved = g.qubits.back();
+        int target = -1;
+        for (const auto& [n, w] : topology.coupling().neighbors(anchor)) {
+          (void)w;
+          if (n != moved) {
+            target = n;
+            break;
+          }
+        }
+        if (target >= 0) {
+          cases.emplace_back(
+              "move", mutate_gates(c.result.mapped,
+                                   [at, target](std::vector<Gate>& m) {
+                                     m[at].qubits.back() = target;
+                                   }));
+        }
+        if (!g.params.empty()) {
+          cases.emplace_back(
+              "param", mutate_gates(c.result.mapped, [at](std::vector<Gate>& m) {
+                m[at].params[0] += 1e-9;
+              }));
+        }
+        for (const auto& [kind, mutated] : cases) {
+          const std::string label = kind + " " + std::to_string(i);
+          EXPECT_NE(record(label, mutated), "") << label << " not caught";
+          ++mutants;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mutants, 318);
+  // Generated on the per-window lowering the matcher used before its
+  // templates were cached; Linux x86-64 / glibc toolchain.
+  EXPECT_EQ(hasher.finish().hex(), "dbeca1331518095b4a186aa7f10c5096");
 }
 
 }  // namespace
