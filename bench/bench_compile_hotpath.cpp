@@ -1,7 +1,8 @@
 // Compile hot-path harness: times each pipeline phase (decompose, place,
-// route, schedule, full pipeline, cache store/hit) per circuit class on
-// surface-97 and appends machine-readable rows to BENCH_compile.json, the
-// perf trajectory the hot-path work is pinned against (DESIGN.md §13).
+// route, schedule, full pipeline, validate, QASM emit, cache store/hit) per
+// circuit class on surface-97 and appends machine-readable rows to
+// BENCH_compile.json, the perf trajectory the hot-path work is pinned
+// against (DESIGN.md §13).
 //
 // Rows are append-only: each invocation adds one row per (class, phase)
 // under --label, and every new row that has a predecessor with the same
@@ -9,8 +10,10 @@
 // it — the before/after evidence for an optimization lands in the file
 // itself. Each row also carries a digest of the serialized MappingResult
 // (pipeline phase), routed circuit (routing phases) or start cycles and
-// makespan (schedule phase), so cross-label byte-identity of compiler
-// output is checkable straight from the JSON.
+// makespan (schedule phase), the validator's verdict and rendered
+// diagnostics (validate phase) or the emitted QASM text (emit_qasm phase),
+// so cross-label byte-identity of compiler output is checkable straight
+// from the JSON.
 //
 //   bench_compile_hotpath --label NAME [--out FILE] [--repeat N] [--smoke]
 //                         [--validate] [--floor-route-kgps X]
@@ -36,6 +39,7 @@
 
 #include <unistd.h>
 
+#include "analysis/equiv.h"
 #include "cache/artifact.h"
 #include "cache/cache.h"
 #include "cache/fingerprint.h"
@@ -281,6 +285,33 @@ std::vector<Row> bench_class(const CircuitClass& cls,
                                                             mopts, rng);
                             }),
       gates, digest_of(cache::serialize_mapping_result(mapping)));
+
+  // Phase: translation validation of that artifact against its source, as
+  // the service runs it on every compile and cache hit.
+  analysis::TranslationArtifact artifact;
+  artifact.mapped = &mapping.mapped;
+  artifact.initial_layout = mapping.initial_layout;
+  artifact.final_layout = mapping.final_layout;
+  artifact.swaps_inserted = mapping.swaps_inserted;
+  std::vector<analysis::Diagnostic> findings;
+  add("validate", median_ms(repeat,
+                            [&] {
+                              findings = analysis::validate_translation(
+                                  cls.circuit, device, artifact);
+                            }),
+      mapping.gates_after,
+      digest_of(std::string(analysis::translation_is_valid(
+                                cls.circuit, device, artifact)
+                                ? "valid\n"
+                                : "invalid\n") +
+                analysis::render_diagnostics(findings)));
+
+  // Phase: OpenQASM emission of the mapped circuit (the service's digest
+  // input).
+  std::string mapped_qasm;
+  add("emit_qasm",
+      median_ms(repeat, [&] { mapped_qasm = qasm::to_qasm(mapping.mapped); }),
+      mapping.gates_after, digest_of(mapped_qasm));
 
   // Phases: cache store + disk hit for that artifact. A fresh cache
   // instance per lookup run keeps the memory tier cold, so the hit path

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "compiler/decompose.h"
@@ -69,6 +71,13 @@ struct Perm {
 };
 
 std::string gate_text(const Gate& g) { return circuit::gate_to_string(g); }
+
+/// A router window shape lowered to `gateset` exactly as the pipeline
+/// lowers it (expand_swaps, then decompose_to_gateset).
+std::vector<Gate> lower(const Circuit& c, const device::GateSet& gateset) {
+  return compiler::decompose_to_gateset(compiler::expand_swaps(c), gateset)
+      .gates();
+}
 
 /// Structural sanity of the artifact itself (QFS101). Matching is
 /// meaningless when these fail, so the caller bails out early.
@@ -166,7 +175,8 @@ class Matcher {
         reference_(
             compiler::decompose_to_gateset(source, device.gateset())),
         perm_(Perm::from_partial(artifact.initial_layout,
-                                 device.num_qubits())) {
+                                 device.num_qubits())),
+        templates_(device.gateset()) {
     queues_.resize(static_cast<std::size_t>(num_virtual_));
     heads_.assign(static_cast<std::size_t>(num_virtual_), 0);
     const auto& gates = reference_.gates();
@@ -174,15 +184,6 @@ class Matcher {
       for (int q : gates[static_cast<std::size_t>(i)].qubits) {
         queues_[static_cast<std::size_t>(q)].push_back(i);
       }
-    }
-    if (!device_.gateset().supports(GateKind::kCx) &&
-        !device_.gateset().supports(GateKind::kRy) &&
-        device_.num_qubits() >= 2) {
-      // Probe template for the generic CZ-only swap detection: the lowered
-      // gate kinds/params are the same for any qubit pair.
-      Circuit probe(device_.num_qubits());
-      probe.swap(0, 1);
-      swap_probe_ = lower(probe);
     }
   }
 
@@ -287,25 +288,31 @@ class Matcher {
 
   /// Reference index ready for consumption matching `g` (kind, params, and
   /// operand order under the current permutation), or nullopt.
+  /// Operands are compared in place under the permutation (a barrier may
+  /// carry any number of them), so no gate is copied.
   std::optional<int> match_reference_at(const Gate& g,
                                         const std::vector<int>& heads) const {
     if (g.qubits.empty()) return std::nullopt;
-    std::vector<int> virt;
-    virt.reserve(g.qubits.size());
     for (int p : g.qubits) {
-      int v = perm_.p2v[static_cast<std::size_t>(p)];
-      if (v >= num_virtual_) return std::nullopt;  // padding qubit
-      virt.push_back(v);
+      if (virtual_of(p) >= num_virtual_) return std::nullopt;  // padding
     }
-    auto q0 = static_cast<std::size_t>(virt[0]);
+    auto q0 = static_cast<std::size_t>(virtual_of(g.qubits[0]));
     if (heads[q0] >= static_cast<int>(queues_[q0].size())) return std::nullopt;
     int ri = queues_[q0][static_cast<std::size_t>(heads[q0])];
     const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
-    if (ref.kind != g.kind || ref.qubits != virt || ref.params != g.params) {
+    if (ref.kind != g.kind || ref.qubits.size() != g.qubits.size() ||
+        ref.params != g.params) {
       return std::nullopt;
+    }
+    for (std::size_t k = 0; k < g.qubits.size(); ++k) {
+      if (ref.qubits[k] != virtual_of(g.qubits[k])) return std::nullopt;
     }
     if (!ready(ri, heads)) return std::nullopt;
     return ri;
+  }
+
+  int virtual_of(int physical) const {
+    return perm_.p2v[static_cast<std::size_t>(physical)];
   }
 
   bool ready(int ri, const std::vector<int>& heads) const {
@@ -326,26 +333,12 @@ class Matcher {
     }
   }
 
-  /// Lowered template of one gate sequence under the device gate set,
-  /// exactly as the pipeline would emit it.
-  std::vector<Gate> lower(const Circuit& c) const {
-    return compiler::decompose_to_gateset(compiler::expand_swaps(c),
-                                          device_.gateset())
-        .gates();
-  }
-
-  bool window_equals(int start, const std::vector<Gate>& tmpl) const {
-    const auto& gates = mapped_.gates();
-    if (start + static_cast<int>(tmpl.size()) >
-        static_cast<int>(gates.size())) {
-      return false;
-    }
-    for (std::size_t k = 0; k < tmpl.size(); ++k) {
-      if (!(gates[static_cast<std::size_t>(start) + k] == tmpl[k])) {
-        return false;
-      }
-    }
-    return true;
+  /// The mapped window at `start` equals `tmpl` relabelled onto `labels`.
+  bool window_equals(int start, const std::vector<Gate>& tmpl,
+                     std::span<const int> labels) const {
+    const std::span<const Gate> gates(mapped_.gates());
+    return matches_relabelled(gates.subspan(static_cast<std::size_t>(start)),
+                              tmpl, labels);
   }
 
   /// Full swap-expansion window starting at mapped gate `start`, if any.
@@ -356,6 +349,8 @@ class Matcher {
   /// so the pair is read off the window's first cz instead and both swap
   /// orientations are checked against the fully lowered template.
   std::optional<SwapWindow> swap_template_at(int start) const {
+    const std::vector<Gate>& tmpl = templates_.swap;
+    if (tmpl.empty()) return std::nullopt;
     const auto& gates = mapped_.gates();
     const Gate& g = gates[static_cast<std::size_t>(start)];
     int pa = -1, pb = -1;
@@ -375,16 +370,14 @@ class Matcher {
       pa = next.qubits[0];
       pb = next.qubits[1];
     } else {
-      // Generic CZ-only path. The lowered template's gate kinds/params are
-      // position-independent, so the cached probe's first gate is a cheap
-      // pre-filter before the window scan.
-      if (swap_probe_.empty() || g.kind != swap_probe_[0].kind ||
-          g.params != swap_probe_[0].params) {
+      // Generic CZ-only path. The template's gate kinds/params are
+      // position-independent, so its first gate is a cheap pre-filter
+      // before the window scan.
+      if (g.kind != tmpl[0].kind || g.params != tmpl[0].params) {
         return std::nullopt;
       }
-      const int horizon =
-          std::min(static_cast<int>(swap_probe_.size()),
-                   static_cast<int>(gates.size()) - start);
+      const int horizon = std::min(static_cast<int>(tmpl.size()),
+                                   static_cast<int>(gates.size()) - start);
       for (int k = 0; k < horizon; ++k) {
         const Gate& w = gates[static_cast<std::size_t>(start + k)];
         if (w.kind == GateKind::kCz) {
@@ -394,21 +387,16 @@ class Matcher {
         }
       }
       if (pa < 0) return std::nullopt;
-      for (int flip = 0; flip < 2; ++flip) {
-        Circuit c(device_.num_qubits());
-        c.swap(flip ? pb : pa, flip ? pa : pb);
-        std::vector<Gate> tmpl = lower(c);
-        if (window_equals(start, tmpl)) {
-          return SwapWindow{flip ? pb : pa, flip ? pa : pb,
-                            static_cast<int>(tmpl.size())};
+      for (const auto& [x, y] : {std::pair{pa, pb}, std::pair{pb, pa}}) {
+        const int labels[] = {x, y};
+        if (window_equals(start, tmpl, labels)) {
+          return SwapWindow{x, y, static_cast<int>(tmpl.size())};
         }
       }
       return std::nullopt;
     }
-    Circuit c(device_.num_qubits());
-    c.swap(pa, pb);
-    std::vector<Gate> tmpl = lower(c);
-    if (!window_equals(start, tmpl)) return std::nullopt;
+    const int labels[] = {pa, pb};
+    if (!window_equals(start, tmpl, labels)) return std::nullopt;
     return SwapWindow{pa, pb, static_cast<int>(tmpl.size())};
   }
 
@@ -425,7 +413,8 @@ class Matcher {
     }
     int ri = queues_[qa][static_cast<std::size_t>(heads_[qa])];
     const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
-    if (ref.kind != GateKind::kSwap || ref.qubits != std::vector<int>{va, vb}) {
+    if (ref.kind != GateKind::kSwap || ref.qubits[0] != va ||
+        ref.qubits[1] != vb) {
       return std::nullopt;
     }
     if (!ready(ri, heads_)) return std::nullopt;
@@ -435,15 +424,15 @@ class Matcher {
   /// True when the whole window [start, start+length) can be consumed as
   /// plain reference gates (tried on scratch cursors; the permutation is
   /// never touched by 1:1 matches).
-  bool window_matches_references(int start, int length) const {
-    std::vector<int> scratch = heads_;
+  bool window_matches_references(int start, int length) {
+    scratch_heads_.assign(heads_.begin(), heads_.end());
     const auto& gates = mapped_.gates();
     for (int k = 0; k < length; ++k) {
       auto ri =
           match_reference_at(gates[static_cast<std::size_t>(start + k)],
-                             scratch);
+                             scratch_heads_);
       if (!ri) return false;
-      consume(*ri, scratch);
+      consume(*ri, scratch_heads_);
     }
     return true;
   }
@@ -468,13 +457,11 @@ class Matcher {
       if (topo.distance(pa, pb) != 2) continue;
       auto path = topo.shortest_path(pa, pb);
       if (path.size() != 3) continue;
-      int pm = path[1];
-      Circuit c(device_.num_qubits());
-      if (ref.kind == GateKind::kCz) c.h(pb);
-      c.cx(pa, pm).cx(pm, pb).cx(pa, pm).cx(pm, pb);
-      if (ref.kind == GateKind::kCz) c.h(pb);
-      std::vector<Gate> tmpl = lower(c);
-      if (window_equals(start, tmpl)) {
+      const int labels[] = {pa, path[1], pb};
+      const std::vector<Gate>& tmpl = ref.kind == GateKind::kCz
+                                          ? templates_.bridge_cz
+                                          : templates_.bridge_cx;
+      if (window_equals(start, tmpl, labels)) {
         return BridgeWindow{ri, static_cast<int>(tmpl.size())};
       }
     }
@@ -574,7 +561,8 @@ class Matcher {
   Perm perm_;
   std::vector<std::vector<int>> queues_;  ///< per-virtual-qubit ref indices
   std::vector<int> heads_;                ///< per-qubit cursor into queues_
-  std::vector<Gate> swap_probe_;  ///< lowered swap shape for CZ-only bases
+  std::vector<int> scratch_heads_;        ///< trial cursors for a SWAP window
+  const WindowTemplates templates_;       ///< lowered once, matched relabelled
 };
 
 /// QFS108: the timed program must carry exactly the mapped circuit's gates
@@ -674,6 +662,41 @@ void check_timed_program(const Circuit& mapped, const isa::TimedProgram& timed,
 }
 
 }  // namespace
+
+WindowTemplates::WindowTemplates(const device::GateSet& gateset) {
+  if (!gateset.supports(GateKind::kCx) && !gateset.supports(GateKind::kCz)) {
+    return;
+  }
+  Circuit s(2);
+  s.swap(0, 1);
+  swap = lower(s, gateset);
+  Circuit b(3);
+  b.cx(0, 1).cx(1, 2).cx(0, 1).cx(1, 2);
+  bridge_cx = lower(b, gateset);
+  Circuit bz(3);
+  bz.h(2).cx(0, 1).cx(1, 2).cx(0, 1).cx(1, 2).h(2);
+  bridge_cz = lower(bz, gateset);
+}
+
+bool matches_relabelled(std::span<const Gate> window,
+                        const std::vector<Gate>& tmpl,
+                        std::span<const int> labels) {
+  if (window.size() < tmpl.size()) return false;
+  for (std::size_t k = 0; k < tmpl.size(); ++k) {
+    const Gate& w = window[k];
+    const Gate& t = tmpl[k];
+    if (w.kind != t.kind || w.qubits.size() != t.qubits.size() ||
+        w.params != t.params) {
+      return false;
+    }
+    for (std::size_t j = 0; j < t.qubits.size(); ++j) {
+      if (w.qubits[j] != labels[static_cast<std::size_t>(t.qubits[j])]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 std::vector<Diagnostic> validate_translation(const Circuit& source,
                                              const Device& device,

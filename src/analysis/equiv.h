@@ -15,6 +15,7 @@
 // qfsd and the tests all print them the same way.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -55,6 +56,26 @@ struct EquivOptions {
 std::vector<Diagnostic> validate_translation(
     const circuit::Circuit& source, const device::Device& device,
     const TranslationArtifact& artifact, const EquivOptions& options = {});
+
+/// The router's window shapes lowered once to one gate set, on canonical
+/// qubits: swap(0,1), and the 4-CX bridge on (0,1,2), bare for a CX and
+/// conjugated by h(2) for a CZ. Lowering only ever copies qubit indices, so
+/// the lowering of a shape on physical qubits is its canonical template
+/// with qubit k read as label k. Empty when the gate set has no entangling
+/// primitive (no window can then be inserted).
+struct WindowTemplates {
+  explicit WindowTemplates(const device::GateSet& gateset);
+
+  std::vector<circuit::Gate> swap;
+  std::vector<circuit::Gate> bridge_cx;
+  std::vector<circuit::Gate> bridge_cz;
+};
+
+/// True when `window` begins with `tmpl` under the relabelling canonical
+/// qubit k -> labels[k]: kinds, parameters and relabelled operands equal.
+bool matches_relabelled(std::span<const circuit::Gate> window,
+                        const std::vector<circuit::Gate>& tmpl,
+                        std::span<const int> labels);
 
 /// True when validate_translation reports no error-severity findings.
 bool translation_is_valid(const circuit::Circuit& source,

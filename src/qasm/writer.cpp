@@ -1,6 +1,6 @@
 #include "qasm/writer.h"
 
-#include <sstream>
+#include <charconv>
 
 #include "support/strings.h"
 
@@ -11,76 +11,110 @@ using circuit::GateKind;
 
 namespace {
 
-std::string angle(double value) {
+void append_angle(std::string& out, double value) {
   // 12 significant decimals round-trips doubles well enough for angles.
-  return qfs::format_double(value, 12);
+  qfs::append_double(out, value, 12);
 }
 
-void emit_operands(std::ostringstream& os, const Gate& g) {
+void append_int(std::string& out, int value) {
+  char buf[16];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
+  (void)ec;  // 16 bytes hold any int
+  out.append(buf, end);
+}
+
+void append_qubit(std::string& out, int q) {
+  out += "q[";
+  append_int(out, q);
+  out += ']';
+}
+
+void emit_operands(std::string& out, const Gate& g) {
   for (std::size_t i = 0; i < g.qubits.size(); ++i) {
-    if (i) os << ',';
-    os << "q[" << g.qubits[i] << ']';
+    if (i) out += ',';
+    append_qubit(out, g.qubits[i]);
   }
-  os << ";\n";
+  out += ";\n";
 }
 
-void emit_gate(std::ostringstream& os, const Gate& g) {
+void emit_gate(std::string& out, const Gate& g) {
   switch (g.kind) {
     case GateKind::kMeasure:
-      os << "measure q[" << g.qubits[0] << "] -> c[" << g.qubits[0] << "];\n";
+      out += "measure ";
+      append_qubit(out, g.qubits[0]);
+      out += " -> c[";
+      append_int(out, g.qubits[0]);
+      out += "];\n";
       return;
     case GateKind::kReset:
-      os << "reset q[" << g.qubits[0] << "];\n";
+      out += "reset ";
+      append_qubit(out, g.qubits[0]);
+      out += ";\n";
       return;
     case GateKind::kBarrier:
-      os << "barrier ";
-      emit_operands(os, g);
+      out += "barrier ";
+      emit_operands(out, g);
       return;
     case GateKind::kPhase:
       // qelib1 calls the phase gate u1.
-      os << "u1(" << angle(g.params[0]) << ") ";
-      emit_operands(os, g);
+      out += "u1(";
+      append_angle(out, g.params[0]);
+      out += ") ";
+      emit_operands(out, g);
       return;
     case GateKind::kCphase:
-      os << "cu1(" << angle(g.params[0]) << ") ";
-      emit_operands(os, g);
+      out += "cu1(";
+      append_angle(out, g.params[0]);
+      out += ") ";
+      emit_operands(out, g);
       return;
     case GateKind::kCcz: {
       // qelib1 has no ccz; emit the standard h-ccx-h conjugation.
-      int t = g.qubits[2];
-      os << "h q[" << t << "];\n";
-      os << "ccx q[" << g.qubits[0] << "],q[" << g.qubits[1] << "],q[" << t
-         << "];\n";
-      os << "h q[" << t << "];\n";
+      const int t = g.qubits[2];
+      out += "h ";
+      append_qubit(out, t);
+      out += ";\nccx ";
+      emit_operands(out, g);
+      out += "h ";
+      append_qubit(out, t);
+      out += ";\n";
       return;
     }
     default:
       break;
   }
-  os << circuit::gate_name(g.kind);
+  out += circuit::gate_name(g.kind);
   if (!g.params.empty()) {
-    os << '(';
+    out += '(';
     for (std::size_t i = 0; i < g.params.size(); ++i) {
-      if (i) os << ',';
-      os << angle(g.params[i]);
+      if (i) out += ',';
+      append_angle(out, g.params[i]);
     }
-    os << ')';
+    out += ')';
   }
-  os << ' ';
-  emit_operands(os, g);
+  out += ' ';
+  emit_operands(out, g);
 }
 
 }  // namespace
 
 std::string to_qasm(const circuit::Circuit& circuit) {
-  std::ostringstream os;
-  os << "OPENQASM 2.0;\n";
-  os << "include \"qelib1.inc\";\n";
-  if (!circuit.name().empty()) os << "// circuit: " << circuit.name() << '\n';
-  os << "qreg q[" << circuit.num_qubits() << "];\n";
-  os << "creg c[" << circuit.num_qubits() << "];\n";
-  for (const Gate& g : circuit.gates()) emit_gate(os, g);
-  return os.str();
+  std::string out;
+  // Header plus about one short line per gate; append grows past it.
+  out.reserve(96 + circuit.name().size() + 24 * circuit.gates().size());
+  out += "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+  if (!circuit.name().empty()) {
+    out += "// circuit: ";
+    out += circuit.name();
+    out += '\n';
+  }
+  out += "qreg q[";
+  append_int(out, circuit.num_qubits());
+  out += "];\ncreg c[";
+  append_int(out, circuit.num_qubits());
+  out += "];\n";
+  for (const Gate& g : circuit.gates()) emit_gate(out, g);
+  return out;
 }
 
 }  // namespace qfs::qasm

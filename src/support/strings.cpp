@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cfloat>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
+
+#include "support/assert.h"
 
 namespace qfs {
 
 namespace {
+/// Largest precision append_double accepts (its buffer is sized for it).
+constexpr int kMaxFormatPrecision = 17;
+
 bool is_space(char c) {
   return std::isspace(static_cast<unsigned char>(c)) != 0;
 }
@@ -78,10 +83,22 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+void append_double(std::string& out, double value, int precision) {
+  QFS_ASSERT_MSG(0 <= precision && precision <= kMaxFormatPrecision,
+                 "format precision out of range");
+  // Room for -DBL_MAX in fixed notation: sign, 309 integer digits, point
+  // and the decimals.
+  char buf[2 + DBL_MAX_10_EXP + 1 + kMaxFormatPrecision];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::fixed, precision);
+  QFS_ASSERT_MSG(ec == std::errc(), "fixed-notation buffer too small");
+  out.append(buf, end);
+}
+
 std::string format_double(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, value);
-  return buf;
+  std::string out;
+  append_double(out, value, precision);
+  return out;
 }
 
 bool parse_int(std::string_view s, int& out) {

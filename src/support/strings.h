@@ -21,7 +21,13 @@ bool ends_with(std::string_view s, std::string_view suffix);
 
 std::string to_lower(std::string_view s);
 
-/// Fixed-precision decimal rendering of a double (printf %.*f).
+/// Append the fixed-precision decimal rendering of a double (the bytes of
+/// printf %.*f, for every finite value and inf/nan) to `out`. The one
+/// double formatter: format_double and the QASM writer both use it.
+/// Precondition: 0 <= precision <= 17.
+void append_double(std::string& out, double value, int precision);
+
+/// append_double into a fresh string.
 std::string format_double(double value, int precision);
 
 /// Parse helpers returning false on malformed input instead of throwing.

@@ -4,6 +4,7 @@
 // corruption contract (a damaged entry is a recorded miss, never a crash).
 #include "cache/cache.h"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "mapper/pipeline.h"
 #include "qasm/writer.h"
 #include "support/rng.h"
+#include "support/strings.h"
 
 namespace qfs::cache {
 namespace {
@@ -50,6 +52,26 @@ bench::SuiteRunConfig small_suite_config(CompileCache* cache, int jobs = 1) {
   config.suite.max_qubits = 17;
   config.suite.max_gates = 300;
   return config;
+}
+
+TEST(FingerprintTest, HugeAnglesKeepDistinctKeys) {
+  // The key hashes the canonical QASM text, so a large angle must be spelt
+  // in full. Cut to 63 characters, rz(1e100) read back as about 1e62, and
+  // rz(2^300) and rz(10 * 2^300) (whose digits differ only by a trailing
+  // zero) shared one key.
+  device::Device dev = device::surface17_device();
+  mapper::MappingOptions options;
+  auto key = [&](double angle) {
+    circuit::Circuit c(1);
+    c.rz(angle, 0);
+    return compile_fingerprint(qasm::to_qasm(c), dev, options, 2022);
+  };
+  double truncated = 0.0;
+  ASSERT_TRUE(qfs::parse_double(
+      "100000000000000001590289110975991804683608085639452813897813275",
+      truncated));
+  EXPECT_NE(key(1e100), key(truncated));
+  EXPECT_NE(key(std::ldexp(1.0, 300)), key(10.0 * std::ldexp(1.0, 300)));
 }
 
 TEST(FingerprintTest, StableAndSensitive) {

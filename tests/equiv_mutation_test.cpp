@@ -370,8 +370,15 @@ TEST(EquivMutation, MaxDiagnosticsBoundsTheCascade) {
   EXPECT_LE(static_cast<int>(findings.size()), 2);
 }
 
-/// Start of every inserted SWAP window in `mapped`, found by scanning for
-/// the pipeline's own lowering of swap(a,b) on each coupler orientation.
+/// Direct lowering of `c` as the pipeline emits it.
+std::vector<Gate> lowered(const Circuit& c, const device::GateSet& gateset) {
+  return compiler::decompose_to_gateset(compiler::expand_swaps(c), gateset)
+      .gates();
+}
+
+/// (start, length) of every inserted SWAP window in the mapped circuit,
+/// found by scanning for the pipeline's own lowering of swap(a,b) on each
+/// coupler orientation.
 std::vector<std::pair<int, int>> swap_windows(const Compiled& c) {
   const auto& gates = c.result.mapped.gates();
   std::vector<std::vector<Gate>> templates;
@@ -379,12 +386,10 @@ std::vector<std::pair<int, int>> swap_windows(const Compiled& c) {
     for (int flip = 0; flip < 2; ++flip) {
       Circuit s(c.device.num_qubits());
       s.swap(flip ? b : a, flip ? a : b);
-      templates.push_back(compiler::decompose_to_gateset(
-                              compiler::expand_swaps(s), c.device.gateset())
-                              .gates());
+      templates.push_back(lowered(s, c.device.gateset()));
     }
   }
-  std::vector<std::pair<int, int>> windows;  // (start, length)
+  std::vector<std::pair<int, int>> windows;
   for (std::size_t i = 0; i < gates.size();) {
     std::size_t length = 0;
     for (const auto& t : templates) {
@@ -470,7 +475,8 @@ TEST(EquivDiagnosticsGolden, SwapWindowMutantsMatchGolden) {
         }
         if (!g.params.empty()) {
           cases.emplace_back(
-              "param", mutate_gates(c.result.mapped, [at](std::vector<Gate>& m) {
+              "param",
+              mutate_gates(c.result.mapped, [at](std::vector<Gate>& m) {
                 m[at].params[0] += 1e-9;
               }));
         }
@@ -486,6 +492,63 @@ TEST(EquivDiagnosticsGolden, SwapWindowMutantsMatchGolden) {
   // Generated on the per-window lowering the matcher used before its
   // templates were cached; Linux x86-64 / glibc toolchain.
   EXPECT_EQ(hasher.finish().hex(), "dbeca1331518095b4a186aa7f10c5096");
+}
+
+/// `tmpl` relabelled onto `labels` equals `direct`, gate for gate.
+bool relabels_to(const std::vector<Gate>& tmpl, std::vector<int> labels,
+                 const std::vector<Gate>& direct) {
+  return direct.size() == tmpl.size() &&
+         matches_relabelled(direct, tmpl, labels);
+}
+
+TEST(EquivTemplates, RelabellingIsExactOnEveryFamily) {
+  // The matcher lowers its window shapes once on canonical qubits and
+  // compares every window through a relabelling. That is exact only if
+  // lowering never reads a qubit index except to copy it: check it against
+  // a direct device-width lowering on every coupler (both orientations)
+  // and every distance-2 shortest path of one device per registry family.
+  for (const char* spec :
+       {"surface17", "surface97", "heavyhex27", "line", "grid", "full",
+        "heavy_hex", "sycamore", "trapped_ion", "neutral_atom"}) {
+    SCOPED_TRACE(spec);
+    auto dev = backends::make_device(spec);
+    ASSERT_TRUE(dev.is_ok());
+    const device::Device& d = dev.value();
+    const device::GateSet& gateset = d.gateset();
+    const device::Topology& topology = d.topology();
+    const WindowTemplates templates(gateset);
+    ASSERT_FALSE(templates.swap.empty());
+    for (const auto& [a, b] : topology.edge_list()) {
+      for (const auto& [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+        Circuit c(d.num_qubits());
+        c.swap(x, y);
+        EXPECT_TRUE(relabels_to(templates.swap, {x, y}, lowered(c, gateset)))
+            << "swap " << x << "," << y;
+      }
+    }
+    int bridges = 0;
+    for (int pa = 0; pa < d.num_qubits(); ++pa) {
+      for (int pb = 0; pb < d.num_qubits(); ++pb) {
+        if (pa == pb || topology.distance(pa, pb) != 2) continue;
+        const int pm = topology.shortest_path(pa, pb)[1];
+        Circuit cx(d.num_qubits());
+        cx.cx(pa, pm).cx(pm, pb).cx(pa, pm).cx(pm, pb);
+        Circuit cz(d.num_qubits());
+        cz.h(pb).cx(pa, pm).cx(pm, pb).cx(pa, pm).cx(pm, pb).h(pb);
+        EXPECT_TRUE(relabels_to(templates.bridge_cx, {pa, pm, pb},
+                                lowered(cx, gateset)))
+            << "cx bridge " << pa << "," << pm << "," << pb;
+        EXPECT_TRUE(relabels_to(templates.bridge_cz, {pa, pm, pb},
+                                lowered(cz, gateset)))
+            << "cz bridge " << pa << "," << pm << "," << pb;
+        ++bridges;
+      }
+    }
+    const std::string family = spec;
+    if (family != "full" && family != "trapped_ion") {
+      EXPECT_GT(bridges, 0);  // all-to-all families have no distance 2
+    }
+  }
 }
 
 }  // namespace

@@ -37,6 +37,20 @@ TEST(QasmRoundTripTest, PaperSuiteIsAFixedPoint) {
   }
 }
 
+TEST(QasmRoundTripTest, HugeAnglesRoundTripExactly) {
+  // Fixed notation spells every integer digit of a large angle; the text
+  // must carry all of them (1e100 has 101, 1e300 has 301) so the reparse is
+  // the same double, not a truncated prefix.
+  circuit::Circuit c(2);
+  c.rz(1e100, 0).rz(-1e300, 1);
+  auto reparsed = qasm::parse(qasm::to_qasm(c));
+  ASSERT_TRUE(reparsed.is_ok()) << reparsed.status().to_string();
+  ASSERT_EQ(reparsed.value().gates().size(), 2u);
+  EXPECT_EQ(reparsed.value().gates()[0].params[0], 1e100);
+  EXPECT_EQ(reparsed.value().gates()[1].params[0], -1e300);
+  expect_fixed_point(c, "huge angles");
+}
+
 TEST(QasmRoundTripTest, CircuitNameSurvivesRoundTrip) {
   Rng rng(7);
   workloads::SuiteOptions opts;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -293,6 +295,66 @@ TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
   EXPECT_EQ(format_double(2.0, 0), "2");
+}
+
+/// printf %.*f into a buffer large enough for any double.
+std::string printf_fixed(double value, int precision) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf, "%.*f", precision, value);
+  return buf;
+}
+
+TEST(Strings, FormatDoubleMatchesPrintf) {
+  // The formatter is std::to_chars(fixed, precision); it must keep printf's
+  // bytes, ties and non-finite spellings included, or every emitted QASM
+  // text, mapped digest and cache key would move.
+  EXPECT_EQ(format_double(std::ldexp(1.0, -13), 12), "0.000122070312");
+  EXPECT_EQ(format_double(0.5, 0), "0");
+  EXPECT_EQ(format_double(1.5, 0), "2");
+  EXPECT_EQ(format_double(2.5, 0), "2");
+  const double special[] = {std::ldexp(1.0, -13),
+                            0.5,
+                            1.5,
+                            2.5,
+                            0.0,
+                            -0.0,
+                            1e-13,
+                            1e49,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::quiet_NaN()};
+  const int precisions[] = {0, 1, 2, 3, 6, 12};
+  for (double v : special) {
+    for (int p : precisions) {
+      EXPECT_EQ(format_double(v, p), printf_fixed(v, p)) << v << " at " << p;
+    }
+  }
+  // Seeded random doubles: random sign, random mantissa in [1, 2) and a
+  // binary exponent from -60 to 165, so every magnitude stays below
+  // 2^166 (about 9.4e49), under 1e50.
+  Rng rng(2022);
+  int mismatches = 0;
+  for (int i = 0; i < 100000; ++i) {
+    double v =
+        std::ldexp(rng.uniform_real(1.0, 2.0), rng.uniform_int(-60, 165));
+    if (rng.bernoulli(0.5)) v = -v;
+    for (int p : precisions) {
+      if (format_double(v, p) != printf_fixed(v, p) && ++mismatches <= 5) {
+        ADD_FAILURE() << printf_fixed(v, 17) << " at " << p << ": "
+                      << format_double(v, p);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Strings, FormatDoubleKeepsEveryIntegerDigit) {
+  // -DBL_MAX needs 309 integer digits; nothing may be cut off.
+  const double big = -std::numeric_limits<double>::max();
+  EXPECT_EQ(format_double(big, 12), printf_fixed(big, 12));
+  EXPECT_EQ(format_double(1e100, 0).size(), 101u);
 }
 
 TEST(Strings, ParseInt) {
