@@ -8,8 +8,10 @@
 // under --label, and every new row that has a predecessor with the same
 // (class, phase) but a *different* label records a speedup_vs delta against
 // it — the before/after evidence for an optimization lands in the file
-// itself. Each row also carries a digest of the serialized MappingResult
-// (pipeline phase), routed circuit (routing phases) or start cycles and
+// itself. Each row also carries a digest: cache::artifact_digest of the
+// MappingResult (pipeline phase) or of what cache::load_mapping returns
+// for it (cache_store and cache_hit phases, so equal digests show an exact
+// round trip), the routed circuit (routing phases), start cycles and
 // makespan (schedule phase), the validator's verdict and rendered
 // diagnostics (validate phase) or the emitted QASM text (emit_qasm phase),
 // so cross-label byte-identity of compiler output is checkable straight
@@ -33,6 +35,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -184,8 +187,8 @@ struct Row {
   int gates = 0;
   /// Throughput in kilogates/second (gates / ms); 0 when not meaningful.
   double kgps = 0.0;
-  /// Digest of the phase's output bytes (empty when the phase has no
-  /// deterministic artifact, e.g. cache timing).
+  /// Digest of the phase's output (empty when the phase has no
+  /// deterministic artifact, e.g. decompose and placement).
   std::string digest;
 };
 
@@ -218,73 +221,65 @@ std::vector<Row> bench_class(const CircuitClass& cls,
     rows.push_back(std::move(row));
   };
 
+  // Each phase is timed in its own statement before its row is added: a
+  // digest passed alongside the timing call would be computed in an
+  // unspecified order relative to it, possibly over the previous output.
+
   // Phase: decompose to the device's primitive set. Everything downstream
   // times the decomposed circuit, as the pipeline does.
   circuit::Circuit decomposed;
-  add("decompose", median_ms(repeat,
-                             [&] {
-                               decomposed = compiler::decompose_to_gateset(
-                                   cls.circuit, device.gateset());
-                             }),
-      static_cast<int>(cls.circuit.size()));
+  double ms = median_ms(repeat, [&] {
+    decomposed = compiler::decompose_to_gateset(cls.circuit, device.gateset());
+  });
+  add("decompose", ms, static_cast<int>(cls.circuit.size()));
   const int gates = static_cast<int>(decomposed.size());
 
   // Phase: placement (degree-match: the distance-table-heavy placer that
   // is cheap enough to time per class; annealing is timed by
   // bench_cache_speedup's cold run).
   mapper::Layout placement = mapper::Layout::identity(device.num_qubits());
-  add("place_degree", median_ms(repeat,
-                                [&] {
-                                  qfs::Rng rng(1);
-                                  placement = mapper::DegreeMatchPlacer().place(
-                                      decomposed, device, rng);
-                                }),
-      gates);
+  ms = median_ms(repeat, [&] {
+    qfs::Rng rng(1);
+    placement = mapper::DegreeMatchPlacer().place(decomposed, device, rng);
+  });
+  add("place_degree", ms, gates);
 
   // Phases: routing from the identity layout (fixed start so the digest is
   // label-comparable), trivial and lookahead.
   const mapper::Layout identity = mapper::Layout::identity(device.num_qubits());
   mapper::RoutingResult routed;
-  add("route_trivial", median_ms(repeat,
-                                 [&] {
-                                   qfs::Rng rng(1);
-                                   routed = mapper::TrivialRouter().route(
-                                       decomposed, device, identity, rng);
-                                 }),
-      gates, digest_of(qasm::to_qasm(routed.mapped)));
-  add("route_lookahead", median_ms(repeat,
-                                   [&] {
-                                     qfs::Rng rng(1);
-                                     routed = mapper::LookaheadRouter().route(
-                                         decomposed, device, identity, rng);
-                                   }),
-      gates, digest_of(qasm::to_qasm(routed.mapped)));
+  ms = median_ms(repeat, [&] {
+    qfs::Rng rng(1);
+    routed = mapper::TrivialRouter().route(decomposed, device, identity, rng);
+  });
+  add("route_trivial", ms, gates, digest_of(qasm::to_qasm(routed.mapped)));
+  ms = median_ms(repeat, [&] {
+    qfs::Rng rng(1);
+    routed = mapper::LookaheadRouter().route(decomposed, device, identity, rng);
+  });
+  add("route_lookahead", ms, gates, digest_of(qasm::to_qasm(routed.mapped)));
 
   // Phase: ASAP scheduling of the routed circuit (SWAPs expanded to
   // primitives first, as the pipeline does before scheduling).
   circuit::Circuit physical = compiler::expand_swaps(routed.mapped);
   compiler::Schedule schedule;
-  add("schedule_asap", median_ms(repeat,
-                                 [&] {
-                                   schedule =
-                                       compiler::asap_schedule(physical, device);
-                                 }),
-      static_cast<int>(physical.size()), digest_of(schedule_bytes(schedule)));
+  ms = median_ms(repeat,
+                 [&] { schedule = compiler::asap_schedule(physical, device); });
+  add("schedule_asap", ms, static_cast<int>(physical.size()),
+      digest_of(schedule_bytes(schedule)));
 
   // Phase: the full mapping pipeline under the heavy configuration
-  // (degree placer + lookahead router), whose MappingResult digest is the
+  // (degree placer + lookahead router), whose artifact digest is the
   // byte-identity witness for the whole compile.
   mapper::MappingOptions mopts;
   mopts.placer = "degree-match";
   mopts.router = "lookahead";
   mapper::MappingResult mapping;
-  add("pipeline", median_ms(repeat,
-                            [&] {
-                              qfs::Rng rng(1);
-                              mapping = mapper::map_circuit(cls.circuit, device,
-                                                            mopts, rng);
-                            }),
-      gates, digest_of(cache::serialize_mapping_result(mapping)));
+  ms = median_ms(repeat, [&] {
+    qfs::Rng rng(1);
+    mapping = mapper::map_circuit(cls.circuit, device, mopts, rng);
+  });
+  add("pipeline", ms, gates, cache::artifact_digest(mapping).hex());
 
   // Phase: translation validation of that artifact against its source, as
   // the service runs it on every compile and cache hit.
@@ -294,48 +289,46 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   artifact.final_layout = mapping.final_layout;
   artifact.swaps_inserted = mapping.swaps_inserted;
   std::vector<analysis::Diagnostic> findings;
-  add("validate", median_ms(repeat,
-                            [&] {
-                              findings = analysis::validate_translation(
-                                  cls.circuit, device, artifact);
-                            }),
-      mapping.gates_after,
-      digest_of(std::string(analysis::translation_is_valid(
-                                cls.circuit, device, artifact)
-                                ? "valid\n"
-                                : "invalid\n") +
+  ms = median_ms(repeat, [&] {
+    findings = analysis::validate_translation(cls.circuit, device, artifact);
+  });
+  const bool valid =
+      analysis::translation_is_valid(cls.circuit, device, artifact);
+  add("validate", ms, mapping.gates_after,
+      digest_of(std::string(valid ? "valid\n" : "invalid\n") +
                 analysis::render_diagnostics(findings)));
 
   // Phase: OpenQASM emission of the mapped circuit (the service's digest
   // input).
   std::string mapped_qasm;
-  add("emit_qasm",
-      median_ms(repeat, [&] { mapped_qasm = qasm::to_qasm(mapping.mapped); }),
-      mapping.gates_after, digest_of(mapped_qasm));
+  ms = median_ms(repeat, [&] { mapped_qasm = qasm::to_qasm(mapping.mapped); });
+  add("emit_qasm", ms, mapping.gates_after, digest_of(mapped_qasm));
 
   // Phases: cache store + disk hit for that artifact. A fresh cache
   // instance per lookup run keeps the memory tier cold, so the hit path
   // timed here is deserialization + content-addressed disk read — the
-  // cross-process warm-compile scenario.
+  // cross-process warm-compile scenario. Both rows digest what a fresh
+  // load_mapping returns, so a digest equal to the pipeline row's shows an
+  // exact round trip through the stored bytes.
   const cache::Fingerprint key = cache::compile_fingerprint(
       qasm::to_qasm(cls.circuit), device, mopts, /*seed=*/1);
-  add("cache_store", median_ms(repeat,
-                               [&] {
-                                 cache::CompileCache store_cache(
-                                     cache::CacheConfig{cache_dir});
-                                 cache::store_mapping(store_cache, key,
-                                                      mapping);
-                               }),
-      mapping.gates_after);
-  add("cache_hit", median_ms(repeat,
-                             [&] {
-                               cache::CompileCache hit_cache(
-                                   cache::CacheConfig{cache_dir});
-                               auto loaded = cache::load_mapping(hit_cache, key);
-                               QFS_ASSERT_MSG(loaded.has_value(),
-                                              "cache hit phase missed");
-                             }),
-      mapping.gates_after);
+  std::optional<mapper::MappingResult> loaded;
+  auto load = [&] {
+    cache::CompileCache hit_cache(cache::CacheConfig{cache_dir});
+    loaded = cache::load_mapping(hit_cache, key);
+    QFS_ASSERT_MSG(loaded.has_value(), "cache hit phase missed");
+  };
+  ms = median_ms(repeat, [&] {
+    cache::CompileCache store_cache(cache::CacheConfig{cache_dir});
+    cache::store_mapping(store_cache, key, mapping);
+  });
+  load();
+  add("cache_store", ms, mapping.gates_after,
+      cache::artifact_digest(*loaded).hex());
+  loaded.reset();
+  ms = median_ms(repeat, load);
+  add("cache_hit", ms, mapping.gates_after,
+      cache::artifact_digest(*loaded).hex());
   return rows;
 }
 

@@ -1,5 +1,7 @@
 #include "cache/artifact.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -244,6 +246,63 @@ qfs::StatusOr<mapper::MappingResult> deserialize_mapping_result(
     if (auto s = parse_double_field(value, *f.slot); !s.is_ok()) return s;
   }
   return result;
+}
+
+namespace {
+
+/// Feeds fixed-width little-endian fields to a Hasher.
+class DigestFeed {
+ public:
+  void u64(std::uint64_t v) {
+    unsigned char bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+    hasher_.update(bytes, sizeof(bytes));
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void ints(const std::vector<int>& values) {
+    u64(values.size());
+    for (int v : values) i64(v);
+  }
+  void text(const std::string& s) {
+    u64(s.size());
+    hasher_.update(s);
+  }
+  qfs::Hash128 finish() const { return hasher_.finish(); }
+
+ private:
+  qfs::Hasher hasher_;
+};
+
+}  // namespace
+
+qfs::Hash128 artifact_digest(const mapper::MappingResult& result) {
+  DigestFeed feed;
+  feed.text(result.mapped.name());
+  feed.i64(result.mapped.num_qubits());
+  feed.u64(result.mapped.gates().size());
+  for (const auto& g : result.mapped.gates()) {
+    feed.i64(static_cast<int>(g.kind));
+    feed.ints(g.qubits);
+    feed.u64(g.params.size());
+    for (double p : g.params) feed.f64(p);
+  }
+  feed.ints(result.initial_layout);
+  feed.ints(result.final_layout);
+  for (int v : {result.swaps_inserted, result.gates_before, result.gates_after,
+                result.depth_before, result.depth_after}) {
+    feed.i64(v);
+  }
+  for (double v : {result.gate_overhead_pct, result.depth_overhead_pct,
+                   result.fidelity_before, result.fidelity_after,
+                   result.log_fidelity_before, result.log_fidelity_after,
+                   result.fidelity_decrease_pct, result.latency_before_ns,
+                   result.latency_after_ns, result.latency_overhead_pct}) {
+    feed.f64(v);
+  }
+  return feed.finish();
 }
 
 std::optional<mapper::MappingResult> load_mapping(CompileCache& cache,

@@ -12,6 +12,7 @@
 
 #include "cache/cache.h"
 #include "mapper/pipeline.h"
+#include "support/hash.h"
 #include "support/status.h"
 
 namespace qfs::cache {
@@ -20,6 +21,13 @@ std::string serialize_mapping_result(const mapper::MappingResult& result);
 
 qfs::StatusOr<mapper::MappingResult> deserialize_mapping_result(
     const std::string& payload);
+
+/// hash128 over every field of `result` (name, width, each gate's kind,
+/// operands and parameter bits, both layouts, every metric's bits), fed
+/// field by field in a fixed little-endian layout of its own. Equal digests
+/// mean equal artifacts whatever the payload encoding, so goldens pinned on
+/// it survive a change of the cache format.
+qfs::Hash128 artifact_digest(const mapper::MappingResult& result);
 
 /// Cache-aware convenience: lookup + decode. A payload that fails decoding
 /// is counted corrupt and reported as a miss.

@@ -5,11 +5,12 @@
 // rejection means the compiler shipped a broken artifact. Either way this
 // test is the tripwire.
 //
-// Each case also pins the compiled bytes: a golden hash128 over the
-// concatenated serialized MappingResults of the suite, next to the summed
-// swap and gate counts, so a mismatch shows whether routing decisions
-// moved or only the encoding did. The artifacts carry %.17g doubles from
-// libm, so the goldens target the Linux x86-64 / glibc toolchain CI uses.
+// Each case also pins the compiled artifacts: a golden hash128 over the
+// cache::artifact_digest of every MappingResult of the suite, next to the
+// summed swap and gate counts, so a mismatch shows whether routing
+// decisions moved or only a metric or angle did. The digest covers the bits
+// of doubles computed by libm, so the goldens target the Linux x86-64 /
+// glibc toolchain CI uses; it does not depend on the cache payload format.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,7 +31,7 @@ namespace {
 struct SuiteOutcome {
   /// Rendered findings of the first artifact that failed ("" = all clean).
   std::string failure;
-  /// hash128 hex over every serialized MappingResult, in suite order.
+  /// hash128 hex over every artifact_digest, in suite order.
   std::string digest;
   long swaps_total = 0;
   long gates_after = 0;
@@ -50,7 +51,7 @@ SuiteOutcome validate_suite(const device::Device& device,
     qfs::Rng rng(qfs::derive_seed(seed, i));
     mapper::MappingResult result =
         mapper::map_circuit(suite[i].circuit, device, mapping, rng);
-    hasher.update(cache::serialize_mapping_result(result));
+    hasher.update(cache::artifact_digest(result).hex());
     outcome.swaps_total += result.swaps_inserted;
     outcome.gates_after += result.gates_after;
     if (!outcome.failure.empty()) continue;
@@ -105,7 +106,7 @@ TEST(EquivValidation, PaperSuiteValidatesCleanUnderFlatIr) {
   expect_clean_and_golden(
       validate_suite(device::surface17_device(), paper_suite_capped(),
                      lookahead_config(), 2022),
-      {10736, 204145, "91ab674b67537e36b9c1cc378f63b4d7"});
+      {10736, 204145, "bb18160d79b395545d7249b7f2c5371e"});
 }
 
 TEST(EquivValidation, LargeDeviceSubsetValidatesClean) {
@@ -119,7 +120,7 @@ TEST(EquivValidation, LargeDeviceSubsetValidatesClean) {
   options.max_gates = 2000;
   expect_clean_and_golden(validate_suite(device::surface97_device(), options,
                                          lookahead_config(), 7),
-                          {2057, 28888, "48ea4fddb3d6ca931c5c9e52abe921bb"});
+                          {2057, 28888, "65c813ff4784ef9e6834a6a2dbd445a2"});
 }
 
 TEST(EquivValidation, HeavyHexSuiteValidatesClean) {
@@ -135,7 +136,7 @@ TEST(EquivValidation, HeavyHexSuiteValidatesClean) {
   options.max_gates = 600;
   expect_clean_and_golden(
       validate_suite(dev.value(), options, lookahead_config(), 2022),
-      {3168, 39782, "7023a09cabfaddf9f3becdf8966b8cca"});
+      {3168, 39782, "4b8c3e4818e792114d9630d29fca93f0"});
 }
 
 TEST(EquivValidation, TrappedIonSuiteValidatesClean) {
@@ -152,7 +153,7 @@ TEST(EquivValidation, TrappedIonSuiteValidatesClean) {
   options.max_gates = 600;
   expect_clean_and_golden(
       validate_suite(dev.value(), options, lookahead_config(), 2022),
-      {0, 11585, "43b08b0c1399a472446fbf8a89f38a04"});
+      {0, 11585, "46c69961d36988cc2bad9efce730d5a3"});
 }
 
 TEST(EquivValidation, EveryRouterValidatesOnRepresentativeCircuits) {
@@ -169,10 +170,10 @@ TEST(EquivValidation, EveryRouterValidatesOnRepresentativeCircuits) {
     const char* router;
     Golden golden;
   } kRouters[] = {
-      {"trivial", {261, 3956, "c8f8520abe68e8826dbdb273485efcb2"}},
-      {"lookahead", {148, 2939, "99a12cf2d2505e92ffbb1374a306b6b1"}},
-      {"noise-aware", {261, 3956, "c8f8520abe68e8826dbdb273485efcb2"}},
-      {"bridge", {135, 4697, "f867b7571d93296c2b6ec0a35f5c0317"}},
+      {"trivial", {261, 3956, "be212dbea1584076c1cbb4afd8ed7242"}},
+      {"lookahead", {148, 2939, "4db8605e9fe2a2ade08842f512c91ff2"}},
+      {"noise-aware", {261, 3956, "be212dbea1584076c1cbb4afd8ed7242"}},
+      {"bridge", {135, 4697, "2fbfd078ca0ad4627a1921088fc9952a"}},
   };
   for (const auto& [router, golden] : kRouters) {
     SCOPED_TRACE(std::string("router ") + router);
@@ -200,7 +201,7 @@ TEST(EquivValidation, EveryRouterValidatesOnRepresentativeCircuits) {
     mapping.router = "optimal";
     expect_clean_and_golden(
         validate_suite(device::line_device(4), tiny, mapping, 11),
-        {8, 279, "4be6fe3e3fe864d64c3d0cc87d647051"});
+        {8, 279, "f541e2702c111b42ad7ce337b53ebc46"});
   }
 }
 

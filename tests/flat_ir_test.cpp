@@ -73,8 +73,8 @@ TEST(FlatIr, QubitsOfReportsInlineAndSpilledOperands) {
 
 /// The paper's full 200-circuit suite through bench::run_suite with the
 /// lookahead-heavy configuration; returns hash128 hex over the canonical
-/// CSV plus every serialized MappingResult, so a match means bit-exact
-/// artifacts (cache payloads included), not just equal summary metrics.
+/// CSV plus every MappingResult's cache::artifact_digest, so a match means
+/// bit-exact artifacts, not just equal summary metrics.
 std::string suite_fingerprint(int jobs) {
   device::Device dev = device::surface17_device();
   bench::SuiteRunConfig config;
@@ -88,15 +88,15 @@ std::string suite_fingerprint(int jobs) {
   qfs::Hasher hasher;
   hasher.update(bench::suite_rows_to_csv(rows));
   for (const auto& row : rows) {
-    hasher.update(cache::serialize_mapping_result(row.mapping));
+    hasher.update(cache::artifact_digest(row.mapping).hex());
   }
   return hasher.finish().hex();
 }
 
 TEST(FlatIr, SuiteFingerprintMatchesGoldenAtJobs1And8) {
-  // Golden for the Linux x86-64 / glibc toolchain (the artifacts carry
-  // %.17g doubles from libm).
-  const char* kGolden = "69899723dfe8f49866f3665dbc6d61d2";
+  // Golden for the Linux x86-64 / glibc toolchain (the digest covers the
+  // bits of doubles computed by libm).
+  const char* kGolden = "0ab84ab7cbca20743eb65e485e01d73a";
   EXPECT_EQ(suite_fingerprint(1), kGolden);
   EXPECT_EQ(suite_fingerprint(8), kGolden);
 }
