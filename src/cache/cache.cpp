@@ -22,13 +22,17 @@ constexpr const char kMagic[] = "qfs-cache 1";
 ///   size <decimal byte count>
 ///   sum <32 hex payload digest>
 std::string encode_entry(const Fingerprint& key, const std::string& payload) {
-  std::ostringstream os;
-  os << kMagic << '\n'
-     << "key " << key.hex() << '\n'
-     << "size " << payload.size() << '\n'
-     << "sum " << qfs::hash128(payload).hex() << '\n'
-     << payload;
-  return os.str();
+  const std::string key_hex = key.hex();
+  const std::string size = std::to_string(payload.size());
+  const std::string sum = qfs::hash128(payload).hex();
+  std::string entry;
+  entry.reserve(sizeof(kMagic) + key_hex.size() + size.size() + sum.size() +
+                payload.size() + 16);
+  entry.append(kMagic).append("\nkey ").append(key_hex);
+  entry.append("\nsize ").append(size);
+  entry.append("\nsum ").append(sum).append("\n");
+  entry.append(payload);
+  return entry;
 }
 
 /// Per-process token making temporary-file names unique across concurrent
@@ -102,45 +106,49 @@ void CompileCache::memory_store(const Fingerprint& key,
 std::optional<std::string> CompileCache::disk_lookup(const Fingerprint& key) {
   std::string path = entry_path(key);
   if (path.empty()) return std::nullopt;
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;  // absent: a plain miss, not corruption
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string raw = buffer.str();
 
   // Parse and verify the header; any deviation is a recorded corrupt miss.
   auto fail = [this]() -> std::optional<std::string> {
     stats_.count_corrupt();
     return std::nullopt;
   };
-  std::istringstream header(raw);
-  std::string line;
-  if (!std::getline(header, line) || line != kMagic) return fail();
-  if (!std::getline(header, line) || !qfs::starts_with(line, "key ") ||
+  // One read into a buffer sized from the file; the header is parsed in
+  // place and the payload is the buffer with the header erased.
+  const std::streamoff length = in.tellg();
+  if (length < 0) return fail();
+  std::string raw(static_cast<std::size_t>(length), '\0');
+  in.seekg(0);
+  in.read(raw.data(), length);
+  raw.resize(static_cast<std::size_t>(in.gcount()));
+
+  std::string_view rest(raw);
+  std::string_view line;
+  // Every header line must end in '\n'; a file cut inside the header fails.
+  auto next_line = [&rest, &line] {
+    std::size_t end = rest.find('\n');
+    if (end == std::string_view::npos) return false;
+    line = rest.substr(0, end);
+    rest.remove_prefix(end + 1);
+    return true;
+  };
+  if (!next_line() || line != kMagic) return fail();
+  if (!next_line() || !qfs::starts_with(line, "key ") ||
       line.substr(4) != key.hex()) {
     return fail();
   }
-  if (!std::getline(header, line) || !qfs::starts_with(line, "size ")) {
-    return fail();
-  }
+  if (!next_line() || !qfs::starts_with(line, "size ")) return fail();
   int declared_size = 0;
   if (!qfs::parse_int(line.substr(5), declared_size) || declared_size < 0) {
     return fail();
   }
-  if (!std::getline(header, line) || !qfs::starts_with(line, "sum ")) {
-    return fail();
-  }
-  std::string declared_sum = line.substr(4);
-  std::streampos pos = header.tellg();
-  if (pos < 0) return fail();  // truncated inside the header
-  auto payload_start = static_cast<std::size_t>(pos);
-  if (payload_start > raw.size() ||
-      raw.size() - payload_start != static_cast<std::size_t>(declared_size)) {
-    return fail();
-  }
-  std::string payload = raw.substr(payload_start);
-  if (qfs::hash128(payload).hex() != declared_sum) return fail();
-  return payload;
+  if (!next_line() || !qfs::starts_with(line, "sum ")) return fail();
+  const std::string_view declared_sum = line.substr(4);
+  if (rest.size() != static_cast<std::size_t>(declared_size)) return fail();
+  if (qfs::hash128(rest).hex() != declared_sum) return fail();
+  raw.erase(0, raw.size() - rest.size());
+  return raw;
 }
 
 void CompileCache::disk_store(const Fingerprint& key,

@@ -25,6 +25,9 @@ class Circuit {
   std::size_t size() const { return gates_.size(); }
   bool empty() const { return gates_.empty(); }
 
+  /// Capacity for `n` gates, for builders that know the final size.
+  void reserve(std::size_t n) { gates_.reserve(n); }
+
   /// Append a gate; validates kind/operand contract and qubit range.
   void add(Gate g);
   void add(GateKind kind, std::vector<int> qubits,

@@ -1,6 +1,6 @@
 #include "circuit/gate.h"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 #include "support/strings.h"
@@ -107,6 +107,22 @@ bool is_two_qubit(GateKind kind) {
   return is_unitary(kind) && gate_arity(kind) == 2;
 }
 
+bool operands_distinct(const std::vector<int>& qubits) {
+  // Pairwise for the fixed arities; only wide barriers pay for a sorted copy.
+  const std::size_t n = qubits.size();
+  if (n <= 3) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (qubits[i] == qubits[j]) return false;
+      }
+    }
+    return true;
+  }
+  std::vector<int> sorted(qubits);
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
 Gate make_gate(GateKind kind, std::vector<int> qubits,
                std::vector<double> params) {
   const int arity = gate_arity(kind);
@@ -118,9 +134,7 @@ Gate make_gate(GateKind kind, std::vector<int> qubits,
   }
   QFS_ASSERT_MSG(static_cast<int>(params.size()) == gate_param_count(kind),
                  std::string("wrong parameter count for ") + gate_name(kind));
-  std::set<int> distinct(qubits.begin(), qubits.end());
-  QFS_ASSERT_MSG(distinct.size() == qubits.size(),
-                 "repeated qubit operand in gate");
+  QFS_ASSERT_MSG(operands_distinct(qubits), "repeated qubit operand in gate");
   for (int q : qubits) QFS_ASSERT_MSG(q >= 0, "negative qubit index");
   return Gate{kind, std::move(qubits), std::move(params)};
 }

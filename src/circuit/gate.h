@@ -78,6 +78,10 @@ struct Gate {
   bool operator==(const Gate& other) const = default;
 };
 
+/// True when no qubit appears twice. Allocates only for more than three
+/// operands (wide barriers).
+bool operands_distinct(const std::vector<int>& qubits);
+
 /// Validated constructor: checks arity, parameter count, and operand
 /// distinctness.
 Gate make_gate(GateKind kind, std::vector<int> qubits,
