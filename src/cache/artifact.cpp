@@ -1,254 +1,193 @@
 #include "cache/artifact.h"
 
+#include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <map>
-#include <sstream>
-
-#include "support/strings.h"
+#include <cstring>
+#include <string_view>
 
 namespace qfs::cache {
 
 namespace {
 
-constexpr const char kMagic[] = "qfs-artifact 1";
+constexpr char kMagic[4] = {'q', 'f', 's', 'a'};
+constexpr std::uint32_t kFormatVersion = 2;
+/// Upper bound on the circuit width a payload may declare.
+constexpr std::size_t kMaxQubits = std::size_t{1} << 20;
+/// Smallest encoded gate: kind byte, one-byte operand count, one operand.
+constexpr std::size_t kMinGateBytes = 1 + 1 + 4;
 
-std::string g17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+static_assert(sizeof(int) == 4, "artifacts store int fields as int32");
+
+/// The integer and double metrics in payload (and digest) order.
+template <class Result>
+auto int_metrics(Result& r) {
+  return std::array{&r.swaps_inserted, &r.gates_before, &r.gates_after,
+                    &r.depth_before, &r.depth_after};
+}
+template <class Result>
+auto double_metrics(Result& r) {
+  return std::array{&r.gate_overhead_pct,     &r.depth_overhead_pct,
+                    &r.fidelity_before,       &r.fidelity_after,
+                    &r.log_fidelity_before,   &r.log_fidelity_after,
+                    &r.fidelity_decrease_pct, &r.latency_before_ns,
+                    &r.latency_after_ns,      &r.latency_overhead_pct};
 }
 
-const std::map<std::string, circuit::GateKind>& kind_by_name() {
-  static const std::map<std::string, circuit::GateKind> table = [] {
-    std::map<std::string, circuit::GateKind> t;
-    for (int i = 0; i < circuit::kNumGateKinds; ++i) {
-      auto kind = static_cast<circuit::GateKind>(i);
-      t[circuit::gate_name(kind)] = kind;
+/// Appends little-endian fixed-width fields and LEB128 counts.
+class Encoder {
+ public:
+  explicit Encoder(std::size_t capacity) { out_.reserve(capacity); }
+
+  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
+  void u32(std::uint32_t v) { le<4>(v); }
+  void i32(int v) { le<4>(static_cast<std::uint32_t>(v)); }
+  void f64(double v) { le<8>(std::bit_cast<std::uint64_t>(v)); }
+  void count(std::size_t n) {
+    for (; n >= 0x80; n >>= 7) u8(static_cast<std::uint8_t>(n | 0x80));
+    u8(static_cast<std::uint8_t>(n));
+  }
+  void ints(const std::vector<int>& values) {
+    count(values.size());
+    for (int v : values) i32(v);
+  }
+  void text(std::string_view s) {
+    count(s.size());
+    out_.append(s);
+  }
+  std::string take() { return std::move(out_); }
+
+ private:
+  template <int N>
+  void le(std::uint64_t v) {
+    char bytes[N];
+    for (int i = 0; i < N; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
+    out_.append(bytes, N);
+  }
+
+  std::string out_;
+};
+
+/// Bounds-checked reads mirroring Encoder. Every read returns false instead
+/// of running past the end; count() also rejects values above 2^32 - 1 and
+/// non-canonical (overlong) encodings, so whatever decodes re-encodes to
+/// the same bytes.
+class Decoder {
+ public:
+  explicit Decoder(std::string_view bytes)
+      : p_(reinterpret_cast<const unsigned char*>(bytes.data())),
+        end_(p_ + bytes.size()) {}
+
+  std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
+
+  bool u8(std::uint8_t& v) {
+    if (p_ == end_) return false;
+    v = *p_++;
+    return true;
+  }
+  bool u32(std::uint32_t& v) {
+    std::uint64_t raw = 0;
+    if (!le<4>(raw)) return false;
+    v = static_cast<std::uint32_t>(raw);
+    return true;
+  }
+  bool i32(int& v) {
+    std::uint32_t raw = 0;
+    if (!u32(raw)) return false;
+    v = static_cast<int>(raw);
+    return true;
+  }
+  bool f64(double& v) {
+    std::uint64_t raw = 0;
+    if (!le<8>(raw)) return false;
+    v = std::bit_cast<double>(raw);
+    return true;
+  }
+  bool count(std::size_t& n) {
+    std::uint64_t value = 0;
+    for (int shift = 0; shift < 35; shift += 7) {
+      std::uint8_t byte = 0;
+      if (!u8(byte)) return false;
+      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        if (byte == 0 && shift > 0) return false;  // overlong
+        if (value > 0xffffffffu) return false;
+        n = static_cast<std::size_t>(value);
+        return true;
+      }
     }
-    return t;
-  }();
-  return table;
-}
+    return false;  // more than five bytes
+  }
+  bool ints(std::vector<int>& out) {
+    std::size_t n = 0;
+    if (!count(n) || n > remaining() / 4) return false;
+    out.resize(n);
+    for (int& v : out) i32(v);
+    return true;
+  }
+  bool text(std::string& out) {
+    std::size_t n = 0;
+    if (!count(n) || n > remaining()) return false;
+    out.assign(reinterpret_cast<const char*>(p_), n);
+    p_ += n;
+    return true;
+  }
 
-void emit_layout(std::ostringstream& os, const char* tag,
-                 const std::vector<int>& layout) {
-  os << tag;
-  for (int p : layout) os << ' ' << p;
-  os << '\n';
-}
+ private:
+  template <int N>
+  bool le(std::uint64_t& v) {
+    if (remaining() < N) return false;
+    v = 0;
+    for (int i = 0; i < N; ++i) v |= static_cast<std::uint64_t>(p_[i]) << (8 * i);
+    p_ += N;
+    return true;
+  }
+
+  const unsigned char* p_;
+  const unsigned char* end_;
+};
 
 qfs::Status bad(const std::string& what) {
   return qfs::parse_error("artifact: " + what);
 }
 
-qfs::Status parse_int_list(std::string_view text, std::vector<int>& out) {
-  for (const std::string& tok : qfs::split_whitespace(text)) {
-    int v = 0;
-    if (!qfs::parse_int(tok, v)) return bad("bad integer '" + tok + "'");
-    out.push_back(v);
+/// Decode one gate and append it, checking everything circuit::make_gate
+/// and Circuit::add would assert on first: a cache read must never abort.
+qfs::Status decode_gate(Decoder& in, circuit::Circuit& c) {
+  std::uint8_t code = 0;
+  std::size_t num_operands = 0;
+  if (!in.u8(code) || !in.count(num_operands)) return bad("truncated gate list");
+  if (code >= circuit::kNumGateKinds) {
+    return bad("unknown gate kind " + std::to_string(code));
   }
-  return qfs::Status::ok();
-}
-
-qfs::Status parse_double_field(std::string_view text, double& out) {
-  if (!qfs::parse_double(text, out)) {
-    return bad("bad number '" + std::string(text) + "'");
-  }
-  return qfs::Status::ok();
-}
-
-/// Validate one gate line's shape before touching circuit::make_gate (which
-/// asserts on contract violations — a cache read must never abort).
-qfs::Status checked_add(circuit::Circuit& c, circuit::GateKind kind,
-                        std::vector<int> qubits, std::vector<double> params) {
-  int arity = circuit::gate_arity(kind);
-  if (arity != 0 && static_cast<int>(qubits.size()) != arity) {
+  circuit::Gate gate;
+  gate.kind = static_cast<circuit::GateKind>(code);
+  const int arity = circuit::gate_arity(gate.kind);
+  if (arity != 0 && num_operands != static_cast<std::size_t>(arity)) {
     return bad("wrong operand count");
   }
-  if (kind == circuit::GateKind::kBarrier && qubits.empty()) {
+  if (gate.kind == circuit::GateKind::kBarrier && num_operands == 0) {
     return bad("empty barrier");
   }
-  if (static_cast<int>(params.size()) != circuit::gate_param_count(kind)) {
-    return bad("wrong parameter count");
+  const auto num_params =
+      static_cast<std::size_t>(circuit::gate_param_count(gate.kind));
+  if (num_operands > in.remaining() / 4 ||
+      in.remaining() - 4 * num_operands < 8 * num_params) {
+    return bad("truncated gate list");
   }
-  for (std::size_t i = 0; i < qubits.size(); ++i) {
-    if (qubits[i] < 0 || qubits[i] >= c.num_qubits()) {
-      return bad("qubit operand out of range");
-    }
-    for (std::size_t j = i + 1; j < qubits.size(); ++j) {
-      if (qubits[i] == qubits[j]) return bad("repeated qubit operand");
-    }
+  gate.qubits.resize(num_operands);
+  for (int& q : gate.qubits) {
+    in.i32(q);
+    if (q < 0 || q >= c.num_qubits()) return bad("qubit operand out of range");
   }
-  c.add(circuit::make_gate(kind, std::move(qubits), std::move(params)));
+  if (!circuit::operands_distinct(gate.qubits)) {
+    return bad("repeated qubit operand");
+  }
+  gate.params.resize(num_params);
+  for (double& p : gate.params) in.f64(p);
+  c.add(std::move(gate));
   return qfs::Status::ok();
 }
-
-}  // namespace
-
-std::string serialize_mapping_result(const mapper::MappingResult& result) {
-  std::ostringstream os;
-  os << kMagic << '\n';
-  os << "qubits " << result.mapped.num_qubits() << '\n';
-  os << "name " << result.mapped.name() << '\n';
-  os << "gates " << result.mapped.gates().size() << '\n';
-  for (const auto& g : result.mapped.gates()) {
-    os << "g " << circuit::gate_name(g.kind);
-    for (int q : g.qubits) os << ' ' << q;
-    if (!g.params.empty()) {
-      os << " ;";
-      for (double p : g.params) os << ' ' << g17(p);
-    }
-    os << '\n';
-  }
-  emit_layout(os, "initial-layout", result.initial_layout);
-  emit_layout(os, "final-layout", result.final_layout);
-  os << "swaps " << result.swaps_inserted << '\n';
-  os << "gates-before " << result.gates_before << '\n';
-  os << "gates-after " << result.gates_after << '\n';
-  os << "gate-overhead-pct " << g17(result.gate_overhead_pct) << '\n';
-  os << "depth-before " << result.depth_before << '\n';
-  os << "depth-after " << result.depth_after << '\n';
-  os << "depth-overhead-pct " << g17(result.depth_overhead_pct) << '\n';
-  os << "fidelity-before " << g17(result.fidelity_before) << '\n';
-  os << "fidelity-after " << g17(result.fidelity_after) << '\n';
-  os << "log-fidelity-before " << g17(result.log_fidelity_before) << '\n';
-  os << "log-fidelity-after " << g17(result.log_fidelity_after) << '\n';
-  os << "fidelity-decrease-pct " << g17(result.fidelity_decrease_pct) << '\n';
-  os << "latency-before-ns " << g17(result.latency_before_ns) << '\n';
-  os << "latency-after-ns " << g17(result.latency_after_ns) << '\n';
-  os << "latency-overhead-pct " << g17(result.latency_overhead_pct) << '\n';
-  return os.str();
-}
-
-qfs::StatusOr<mapper::MappingResult> deserialize_mapping_result(
-    const std::string& payload) {
-  std::istringstream in(payload);
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) return bad("bad magic");
-
-  auto next_field = [&in, &line](std::string_view tag,
-                                 std::string_view& value) -> qfs::Status {
-    if (!std::getline(in, line)) return bad("truncated payload");
-    std::string prefix = std::string(tag) + " ";
-    if (line == std::string(tag)) {  // empty value (e.g. unnamed circuit)
-      value = std::string_view();
-      return qfs::Status::ok();
-    }
-    if (!qfs::starts_with(line, prefix)) {
-      return bad("expected '" + std::string(tag) + "', got '" + line + "'");
-    }
-    value = std::string_view(line).substr(prefix.size());
-    return qfs::Status::ok();
-  };
-
-  std::string_view value;
-  if (auto s = next_field("qubits", value); !s.is_ok()) return s;
-  int num_qubits = 0;
-  if (!qfs::parse_int(value, num_qubits) || num_qubits < 0 ||
-      num_qubits > 1 << 20) {
-    return bad("bad qubit count");
-  }
-  if (auto s = next_field("name", value); !s.is_ok()) return s;
-  std::string name(value);
-  if (auto s = next_field("gates", value); !s.is_ok()) return s;
-  int num_gates = 0;
-  if (!qfs::parse_int(value, num_gates) || num_gates < 0) {
-    return bad("bad gate count");
-  }
-
-  mapper::MappingResult result;
-  result.mapped = circuit::Circuit(num_qubits, std::move(name));
-  for (int i = 0; i < num_gates; ++i) {
-    if (!std::getline(in, line)) return bad("truncated gate list");
-    if (!qfs::starts_with(line, "g ")) return bad("bad gate line");
-    std::string_view rest = std::string_view(line).substr(2);
-    auto semi = rest.find(';');
-    std::string_view qubit_part = rest.substr(0, semi);
-    std::vector<std::string> toks = qfs::split_whitespace(qubit_part);
-    if (toks.empty()) return bad("gate line without a kind");
-    auto kind_it = kind_by_name().find(toks[0]);
-    if (kind_it == kind_by_name().end()) {
-      return bad("unknown gate kind '" + toks[0] + "'");
-    }
-    std::vector<int> qubits;
-    for (std::size_t t = 1; t < toks.size(); ++t) {
-      int q = 0;
-      if (!qfs::parse_int(toks[t], q)) return bad("bad qubit operand");
-      qubits.push_back(q);
-    }
-    std::vector<double> params;
-    if (semi != std::string_view::npos) {
-      for (const std::string& tok :
-           qfs::split_whitespace(rest.substr(semi + 1))) {
-        double p = 0.0;
-        if (!qfs::parse_double(tok, p)) return bad("bad gate parameter");
-        params.push_back(p);
-      }
-    }
-    if (auto s = checked_add(result.mapped, kind_it->second, std::move(qubits),
-                             std::move(params));
-        !s.is_ok()) {
-      return s;
-    }
-  }
-
-  if (auto s = next_field("initial-layout", value); !s.is_ok()) return s;
-  if (auto s = parse_int_list(value, result.initial_layout); !s.is_ok()) {
-    return s;
-  }
-  if (auto s = next_field("final-layout", value); !s.is_ok()) return s;
-  if (auto s = parse_int_list(value, result.final_layout); !s.is_ok()) return s;
-
-  struct IntField {
-    const char* tag;
-    int* slot;
-  };
-  struct DoubleField {
-    const char* tag;
-    double* slot;
-  };
-  const IntField int_fields[] = {
-      {"swaps", &result.swaps_inserted},
-      {"gates-before", &result.gates_before},
-      {"gates-after", &result.gates_after},
-  };
-  for (const auto& f : int_fields) {
-    if (auto s = next_field(f.tag, value); !s.is_ok()) return s;
-    if (!qfs::parse_int(value, *f.slot)) return bad("bad integer field");
-  }
-  if (auto s = next_field("gate-overhead-pct", value); !s.is_ok()) return s;
-  if (auto s = parse_double_field(value, result.gate_overhead_pct); !s.is_ok()) {
-    return s;
-  }
-  const IntField depth_fields[] = {
-      {"depth-before", &result.depth_before},
-      {"depth-after", &result.depth_after},
-  };
-  for (const auto& f : depth_fields) {
-    if (auto s = next_field(f.tag, value); !s.is_ok()) return s;
-    if (!qfs::parse_int(value, *f.slot)) return bad("bad integer field");
-  }
-  const DoubleField double_fields[] = {
-      {"depth-overhead-pct", &result.depth_overhead_pct},
-      {"fidelity-before", &result.fidelity_before},
-      {"fidelity-after", &result.fidelity_after},
-      {"log-fidelity-before", &result.log_fidelity_before},
-      {"log-fidelity-after", &result.log_fidelity_after},
-      {"fidelity-decrease-pct", &result.fidelity_decrease_pct},
-      {"latency-before-ns", &result.latency_before_ns},
-      {"latency-after-ns", &result.latency_after_ns},
-      {"latency-overhead-pct", &result.latency_overhead_pct},
-  };
-  for (const auto& f : double_fields) {
-    if (auto s = next_field(f.tag, value); !s.is_ok()) return s;
-    if (auto s = parse_double_field(value, *f.slot); !s.is_ok()) return s;
-  }
-  return result;
-}
-
-namespace {
 
 /// Feeds fixed-width little-endian fields to a Hasher.
 class DigestFeed {
@@ -278,6 +217,72 @@ class DigestFeed {
 
 }  // namespace
 
+std::string serialize_mapping_result(const mapper::MappingResult& result) {
+  const circuit::Circuit& mapped = result.mapped;
+  // An upper bound for one- and two-qubit gates with at most one angle; the
+  // string grows past it only for wider gates and u3.
+  Encoder out(64 + mapped.name().size() + 18 * mapped.size() +
+              4 * (result.initial_layout.size() + result.final_layout.size()));
+  for (char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
+  out.u32(kFormatVersion);
+  out.count(static_cast<std::size_t>(mapped.num_qubits()));
+  out.text(mapped.name());
+  out.count(mapped.size());
+  for (const auto& g : mapped.gates()) {
+    out.u8(static_cast<std::uint8_t>(g.kind));
+    out.ints(g.qubits);
+    for (double p : g.params) out.f64(p);
+  }
+  out.ints(result.initial_layout);
+  out.ints(result.final_layout);
+  for (const int* v : int_metrics(result)) out.i32(*v);
+  for (const double* v : double_metrics(result)) out.f64(*v);
+  return out.take();
+}
+
+qfs::StatusOr<mapper::MappingResult> deserialize_mapping_result(
+    const std::string& payload) {
+  Decoder in(payload);
+  std::uint8_t magic[sizeof(kMagic)];
+  for (std::uint8_t& byte : magic) {
+    if (!in.u8(byte)) return bad("bad magic");
+  }
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return bad("bad magic");
+  std::uint32_t version = 0;
+  if (!in.u32(version)) return bad("truncated header");
+  if (version != kFormatVersion) {
+    return bad("unsupported format version " + std::to_string(version));
+  }
+  std::size_t num_qubits = 0;
+  if (!in.count(num_qubits) || num_qubits > kMaxQubits) {
+    return bad("bad qubit count");
+  }
+  std::string name;
+  if (!in.text(name)) return bad("bad circuit name");
+  std::size_t num_gates = 0;
+  if (!in.count(num_gates) || num_gates > in.remaining() / kMinGateBytes) {
+    return bad("bad gate count");
+  }
+
+  mapper::MappingResult result;
+  result.mapped = circuit::Circuit(static_cast<int>(num_qubits), std::move(name));
+  result.mapped.reserve(num_gates);
+  for (std::size_t i = 0; i < num_gates; ++i) {
+    if (auto s = decode_gate(in, result.mapped); !s.is_ok()) return s;
+  }
+  if (!in.ints(result.initial_layout) || !in.ints(result.final_layout)) {
+    return bad("bad layout");
+  }
+  for (int* v : int_metrics(result)) {
+    if (!in.i32(*v)) return bad("truncated metrics");
+  }
+  for (double* v : double_metrics(result)) {
+    if (!in.f64(*v)) return bad("truncated metrics");
+  }
+  if (in.remaining() != 0) return bad("trailing bytes");
+  return result;
+}
+
 qfs::Hash128 artifact_digest(const mapper::MappingResult& result) {
   DigestFeed feed;
   feed.text(result.mapped.name());
@@ -291,17 +296,8 @@ qfs::Hash128 artifact_digest(const mapper::MappingResult& result) {
   }
   feed.ints(result.initial_layout);
   feed.ints(result.final_layout);
-  for (int v : {result.swaps_inserted, result.gates_before, result.gates_after,
-                result.depth_before, result.depth_after}) {
-    feed.i64(v);
-  }
-  for (double v : {result.gate_overhead_pct, result.depth_overhead_pct,
-                   result.fidelity_before, result.fidelity_after,
-                   result.log_fidelity_before, result.log_fidelity_after,
-                   result.fidelity_decrease_pct, result.latency_before_ns,
-                   result.latency_after_ns, result.latency_overhead_pct}) {
-    feed.f64(v);
-  }
+  for (const int* v : int_metrics(result)) feed.i64(*v);
+  for (const double* v : double_metrics(result)) feed.f64(*v);
   return feed.finish();
 }
 

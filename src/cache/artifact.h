@@ -1,10 +1,22 @@
 // Compilation-artifact serialization: MappingResult <-> cache payload.
 //
-// A text format with exact (%.17g) doubles, so a warm-cache compile
-// reproduces the cold run byte for byte — metrics, layouts and the mapped
-// circuit included. Deserialization never asserts on malformed bytes:
-// every structural violation comes back as a parse_error Status, which
-// callers treat as a cache miss (recompute and overwrite).
+// A length-prefixed binary format (version 2):
+//   - magic "qfsa", then the format version as a little-endian uint32,
+//   - the circuit width, then the name with its length prefix,
+//   - the gate count, then per gate: one GateKind byte, the operand count,
+//     the operands as int32, and the gate's parameters (as many as its
+//     kind takes) as raw IEEE-754 bits,
+//   - the initial and final layouts, each with its length prefix,
+//   - the 5 int metrics as int32 and the 10 double metrics as raw bits.
+// Counts are unsigned LEB128; fixed-width fields are little-endian. Doubles
+// are stored bit for bit, so serialize(deserialize(p)) == p and a
+// warm-cache compile reproduces the cold run byte for byte — metrics,
+// layouts and the mapped circuit included. Deserialization never asserts on
+// malformed bytes: every violation (bad magic or version, a read past the
+// end, a count larger than the bytes left, an unknown kind, a wrong operand
+// count, an empty barrier, an out-of-range or repeated qubit, trailing
+// bytes) comes back as a parse_error Status, which callers treat as a cache
+// miss (recompute and overwrite).
 #pragma once
 
 #include <optional>

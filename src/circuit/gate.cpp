@@ -108,7 +108,6 @@ bool is_two_qubit(GateKind kind) {
 }
 
 bool operands_distinct(const std::vector<int>& qubits) {
-  // Pairwise for the fixed arities; only wide barriers pay for a sorted copy.
   const std::size_t n = qubits.size();
   if (n <= 3) {
     for (std::size_t i = 0; i < n; ++i) {

@@ -191,24 +191,114 @@ TEST(ArtifactTest, MappingResultRoundTripsExactly) {
     // Exact fixed point: re-serializing reproduces the payload byte for
     // byte, which is what makes warm suite runs byte-identical.
     EXPECT_EQ(serialize_mapping_result(decoded.value()), payload) << b.name;
+    EXPECT_EQ(artifact_digest(decoded.value()), artifact_digest(result))
+        << b.name;
     EXPECT_EQ(qasm::to_qasm(decoded.value().mapped),
               qasm::to_qasm(result.mapped))
         << b.name;
   }
 }
 
+/// Decoding arbitrary bytes must give an error Status or an artifact that
+/// re-encodes to exactly those bytes, and must never trip an assertion.
+void expect_error_or_fixed_point(const std::string& bytes,
+                                 const std::string& what) {
+  try {
+    auto decoded = deserialize_mapping_result(bytes);
+    if (decoded.is_ok()) {
+      EXPECT_EQ(serialize_mapping_result(decoded.value()), bytes) << what;
+    }
+  } catch (const qfs::AssertionError& e) {
+    ADD_FAILURE() << what << ": " << e.what();
+  }
+}
+
 TEST(ArtifactTest, MalformedPayloadsAreErrorsNotCrashes) {
-  const char* bad[] = {
-      "",
-      "not-an-artifact",
-      "qfs-artifact 999\n",
-      "qfs-artifact 1\nqubits notanumber\n",
-      "qfs-artifact 1\nqubits 3\nname x\ngates 1\ng cx 0 99 ;\n",
-      "qfs-artifact 1\nqubits 2\nname x\ngates 1\ng nosuchgate 0 1 ;\n",
+  // A real compiled artifact, plus a wide barrier and a three-angle gate so
+  // every gate shape of the format is in the bytes being damaged.
+  device::Device dev = device::surface17_device();
+  Rng rng(11);
+  workloads::SuiteOptions suite_opts;
+  suite_opts.random_count = 1;
+  suite_opts.real_count = 0;
+  suite_opts.reversible_count = 0;
+  suite_opts.max_qubits = 6;
+  suite_opts.max_gates = 30;
+  auto suite = workloads::make_suite(suite_opts, rng);
+  ASSERT_EQ(suite.size(), 1u);
+  mapper::MappingOptions options;
+  options.compute_latency = true;
+  Rng map_rng(7);
+  mapper::MappingResult result =
+      mapper::map_circuit(suite[0].circuit, dev, options, map_rng);
+  result.mapped.barrier({0, 1, 2, 3, 4});
+  result.mapped.u3(0.1, -0.2, 0.3, 5);
+  const std::string payload = serialize_mapping_result(result);
+  ASSERT_TRUE(deserialize_mapping_result(payload).is_ok());
+
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    EXPECT_FALSE(deserialize_mapping_result(payload.substr(0, n)).is_ok())
+        << "prefix of " << n << " bytes";
+  }
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    for (unsigned char mask : {0x01, 0x80}) {
+      std::string flipped = payload;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      expect_error_or_fixed_point(flipped, "byte " + std::to_string(i) +
+                                               " ^ " + std::to_string(mask));
+    }
+  }
+  // The text payloads of format version 1 are not artifacts any more.
+  for (const char* text : {"", "not-an-artifact", "qfs-artifact 1\n",
+                           "qfs-artifact 1\nqubits 3\nname x\ngates 0\n"}) {
+    EXPECT_FALSE(deserialize_mapping_result(text).is_ok()) << text;
+  }
+}
+
+TEST(ArtifactTest, HandcraftedMalformedPayloadsAreErrors) {
+  // Three qubits named "t", one cx(0, 1). Byte offsets of that payload:
+  // magic [0, 4), version [4, 8), width [8], name length [9], name [10],
+  // gate count [11], kind [12], operand count [13], operands [14, 22).
+  mapper::MappingResult result;
+  result.mapped = circuit::Circuit(3, "t");
+  result.mapped.cx(0, 1);
+  const std::string good = serialize_mapping_result(result);
+  ASSERT_TRUE(deserialize_mapping_result(good).is_ok());
+  ASSERT_EQ(good[12], static_cast<char>(circuit::GateKind::kCx));
+  ASSERT_EQ(good[13], 2);
+  ASSERT_EQ(good[18], 1);
+
+  auto patched = [&good](std::size_t at, char byte) {
+    std::string bytes = good;
+    bytes[at] = byte;
+    return bytes;
   };
-  for (const char* payload : bad) {
-    auto decoded = deserialize_mapping_result(payload);
-    EXPECT_FALSE(decoded.is_ok()) << "payload: " << payload;
+  const struct {
+    const char* what;
+    std::string bytes;
+  } cases[] = {
+      {"kind byte == kNumGateKinds",
+       patched(12, static_cast<char>(circuit::kNumGateKinds))},
+      // 2^31 as a five-byte LEB128 count in place of the one-byte count 1.
+      {"gate count 2^31",
+       good.substr(0, 11) + std::string("\x80\x80\x80\x80\x08", 5) +
+           good.substr(12)},
+      {"out-of-range qubit", patched(18, 3)},
+      {"repeated operand", patched(18, 0)},
+      {"wrong arity", patched(13, 1)},
+      {"empty barrier",
+       good.substr(0, 12) +
+           std::string{static_cast<char>(circuit::GateKind::kBarrier), 0} +
+           good.substr(22)},
+      {"trailing bytes", good + std::string(1, '\0')},
+      {"version 1", patched(4, 1)},
+  };
+  for (const auto& c : cases) {
+    try {
+      EXPECT_FALSE(deserialize_mapping_result(c.bytes).is_ok()) << c.what;
+    } catch (const qfs::AssertionError& e) {
+      ADD_FAILURE() << c.what << ": " << e.what();
+    }
   }
 }
 
