@@ -1,8 +1,8 @@
 // Compile hot-path harness: times each pipeline phase (decompose, place,
 // route, schedule, full pipeline, validate, QASM emit, cache store/hit) per
-// circuit class on surface-97 and appends machine-readable rows to
-// BENCH_compile.json, the perf trajectory the hot-path work is pinned
-// against (DESIGN.md §13).
+// circuit class, each class on its own device (surface-97 unless the row
+// says otherwise), and appends machine-readable rows to BENCH_compile.json,
+// the perf trajectory the hot-path work is pinned against (DESIGN.md §13).
 //
 // Rows are append-only: each invocation adds one row per (class, phase)
 // under --label, and every new row that has a predecessor with the same
@@ -43,6 +43,7 @@
 #include <unistd.h>
 
 #include "analysis/equiv.h"
+#include "backends/registry.h"
 #include "cache/artifact.h"
 #include "cache/cache.h"
 #include "cache/fingerprint.h"
@@ -124,45 +125,56 @@ Options parse_options(int argc, char** argv) {
 }
 
 /// One benchmarked circuit class: a deterministic generator (fixed seeds
-/// only) so every invocation times identical work and cross-label digests
-/// are comparable.
+/// only) on a fixed device, so every invocation times identical work and
+/// cross-label digests are comparable.
 struct CircuitClass {
   std::string name;
   circuit::Circuit circuit;
+  /// Device spec in backends::make_device syntax.
+  std::string device = "surface97";
+  /// The phases timed for this class; empty times every phase.
+  std::vector<std::string> phases;
   /// The densest random class carries the routing throughput floor.
   bool floor_carrier = false;
 };
 
+circuit::Circuit random_class_circuit(int num_qubits, int num_gates,
+                                      double two_qubit_fraction,
+                                      std::uint64_t seed) {
+  qfs::Rng rng(seed);
+  workloads::RandomCircuitSpec spec;
+  spec.num_qubits = num_qubits;
+  spec.num_gates = num_gates;
+  spec.two_qubit_fraction = two_qubit_fraction;
+  return workloads::random_circuit(spec, rng);
+}
+
 std::vector<CircuitClass> make_classes(bool smoke) {
   const int scale = smoke ? 1 : 4;
   std::vector<CircuitClass> classes;
-  classes.push_back({"ghz48", workloads::ghz(48), false});
-  classes.push_back({"qft20", workloads::qft(20, true), false});
-  classes.push_back(
-      {"bv40", workloads::bernstein_vazirani(40, 0x5a5a5a5a5aULL), false});
+  auto add = [&classes](std::string name,
+                        circuit::Circuit circuit) -> CircuitClass& {
+    classes.emplace_back();
+    classes.back().name = std::move(name);
+    classes.back().circuit = std::move(circuit);
+    return classes.back();
+  };
+  add("ghz48", workloads::ghz(48));
+  add("qft20", workloads::qft(20, true));
+  add("bv40", workloads::bernstein_vazirani(40, 0x5a5a5a5a5aULL));
   {
     qfs::Rng rng(7);
-    classes.push_back(
-        {"qv16", workloads::quantum_volume(16, smoke ? 4 : 8, rng), false});
+    add("qv16", workloads::quantum_volume(16, smoke ? 4 : 8, rng));
   }
-  {
-    qfs::Rng rng(11);
-    workloads::RandomCircuitSpec spec;
-    spec.num_qubits = 40;
-    spec.num_gates = 750 * scale;
-    spec.two_qubit_fraction = 0.5;
-    classes.push_back(
-        {"random_dense", workloads::random_circuit(spec, rng), true});
-  }
-  {
-    qfs::Rng rng(13);
-    workloads::RandomCircuitSpec spec;
-    spec.num_qubits = 40;
-    spec.num_gates = 750 * scale;
-    spec.two_qubit_fraction = 0.2;
-    classes.push_back(
-        {"random_sparse", workloads::random_circuit(spec, rng), false});
-  }
+  add("random_dense", random_class_circuit(40, 750 * scale, 0.5, 11))
+      .floor_carrier = true;
+  add("random_sparse", random_class_circuit(40, 750 * scale, 0.2, 13));
+  // The widest coupler scan: 160 qubits spread over a 467-qubit heavy-hex
+  // lattice, routing and the full pipeline only.
+  CircuitClass& wide =
+      add("random_hh467", random_class_circuit(160, 750 * scale, 0.5, 17));
+  wide.device = "heavy_hex(rows=13,cols=29)";
+  wide.phases = {"route_lookahead", "pipeline"};
   return classes;
 }
 
@@ -205,13 +217,19 @@ std::string schedule_bytes(const compiler::Schedule& schedule) {
   return os.str();
 }
 
-/// Run every phase for one class and return its rows.
+/// Run the class's phases on `device` and return their rows.
 std::vector<Row> bench_class(const CircuitClass& cls,
                              const device::Device& device, int repeat,
                              const std::string& cache_dir) {
   std::vector<Row> rows;
-  auto add = [&rows](const std::string& phase, double ms, int gates,
-                     std::string digest = std::string()) {
+  auto timed = [&cls](const std::string& phase) {
+    return cls.phases.empty() ||
+           std::find(cls.phases.begin(), cls.phases.end(), phase) !=
+               cls.phases.end();
+  };
+  auto add = [&rows, &timed](const std::string& phase, double ms, int gates,
+                             std::string digest = std::string()) {
+    if (!timed(phase)) return;
     Row row;
     row.phase = phase;
     row.ms = ms;
@@ -237,22 +255,26 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   // Phase: placement (degree-match: the distance-table-heavy placer that
   // is cheap enough to time per class; annealing is timed by
   // bench_cache_speedup's cold run).
-  mapper::Layout placement = mapper::Layout::identity(device.num_qubits());
-  ms = median_ms(repeat, [&] {
-    qfs::Rng rng(1);
-    placement = mapper::DegreeMatchPlacer().place(decomposed, device, rng);
-  });
-  add("place_degree", ms, gates);
+  if (timed("place_degree")) {
+    mapper::Layout placement;
+    ms = median_ms(repeat, [&] {
+      qfs::Rng rng(1);
+      placement = mapper::DegreeMatchPlacer().place(decomposed, device, rng);
+    });
+    add("place_degree", ms, gates);
+  }
 
   // Phases: routing from the identity layout (fixed start so the digest is
   // label-comparable), trivial and lookahead.
   const mapper::Layout identity = mapper::Layout::identity(device.num_qubits());
   mapper::RoutingResult routed;
-  ms = median_ms(repeat, [&] {
-    qfs::Rng rng(1);
-    routed = mapper::TrivialRouter().route(decomposed, device, identity, rng);
-  });
-  add("route_trivial", ms, gates, digest_of(qasm::to_qasm(routed.mapped)));
+  if (timed("route_trivial")) {
+    ms = median_ms(repeat, [&] {
+      qfs::Rng rng(1);
+      routed = mapper::TrivialRouter().route(decomposed, device, identity, rng);
+    });
+    add("route_trivial", ms, gates, digest_of(qasm::to_qasm(routed.mapped)));
+  }
   ms = median_ms(repeat, [&] {
     qfs::Rng rng(1);
     routed = mapper::LookaheadRouter().route(decomposed, device, identity, rng);
@@ -261,12 +283,14 @@ std::vector<Row> bench_class(const CircuitClass& cls,
 
   // Phase: ASAP scheduling of the routed circuit (SWAPs expanded to
   // primitives first, as the pipeline does before scheduling).
-  circuit::Circuit physical = compiler::expand_swaps(routed.mapped);
-  compiler::Schedule schedule;
-  ms = median_ms(repeat,
-                 [&] { schedule = compiler::asap_schedule(physical, device); });
-  add("schedule_asap", ms, static_cast<int>(physical.size()),
-      digest_of(schedule_bytes(schedule)));
+  if (timed("schedule_asap")) {
+    circuit::Circuit physical = compiler::expand_swaps(routed.mapped);
+    compiler::Schedule schedule;
+    ms = median_ms(
+        repeat, [&] { schedule = compiler::asap_schedule(physical, device); });
+    add("schedule_asap", ms, static_cast<int>(physical.size()),
+        digest_of(schedule_bytes(schedule)));
+  }
 
   // Phase: the full mapping pipeline under the heavy configuration
   // (degree placer + lookahead router), whose artifact digest is the
@@ -280,6 +304,11 @@ std::vector<Row> bench_class(const CircuitClass& cls,
     mapping = mapper::map_circuit(cls.circuit, device, mopts, rng);
   });
   add("pipeline", ms, gates, cache::artifact_digest(mapping).hex());
+  // Every remaining phase times that artifact.
+  if (!timed("validate") && !timed("emit_qasm") && !timed("cache_store") &&
+      !timed("cache_hit")) {
+    return rows;
+  }
 
   // Phase: translation validation of that artifact against its source, as
   // the service runs it on every compile and cache hit.
@@ -381,7 +410,6 @@ int main(int argc, char** argv) {
 
   // One cache directory per process, so concurrent runs (parallel ctest)
   // never delete each other's artifacts.
-  device::Device device = device::surface97_device();
   std::string cache_dir = (std::filesystem::temp_directory_path() /
                            ("qfs_bench_compile_hotpath." +
                             std::to_string(::getpid())))
@@ -395,11 +423,17 @@ int main(int argc, char** argv) {
 
   for (const auto& cls : make_classes(opts.smoke)) {
     std::cerr << cls.name << " ";
-    std::vector<Row> rows = bench_class(cls, device, opts.repeat, cache_dir);
+    auto device = backends::make_device(cls.device);
+    QFS_ASSERT_MSG(device.is_ok(), device.status().to_string());
+    std::vector<Row> rows =
+        bench_class(cls, device.value(), opts.repeat, cache_dir);
     for (const Row& row : rows) {
       JsonValue entry = JsonValue::object();
       entry.set("label", JsonValue::string(opts.label));
       entry.set("class", JsonValue::string(cls.name));
+      // The file header names the default device; other rows carry theirs.
+      if (cls.device != "surface97")
+        entry.set("device", JsonValue::string(cls.device));
       entry.set("phase", JsonValue::string(row.phase));
       entry.set("ms", JsonValue::number(row.ms));
       entry.set("reps", JsonValue::integer(opts.repeat));

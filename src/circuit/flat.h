@@ -110,6 +110,36 @@ struct FlatCircuit {
 /// bit-for-bit (params are copied as doubles, never narrowed).
 FlatCircuit flatten(const Circuit& circuit);
 
+/// flatten() into `out`, reusing its buffers' capacity: a hot-path caller
+/// that keeps one FlatCircuit per thread allocates only when a circuit
+/// outgrows every earlier one. Each buffer is reserved to its exact size.
+void flatten_into(const Circuit& circuit, FlatCircuit& out);
+
+/// Gate dependencies of a FlatCircuit: predecessor counts and CSR
+/// successor lists. Gate j depends on gate i < j when i is the last
+/// earlier gate on one of j's operands (a barrier orders every qubit it
+/// lists, spilled operands included). Each edge counts once even when the
+/// two gates share several qubits. succs[succ_offsets[i]..succ_offsets[i+1])
+/// are gate i's direct successors, ascending; every one is above i, so
+/// program order is a topological order.
+struct FlatDependencies {
+  std::vector<int> num_preds;
+  std::vector<int> succ_offsets;
+  std::vector<int> succs;
+
+  std::size_t size() const { return num_preds.size(); }
+  int num_predecessors(std::size_t i) const { return num_preds[i]; }
+  int num_successors(std::size_t i) const {
+    return succ_offsets[i + 1] - succ_offsets[i];
+  }
+  const int* successors(std::size_t i) const {
+    return succs.data() + succ_offsets[i];
+  }
+};
+
+/// Build the dependency lists of `flat` into `out`, reusing its capacity.
+void build_dependencies(const FlatCircuit& flat, FlatDependencies& out);
+
 /// Rebuild a Circuit (named `name`) from the flat form. Round-trips
 /// byte-identically: unflatten(flatten(c), c.name()) == c.
 Circuit unflatten(const FlatCircuit& flat, const std::string& name = "");

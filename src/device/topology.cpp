@@ -37,6 +37,22 @@ std::shared_ptr<const TopologyTables> build_tables(const graph::Graph& g) {
     }
     tables->nbr_offsets.push_back(static_cast<int>(tables->nbr.size()));
   }
+  // Edge index per CSR slot. The lexicographic edge list meets each
+  // qubit's neighbours in ascending order (first as the larger endpoint of
+  // (c, q), c < q, then as the smaller of (q, d)), so one write cursor per
+  // qubit walks its CSR range in step.
+  tables->nbr_edge.assign(tables->nbr.size(), -1);
+  std::vector<int> cursor(tables->nbr_offsets.begin(),
+                          tables->nbr_offsets.end() - 1);
+  for (std::size_t e = 0; e < tables->edges.size(); ++e) {
+    const auto [a, b] = tables->edges[e];
+    for (auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+      const auto slot =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(from)]++);
+      QFS_ASSERT(tables->nbr[slot] == to);
+      tables->nbr_edge[slot] = static_cast<int>(e);
+    }
+  }
   return tables;
 }
 

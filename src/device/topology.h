@@ -31,7 +31,9 @@ namespace qfs::device {
 ///    both depend on it),
 ///  - `nbr_offsets`/`nbr` are the CSR neighbour arrays (nbr_offsets has
 ///    n+1 entries; neighbours of q are nbr[nbr_offsets[q]..nbr_offsets[q+1])
-///    in ascending order).
+///    in ascending order), and `nbr_edge` gives each CSR slot's index in
+///    `edges`, so a walk over one qubit's couplers knows their rank in the
+///    lexicographic order without a search.
 struct TopologyTables {
   int n = 0;
   /// Row-major hop distances; graph::kUnreachable for disconnected pairs.
@@ -44,6 +46,8 @@ struct TopologyTables {
   /// CSR neighbour lists (ascending within each qubit's range).
   std::vector<int> nbr_offsets;
   std::vector<int> nbr;
+  /// Index in `edges` of the coupler {q, nbr[k]}, per CSR slot k.
+  std::vector<int> nbr_edge;
   /// True when every qubit pair has a finite hop distance.
   bool connected = false;
 };

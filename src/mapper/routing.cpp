@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <queue>
 
-#include "circuit/dag.h"
 #include "circuit/flat.h"
 #include "mapper/optimal.h"
 
@@ -167,17 +165,38 @@ const OpTraits& op_traits() {
   return traits;
 }
 
+/// Decision state of one physical qubit, valid while `stamp` equals the
+/// router's current epoch (a rebuild bumps the epoch instead of clearing
+/// the array). It describes the virtual qubit held there, so a SWAP on
+/// (a, b) moves it by exchanging the two entries.
+struct QubitSlot {
+  int stamp = -1;
+  /// Virtual partner of the front gate with an operand here, or -1.
+  int front_partner = -1;
+  /// First node of the list of window gates with an operand here, or -1.
+  int ahead_head = -1;
+};
+
+/// One operand of a window gate: its partner's virtual qubit and the next
+/// node in the same physical qubit's list.
+struct AheadNode {
+  int partner;
+  int next;
+};
+
 /// Scratch buffers of the lookahead router. thread_local: the
 /// compile_resilient fallback ladder retries the same circuit several
 /// times on one thread, and SABRE refinement routes it forward and backward
 /// per round — every attempt reuses these allocations (a per-circuit arena)
-/// instead of re-growing a fresh DAG bookkeeping set each time.
+/// instead of re-growing a fresh bookkeeping set each time.
 struct LookaheadScratch {
   circuit::FlatCircuit flat;
-  std::vector<int> unresolved;
+  circuit::FlatDependencies deps;
   std::vector<std::uint8_t> emitted;
-  std::deque<int> ready;
+  std::vector<int> ready;
   std::vector<int> ahead;
+  std::vector<QubitSlot> slots;
+  std::vector<AheadNode> nodes;
 };
 
 LookaheadScratch& lookahead_scratch() {
@@ -187,10 +206,17 @@ LookaheadScratch& lookahead_scratch() {
 
 }  // namespace
 
-/// Scans the flat IR (Instr operands, flat distance rows) in its inner
-/// loops and emits from the original Gate objects. Candidate swaps are
-/// tried arithmetically (p==ea -> eb, p==eb -> ea) rather than by mutating
-/// the layout.
+/// Scans the flat IR (Instr operands, CSR dependency lists, flat distance
+/// rows) in its inner loops and emits from the original Gate objects.
+///
+/// Each SWAP decision scores only the couplers next to the front layer,
+/// found through the CSR neighbours of the ready gates' physical qubits.
+/// A candidate's score is the decision's base front and lookahead sums
+/// plus the distance deltas of the few gates with an operand on the
+/// coupler. The sums are integers below 2^53, so they equal a double
+/// accumulation over every gate bit for bit; the minimum score with the
+/// smallest edge index wins, which is what a strict-< scan over the
+/// lexicographic edge list picks. The bytes are pinned by RoutingGolden.
 RoutingResult LookaheadRouter::route(const Circuit& circuit,
                                      const Device& device,
                                      const Layout& initial,
@@ -219,66 +245,142 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
   const OpTraits& traits = op_traits();
 
   LookaheadScratch& scratch = lookahead_scratch();
-  scratch.flat = circuit::flatten(circuit);
+  circuit::flatten_into(circuit, scratch.flat);
   const std::vector<circuit::Instr>& instrs = scratch.flat.instrs;
+  const std::size_t num_gates = instrs.size();
+  circuit::FlatDependencies& deps = scratch.deps;
+  circuit::build_dependencies(scratch.flat, deps);
 
-  circuit::DependencyDag dag(circuit);
-  std::vector<int>& unresolved = scratch.unresolved;
-  unresolved.assign(instrs.size(), 0);
-  for (std::size_t i = 0; i < instrs.size(); ++i) {
-    unresolved[i] =
-        static_cast<int>(dag.predecessors(static_cast<int>(i)).size());
-  }
-
-  std::deque<int>& ready = scratch.ready;
+  // Predecessor counts, counted down as predecessors are emitted.
+  std::vector<int>& unresolved = deps.num_preds;
+  // Ready gates in the order they became ready: the emission order.
+  std::vector<int>& ready = scratch.ready;
   ready.clear();
-  for (std::size_t i = 0; i < instrs.size(); ++i) {
+  for (std::size_t i = 0; i < num_gates; ++i) {
     if (unresolved[i] == 0) ready.push_back(static_cast<int>(i));
   }
-
   std::vector<std::uint8_t>& emitted = scratch.emitted;
-  emitted.assign(instrs.size(), 0);
-  auto resolve = [&](int gi) {
-    emitted[static_cast<std::size_t>(gi)] = 1;
-    for (int s : dag.successors(gi)) {
-      if (--unresolved[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
-    }
-  };
+  emitted.assign(num_gates, 0);
 
   const int* dist = tables.dist.data();
-  const int n = tables.n;
+  const auto n = static_cast<std::size_t>(tables.n);
+  auto row = [&](int p) { return dist + static_cast<std::size_t>(p) * n; };
+  auto is_2q = [&](std::size_t i) {
+    return instrs[i].num_qubits == 2 &&
+           traits.is_unitary[static_cast<int>(instrs[i].op)];
+  };
   auto is_blocked_2q = [&](int gi) {
     const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
-    if (!(ins.num_qubits == 2 &&
-          traits.is_unitary[static_cast<int>(ins.op)]))
-      return false;
-    const int pa = v2p[static_cast<std::size_t>(ins.q[0])];
-    const int pb = v2p[static_cast<std::size_t>(ins.q[1])];
-    return dist[static_cast<std::size_t>(pa) * static_cast<std::size_t>(n) +
-                static_cast<std::size_t>(pb)] != 1;
+    return is_2q(static_cast<std::size_t>(gi)) &&
+           row(v2p[static_cast<std::size_t>(ins.q[0])])
+               [v2p[static_cast<std::size_t>(ins.q[1])]] != 1;
   };
 
-  // Collect the next `window_` two-qubit gates after the front (by program
-  // order among not-yet-emitted gates) for the lookahead term. `scan_start`
-  // is a persistent cursor at the first not-yet-emitted gate: indices below
-  // it stay emitted forever, so each call resumes there instead of
-  // rescanning from 0 — without it routing is O(gates x window) quadratic
-  // on the paper's 100k-gate circuits.
-  std::size_t scan_start = 0;
-  auto lookahead_set = [&]() -> const std::vector<int>& {
-    while (scan_start < instrs.size() && emitted[scan_start] != 0)
-      ++scan_start;
-    std::vector<int>& ahead = scratch.ahead;
-    ahead.clear();
-    for (std::size_t i = scan_start;
-         i < instrs.size() && static_cast<int>(ahead.size()) < window_; ++i) {
-      if (emitted[i] != 0) continue;
-      const circuit::Instr& ins = instrs[i];
-      if (ins.num_qubits == 2 && traits.is_unitary[static_cast<int>(ins.op)]) {
-        ahead.push_back(static_cast<int>(i));
+  // Emit every ready gate that is not a blocked two-qubit gate, appending
+  // the gates each emission makes ready to the same pass; the blocked ones
+  // are compacted in place, keeping their order. No gate a pass leaves
+  // blocked can unblock before the next SWAP, so one pass is a fixpoint.
+  auto emit_ready = [&]() {
+    bool progressed = false;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < ready.size(); ++k) {
+      const int gi = ready[k];
+      if (is_blocked_2q(gi)) {
+        ready[kept++] = gi;
+        continue;
       }
+      emit_remapped(result.mapped, gates[static_cast<std::size_t>(gi)],
+                    layout);
+      emitted[static_cast<std::size_t>(gi)] = 1;
+      const int* succ = deps.successors(static_cast<std::size_t>(gi));
+      for (int j = deps.num_successors(static_cast<std::size_t>(gi)); j > 0;
+           --j, ++succ) {
+        if (--unresolved[static_cast<std::size_t>(*succ)] == 0) {
+          ready.push_back(*succ);
+        }
+      }
+      progressed = true;
     }
-    return ahead;
+    ready.resize(kept);
+    return progressed;
+  };
+
+  // The lookahead window: the first `window_` not-yet-emitted two-qubit
+  // gates in program order (front gates included). Emission only removes
+  // gates, so every not-yet-emitted two-qubit gate below `ahead_cursor` is
+  // already in the window: a refresh drops the emitted ones and resumes
+  // the scan at the cursor, O(gates + window) over the whole route.
+  std::vector<int>& ahead = scratch.ahead;
+  ahead.clear();
+  std::size_t ahead_cursor = 0;
+  auto refresh_window = [&]() {
+    std::erase_if(ahead, [&](int gi) {
+      return emitted[static_cast<std::size_t>(gi)] != 0;
+    });
+    while (static_cast<int>(ahead.size()) < window_ &&
+           ahead_cursor < num_gates) {
+      const std::size_t i = ahead_cursor++;
+      if (emitted[i] == 0 && is_2q(i)) ahead.push_back(static_cast<int>(i));
+    }
+  };
+
+  // Decision state, rebuilt after each emission and kept up to date across
+  // consecutive SWAPs: per-qubit front partners and window-gate lists, and
+  // the integer distance sums over the front and the window.
+  std::vector<QubitSlot>& slots = scratch.slots;
+  slots.assign(n, QubitSlot{});
+  std::vector<AheadNode>& nodes = scratch.nodes;
+  int epoch = 0;
+  bool state_valid = false;
+  std::int64_t front_sum = 0;
+  std::int64_t ahead_sum = 0;
+  auto slot_at = [&](int p) -> QubitSlot& {
+    QubitSlot& slot = slots[static_cast<std::size_t>(p)];
+    if (slot.stamp != epoch) slot = QubitSlot{epoch, -1, -1};
+    return slot;
+  };
+  auto rebuild_state = [&]() {
+    ++epoch;
+    front_sum = 0;
+    for (int gi : ready) {
+      const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
+      const int pa = v2p[static_cast<std::size_t>(ins.q[0])];
+      const int pb = v2p[static_cast<std::size_t>(ins.q[1])];
+      front_sum += row(pa)[pb];
+      slot_at(pa).front_partner = ins.q[1];
+      slot_at(pb).front_partner = ins.q[0];
+    }
+    refresh_window();
+    ahead_sum = 0;
+    nodes.clear();
+    for (int gi : ahead) {
+      const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
+      const int pa = v2p[static_cast<std::size_t>(ins.q[0])];
+      const int pb = v2p[static_cast<std::size_t>(ins.q[1])];
+      ahead_sum += row(pa)[pb];
+      QubitSlot& sa = slot_at(pa);
+      nodes.push_back(AheadNode{ins.q[1], sa.ahead_head});
+      sa.ahead_head = static_cast<int>(nodes.size()) - 1;
+      QubitSlot& sb = slot_at(pb);
+      nodes.push_back(AheadNode{ins.q[0], sb.ahead_head});
+      sb.ahead_head = static_cast<int>(nodes.size()) - 1;
+    }
+    state_valid = true;
+  };
+  // Change of the window sum when the gates listed at `from` move to `to`;
+  // a gate on both qubits keeps its distance and is skipped.
+  auto ahead_delta = [&](int from, int to) {
+    const int* row_from = row(from);
+    const int* row_to = row(to);
+    std::int64_t delta = 0;
+    const QubitSlot& slot = slots[static_cast<std::size_t>(from)];
+    for (int k = slot.stamp == epoch ? slot.ahead_head : -1; k >= 0;) {
+      const AheadNode& node = nodes[static_cast<std::size_t>(k)];
+      const int other = v2p[static_cast<std::size_t>(node.partner)];
+      if (other != to) delta += row_to[other] - row_from[other];
+      k = node.next;
+    }
+    return delta;
   };
 
   int last_swap_a = -1, last_swap_b = -1;
@@ -286,105 +388,86 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
   const int stall_limit = 4 * std::max(4, device.num_qubits());
 
   while (true) {
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (std::size_t k = 0; k < ready.size();) {
-        int gi = ready[k];
-        if (!is_blocked_2q(gi)) {
-          emit_remapped(result.mapped, gates[static_cast<std::size_t>(gi)],
-                        layout);
-          resolve(gi);
-          ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(k));
-          progressed = true;
-          swaps_since_progress = 0;
-          last_swap_a = last_swap_b = -1;
-        } else {
-          ++k;
-        }
-      }
+    if (emit_ready()) {
+      swaps_since_progress = 0;
+      last_swap_a = last_swap_b = -1;
+      state_valid = false;
     }
     if (ready.empty()) break;  // all gates emitted
 
     // Every ready gate is a blocked two-qubit gate: pick a swap.
     if (swaps_since_progress >= stall_limit) {
       // Safety valve: force-route the first blocked gate trivially.
-      int gi = ready.front();
-      const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
+      const circuit::Instr& ins = instrs[static_cast<std::size_t>(ready[0])];
       int pa = v2p[static_cast<std::size_t>(ins.q[0])];
       int pb = v2p[static_cast<std::size_t>(ins.q[1])];
       swap_along_path(result.mapped, layout, topo.shortest_path(pa, pb),
                       result.swaps_inserted);
       swaps_since_progress = 0;
+      state_valid = false;
       continue;
     }
+    if (!state_valid) rebuild_state();
 
-    const std::vector<int>& ahead = lookahead_set();
-
-    // Candidate swaps: coupling edges touching an operand of a front gate,
-    // scanned over the cached SoA edge arrays in lexicographic order. Only
-    // a strictly better score replaces the best, so that order fixes the
-    // tie-breaks, and with them the output bytes.
+    // Candidates: the couplers at a front gate's physical qubits. Ready
+    // gates share no qubit and a blocked gate's operands are not coupled,
+    // so a coupler touches at most two front gates, one per end; one with
+    // front gates at both ends is scored from its smaller end only.
+    const double front_size = static_cast<double>(ready.size());
+    const double ahead_size = static_cast<double>(ahead.size());
     double best_score = std::numeric_limits<double>::infinity();
-    int best_a = -1, best_b = -1;
-    const std::size_t num_edges = tables.edge_a.size();
-    for (std::size_t e = 0; e < num_edges; ++e) {
-      const int ea = tables.edge_a[e];
-      const int eb = tables.edge_b[e];
-      bool touches_front = false;
-      for (int gi : ready) {
-        const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
-        for (int s = 0; s < ins.num_qubits; ++s) {
-          const int p = v2p[static_cast<std::size_t>(ins.q[s])];
-          if (p == ea || p == eb) {
-            touches_front = true;
-            break;
+    int best_edge = -1, best_a = -1, best_b = -1;
+    std::int64_t best_front_delta = 0, best_ahead_delta = 0;
+    for (int gi : ready) {
+      const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
+      for (int s = 0; s < 2; ++s) {
+        const int p = v2p[static_cast<std::size_t>(ins.q[s])];
+        const int partner = v2p[static_cast<std::size_t>(ins.q[1 - s])];
+        const int* row_p = row(p);
+        const int end = tables.nbr_offsets[static_cast<std::size_t>(p) + 1];
+        for (int k = tables.nbr_offsets[static_cast<std::size_t>(p)]; k < end;
+             ++k) {
+          const int q = tables.nbr[static_cast<std::size_t>(k)];
+          const QubitSlot& at_q = slots[static_cast<std::size_t>(q)];
+          const bool q_in_front =
+              at_q.stamp == epoch && at_q.front_partner >= 0;
+          if (q_in_front && q < p) continue;  // scored from q
+          const int ea = std::min(p, q), eb = std::max(p, q);
+          if (ea == last_swap_a && eb == last_swap_b) continue;  // no ping-pong
+
+          const int* row_q = row(q);
+          std::int64_t front_delta = row_q[partner] - row_p[partner];
+          if (q_in_front) {
+            const int other =
+                v2p[static_cast<std::size_t>(at_q.front_partner)];
+            front_delta += row_p[other] - row_q[other];
+          }
+          const std::int64_t window_delta =
+              ahead_delta(p, q) + ahead_delta(q, p);
+
+          const auto front_term = static_cast<double>(front_sum + front_delta);
+          const auto ahead_term =
+              static_cast<double>(ahead_sum + window_delta);
+          double score = front_term / front_size;
+          if (!ahead.empty()) score += weight_ * ahead_term / ahead_size;
+          const int edge = tables.nbr_edge[static_cast<std::size_t>(k)];
+          if (score < best_score || (score == best_score && edge < best_edge)) {
+            best_score = score;
+            best_edge = edge;
+            best_a = ea;
+            best_b = eb;
+            best_front_delta = front_delta;
+            best_ahead_delta = window_delta;
           }
         }
-        if (touches_front) break;
-      }
-      if (!touches_front) continue;
-      if (ea == last_swap_a && eb == last_swap_b) continue;  // no ping-pong
-
-      double front_term = 0.0;
-      for (int gi : ready) {
-        const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
-        int pa = v2p[static_cast<std::size_t>(ins.q[0])];
-        int pb = v2p[static_cast<std::size_t>(ins.q[1])];
-        if (pa == ea) pa = eb;
-        else if (pa == eb) pa = ea;
-        if (pb == ea) pb = eb;
-        else if (pb == eb) pb = ea;
-        front_term +=
-            dist[static_cast<std::size_t>(pa) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(pb)];
-      }
-      double ahead_term = 0.0;
-      for (int gi : ahead) {
-        const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
-        int pa = v2p[static_cast<std::size_t>(ins.q[0])];
-        int pb = v2p[static_cast<std::size_t>(ins.q[1])];
-        if (pa == ea) pa = eb;
-        else if (pa == eb) pa = ea;
-        if (pb == ea) pb = eb;
-        else if (pb == eb) pb = ea;
-        ahead_term +=
-            dist[static_cast<std::size_t>(pa) * static_cast<std::size_t>(n) +
-                 static_cast<std::size_t>(pb)];
-      }
-
-      double score = front_term / static_cast<double>(ready.size());
-      if (!ahead.empty()) {
-        score += weight_ * ahead_term / static_cast<double>(ahead.size());
-      }
-      if (score < best_score) {
-        best_score = score;
-        best_a = ea;
-        best_b = eb;
       }
     }
     QFS_ASSERT_MSG(best_a >= 0, "no candidate swap found");
     emit_swap(result.mapped, layout, best_a, best_b, result.swaps_inserted);
+    std::swap(slots[static_cast<std::size_t>(best_a)],
+              slots[static_cast<std::size_t>(best_b)]);
+    front_sum += best_front_delta;
+    ahead_sum += best_ahead_delta;
     last_swap_a = best_a;
     last_swap_b = best_b;
     ++swaps_since_progress;

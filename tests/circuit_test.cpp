@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "circuit/circuit.h"
-#include "circuit/dag.h"
 #include "circuit/draw.h"
+#include "circuit/flat.h"
 #include "circuit/gate.h"
 #include "support/strings.h"
 
@@ -335,84 +337,135 @@ TEST(Draw, RowCountMatchesQubits) {
 }
 
 // ---------------------------------------------------------------------------
-// DependencyDag
+// Flat dependency lists (circuit/flat.h)
 // ---------------------------------------------------------------------------
 
-TEST(Dag, IndependentGatesShareLayerZero) {
+FlatDependencies dependencies_of(const Circuit& c) {
+  FlatDependencies deps;
+  build_dependencies(flatten(c), deps);
+  return deps;
+}
+
+/// Gate i's predecessors, ascending, read off the successor lists; the
+/// stored count must agree.
+std::vector<int> predecessors_of(const FlatDependencies& deps, int i) {
+  std::vector<int> preds;
+  for (std::size_t g = 0; g < deps.size(); ++g) {
+    const int* s = deps.successors(g);
+    if (std::find(s, s + deps.num_successors(g), i) !=
+        s + deps.num_successors(g)) {
+      preds.push_back(static_cast<int>(g));
+    }
+  }
+  EXPECT_EQ(static_cast<int>(preds.size()),
+            deps.num_predecessors(static_cast<std::size_t>(i)));
+  return preds;
+}
+
+std::vector<int> successors_of(const FlatDependencies& deps, int i) {
+  const auto g = static_cast<std::size_t>(i);
+  const int* s = deps.successors(g);
+  return std::vector<int>(s, s + deps.num_successors(g));
+}
+
+TEST(Dag, IndependentGatesHaveNoDependencies) {
   Circuit c(3);
   c.h(0).h(1).h(2);
-  DependencyDag dag(c);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(dag.predecessors(i).empty());
-    EXPECT_EQ(dag.asap_layer()[static_cast<std::size_t>(i)], 0);
+  const FlatDependencies deps = dependencies_of(c);
+  ASSERT_EQ(deps.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(deps.num_predecessors(i), 0);
+    EXPECT_EQ(deps.num_successors(i), 0);
   }
-  EXPECT_EQ(dag.depth(), 1);
 }
 
 TEST(Dag, ChainDependencies) {
   Circuit c(2);
   c.h(0).cx(0, 1).x(1);
-  DependencyDag dag(c);
-  EXPECT_TRUE(dag.predecessors(0).empty());
-  ASSERT_EQ(dag.predecessors(1).size(), 1u);
-  EXPECT_EQ(dag.predecessors(1)[0], 0);
-  ASSERT_EQ(dag.predecessors(2).size(), 1u);
-  EXPECT_EQ(dag.predecessors(2)[0], 1);
-  EXPECT_EQ(dag.depth(), 3);
+  const FlatDependencies deps = dependencies_of(c);
+  EXPECT_EQ(predecessors_of(deps, 0), std::vector<int>{});
+  EXPECT_EQ(predecessors_of(deps, 1), std::vector<int>{0});
+  EXPECT_EQ(predecessors_of(deps, 2), std::vector<int>{1});
+  EXPECT_EQ(successors_of(deps, 0), std::vector<int>{1});
+  EXPECT_EQ(successors_of(deps, 1), std::vector<int>{2});
+  EXPECT_EQ(successors_of(deps, 2), std::vector<int>{});
 }
 
 TEST(Dag, SharedTwoQubitPredecessorNotDuplicated) {
   Circuit c(2);
   c.cx(0, 1).cx(0, 1);
-  DependencyDag dag(c);
-  EXPECT_EQ(dag.predecessors(1).size(), 1u);
-  EXPECT_EQ(dag.successors(0).size(), 1u);
+  const FlatDependencies deps = dependencies_of(c);
+  EXPECT_EQ(predecessors_of(deps, 1), std::vector<int>{0});
+  EXPECT_EQ(successors_of(deps, 0), std::vector<int>{1});
 }
 
-TEST(Dag, DepthMatchesCircuitDepth) {
-  Circuit c(4);
-  c.h(0).cx(0, 1).cx(2, 3).cz(1, 2).x(0);
-  DependencyDag dag(c);
-  EXPECT_EQ(dag.depth(), c.depth());
-}
-
-TEST(Dag, BarrierOrdersButAddsNoDepth) {
+TEST(Dag, BarrierOrdersEveryListedQubit) {
   Circuit c(2);
   c.h(0);
   c.barrier({0, 1});
   c.x(1);
-  DependencyDag dag(c);
-  EXPECT_EQ(dag.depth(), 2);
-  // x(1) transitively depends on h(0) through the barrier.
-  ASSERT_EQ(dag.predecessors(2).size(), 1u);
-  EXPECT_EQ(dag.predecessors(2)[0], 1);
+  const FlatDependencies deps = dependencies_of(c);
+  // x(1) depends on h(0) only through the barrier.
+  EXPECT_EQ(predecessors_of(deps, 1), std::vector<int>{0});
+  EXPECT_EQ(predecessors_of(deps, 2), std::vector<int>{1});
 }
 
-TEST(Dag, LayersPartitionAllGates) {
+TEST(Dag, WideBarrierReadsSpilledOperands) {
+  // A five-operand barrier keeps its operands in the overflow pool; every
+  // one of them must order the gates on both sides.
+  Circuit c(5);
+  c.h(0).h(1).h(2).h(3).h(4);
+  c.barrier({4, 3, 2, 1, 0});
+  c.x(0).cx(3, 4);
+  const FlatDependencies deps = dependencies_of(c);
+  EXPECT_EQ(predecessors_of(deps, 5), (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(successors_of(deps, 5), (std::vector<int>{6, 7}));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(successors_of(deps, i), std::vector<int>{5});
+  }
+}
+
+TEST(Dag, SuccessorsAscendingAndDeduplicated) {
   Circuit c(4);
-  c.h(0).cx(0, 1).h(2).cx(2, 3).cz(1, 2);
-  DependencyDag dag(c);
-  auto layers = dag.layers();
-  std::size_t total = 0;
-  for (const auto& layer : layers) total += layer.size();
-  EXPECT_EQ(total, c.size());
+  c.cx(0, 1);                    // 0
+  c.cx(1, 2).cx(0, 3);           // 1, 2: both follow gate 0
+  c.cz(0, 1);                    // 3: reaches 0 only through 1 and 2
+  c.barrier({0, 1, 2, 3});       // 4
+  const FlatDependencies deps = dependencies_of(c);
+  EXPECT_EQ(successors_of(deps, 0), (std::vector<int>{1, 2}));
+  EXPECT_EQ(predecessors_of(deps, 3), (std::vector<int>{1, 2}));
+  EXPECT_EQ(successors_of(deps, 1), (std::vector<int>{3, 4}));
+  EXPECT_EQ(successors_of(deps, 2), (std::vector<int>{3, 4}));
+  EXPECT_EQ(predecessors_of(deps, 4), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Dag, TopologicalOrderRespectsEdges) {
+  // Program order is a topological order: every edge points forward, and
+  // the predecessor counts cover exactly the successor lists' edges.
   Circuit c(3);
-  c.h(0).cx(0, 1).cz(1, 2).x(2);
-  DependencyDag dag(c);
-  auto order = dag.topological_order();
-  std::vector<int> position(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    position[static_cast<std::size_t>(order[i])] = static_cast<int>(i);
+  c.h(0).cx(0, 1).cz(1, 2).x(2).barrier({0, 1, 2}).cx(2, 0);
+  const FlatDependencies deps = dependencies_of(c);
+  std::size_t edges = 0;
+  for (int g = 0; g < static_cast<int>(deps.size()); ++g) {
+    for (int s : successors_of(deps, g)) EXPECT_LT(g, s);
+    edges += static_cast<std::size_t>(
+        deps.num_predecessors(static_cast<std::size_t>(g)));
   }
-  for (int g = 0; g < dag.num_gates(); ++g) {
-    for (int p : dag.predecessors(g)) {
-      EXPECT_LT(position[static_cast<std::size_t>(p)],
-                position[static_cast<std::size_t>(g)]);
-    }
-  }
+  EXPECT_EQ(edges, deps.succs.size());
+}
+
+TEST(Dag, RebuildReusesBuffersExactly) {
+  Circuit big(4);
+  big.cx(0, 1).cx(2, 3).barrier({0, 1, 2, 3}).cx(1, 2).h(0).cz(0, 3);
+  Circuit small(2);
+  small.h(0).cx(0, 1);
+  FlatDependencies deps;
+  build_dependencies(flatten(big), deps);
+  build_dependencies(flatten(small), deps);
+  const FlatDependencies fresh = dependencies_of(small);
+  EXPECT_EQ(deps.num_preds, fresh.num_preds);
+  EXPECT_EQ(deps.succ_offsets, fresh.succ_offsets);
+  EXPECT_EQ(deps.succs, fresh.succs);
 }
 
 }  // namespace

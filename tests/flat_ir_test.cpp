@@ -71,6 +71,32 @@ TEST(FlatIr, QubitsOfReportsInlineAndSpilledOperands) {
   for (int i = 0; i < 5; ++i) EXPECT_EQ(q[i], i);
 }
 
+TEST(FlatIr, FlattenIntoReusesBuffersExactly) {
+  // A wide circuit with params and a spilled barrier, then a narrower one
+  // into the same buffers: the result equals a fresh flatten, and every
+  // buffer is reserved to its exact size.
+  qfs::Rng rng(7);
+  workloads::RandomCircuitSpec spec;
+  spec.num_qubits = 10;
+  spec.num_gates = 300;
+  Circuit wide = workloads::random_circuit(spec, rng);
+  wide.barrier({0, 1, 2, 3, 4, 5});
+  Circuit narrow(5, "narrow");
+  narrow.rz(0.5, 0).barrier({4, 3, 2, 1}).u3(0.1, 0.2, 0.3, 2);
+
+  FlatCircuit reused;
+  flatten_into(wide, reused);
+  EXPECT_EQ(unflatten(reused, wide.name()), wide);
+  flatten_into(narrow, reused);
+  const FlatCircuit fresh = flatten(narrow);
+  EXPECT_EQ(reused.num_qubits, 5);
+  EXPECT_EQ(unflatten(reused, "narrow"), narrow);
+  EXPECT_EQ(reused.params, fresh.params);
+  EXPECT_EQ(reused.overflow, fresh.overflow);
+  EXPECT_EQ(fresh.params.capacity(), fresh.params.size());
+  EXPECT_EQ(fresh.overflow.capacity(), fresh.overflow.size());
+}
+
 /// The paper's full 200-circuit suite through bench::run_suite with the
 /// lookahead-heavy configuration; returns hash128 hex over the canonical
 /// CSV plus every MappingResult's cache::artifact_digest, so a match means
