@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   bench::print_cache_summary(config);
   // Every mapped circuit must verify clean before any statistic is drawn
   // from it (exit 2 with the offending diagnostics otherwise).
-  bench::verify_suite_rows(rows, dev, /*errors_only=*/false);
+  bench::verify_suite_rows(rows, dev);
 
   std::vector<double> overhead;
   std::vector<double> asp, maxdeg, mindeg, adjstd, closeness;

@@ -1,12 +1,13 @@
 // Scenario: interaction-graph profiling and algorithm clustering (the
-// paper's Sec. IV workflow). Takes OpenQASM text on stdin if provided,
-// otherwise profiles a built-in mix of algorithms.
+// paper's Sec. IV workflow). With the argument `-` it profiles the
+// OpenQASM text on stdin; otherwise it profiles a built-in mix of
+// algorithms and never reads stdin.
 //
-//   $ ./profile_and_cluster            # built-in demo suite
-//   $ ./profile_and_cluster < my.qasm  # profile your own circuit
+//   $ ./profile_and_cluster              # built-in demo suite
+//   $ ./profile_and_cluster - < my.qasm  # profile your own circuit
 #include <iostream>
 #include <sstream>
-#include <unistd.h>
+#include <string_view>
 
 #include "profile/circuit_profile.h"
 #include "profile/clustering.h"
@@ -39,9 +40,9 @@ void print_profile(const profile::CircuitProfile& p) {
 
 }  // namespace
 
-int main() {
-  // Piped QASM: profile that single circuit.
-  if (!isatty(STDIN_FILENO)) {
+int main(int argc, char** argv) {
+  // QASM on stdin, asked for with `-`: profile that single circuit.
+  if (argc > 1 && std::string_view(argv[1]) == "-") {
     std::stringstream buffer;
     buffer << std::cin.rdbuf();
     std::string text = buffer.str();

@@ -20,12 +20,8 @@ std::shared_ptr<const TopologyTables> build_tables(const graph::Graph& g) {
       std::none_of(tables->dist.begin(), tables->dist.end(),
                    [](int d) { return d == graph::kUnreachable; });
   // Lexicographic edge list (the order graph::Graph::edges() reports and
-  // canonical_device_text fingerprints), plus the SoA mirror.
-  for (const auto& e : g.edges()) {
-    tables->edges.emplace_back(e.u, e.v);
-    tables->edge_a.push_back(e.u);
-    tables->edge_b.push_back(e.v);
-  }
+  // canonical_device_text fingerprints).
+  for (const auto& e : g.edges()) tables->edges.emplace_back(e.u, e.v);
   // CSR neighbour arrays (ascending per qubit: Graph stores neighbours in
   // an ordered map).
   tables->nbr_offsets.reserve(static_cast<std::size_t>(n) + 1);

@@ -25,10 +25,9 @@ namespace qfs::device {
 /// Layout is optimized for the router/placer inner loops:
 ///  - `dist` is a single flat row-major n*n buffer (one indirection and one
 ///    multiply per lookup; rows are contiguous for the scan patterns),
-///  - `edges`/`edge_a`/`edge_b` cache the lexicographic edge list, in the
-///    exact order graph::Graph::edges() reports (the candidate-swap
-///    iteration order and the cache fingerprint's canonical_device_text
-///    both depend on it),
+///  - `edges` caches the lexicographic edge list, in the exact order
+///    graph::Graph::edges() reports (the candidate-swap iteration order and
+///    the cache fingerprint's canonical_device_text both depend on it),
 ///  - `nbr_offsets`/`nbr` are the CSR neighbour arrays (nbr_offsets has
 ///    n+1 entries; neighbours of q are nbr[nbr_offsets[q]..nbr_offsets[q+1])
 ///    in ascending order), and `nbr_edge` gives each CSR slot's index in
@@ -40,9 +39,6 @@ struct TopologyTables {
   std::vector<int> dist;
   /// Coupling edges as (a, b), a < b, lexicographic.
   std::vector<std::pair<int, int>> edges;
-  /// Structure-of-arrays mirror of `edges` for the router candidate loop.
-  std::vector<int> edge_a;
-  std::vector<int> edge_b;
   /// CSR neighbour lists (ascending within each qubit's range).
   std::vector<int> nbr_offsets;
   std::vector<int> nbr;

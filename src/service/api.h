@@ -110,12 +110,16 @@ struct CompileRequest {
   /// Mapping pipeline configuration (placer, router, SABRE rounds, latency).
   mapper::MappingOptions options;
 
-  /// "resilient" (fallback ladder, qfsc's default) or "direct" (single
-  /// map_circuit attempt, the suite benches' path).
+  /// "resilient" (fallback ladder of up to `max_attempts` rungs, qfsc's
+  /// default) or "direct" (rung 0 alone, the suite benches' path: strict
+  /// placer/router names, one map_circuit attempt from Rng(seed), proved by
+  /// the translation validator like every rung). Both key the cache per
+  /// attempt, so a direct request and a resilient rung 0 with the same
+  /// options and seed share one entry.
   std::string pipeline = "resilient";
 
   std::uint64_t seed = 2022;
-  int max_attempts = 4;  ///< resilient-ladder length
+  int max_attempts = 4;  ///< resilient-ladder length (direct runs one)
 
   /// Replace placer/router with the profile-based recommendation.
   bool recommend = false;
@@ -199,8 +203,8 @@ struct CompileResponse {
   std::string recommend_note;
   std::string attempt_log;
 
-  /// True when the mapping was served from the shared cache (memo hits in
-  /// the resilient pipeline count too).
+  /// True when the returned mapping was read from the shared cache. A hit
+  /// the validator rejects is recompiled fresh and does not count.
   bool cache_hit = false;
 
   TimingBreakdown timing;

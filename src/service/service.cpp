@@ -9,7 +9,6 @@
 #include "analysis/checkers.h"
 #include "analysis/equiv.h"
 #include "backends/registry.h"
-#include "cache/artifact.h"
 #include "cache/fingerprint.h"
 #include "cache/memo.h"
 #include "compiler/schedule.h"
@@ -24,7 +23,6 @@
 #include "qasm/parser.h"
 #include "qasm/writer.h"
 #include "support/hash.h"
-#include "support/rng.h"
 #include "support/strings.h"
 #include "support/timer.h"
 
@@ -42,6 +40,16 @@ CompileResponse fail(CompileResponse response, ErrorCode code,
   response.code = code;
   response.error_message = std::move(message);
   return response;
+}
+
+/// The direct pipeline's strict-name rejection: "unknown placer 'x'", plus
+/// a did-you-mean when a known name is close.
+std::string unknown_strategy(const std::string& what, const std::string& name,
+                             const std::vector<std::string>& known) {
+  std::string message = "unknown " + what + " '" + name + "'";
+  std::string suggestion = closest_match(name, known);
+  if (!suggestion.empty()) message += " (did you mean '" + suggestion + "'?)";
+  return message;
 }
 
 /// Resolve the request's circuit source text. In-process circuit pointers
@@ -270,25 +278,16 @@ CompileResponse execute_impl(const ServiceConfig& config,
   // configuration that works, which is the long-standing qfsc behaviour.
   // Only the direct pipeline, which runs exactly one attempt, rejects them
   // up front.
-  if (request.pipeline == "direct") {
-    if (!mapper::is_known_placer(options.placer)) {
-      std::string message = "unknown placer '" + options.placer + "'";
-      std::string suggestion =
-          closest_match(options.placer, mapper::known_placer_names());
-      if (!suggestion.empty()) {
-        message += " (did you mean '" + suggestion + "'?)";
-      }
-      return fail(std::move(response), ErrorCode::kInvalidRequest, message);
-    }
-    if (!mapper::is_known_router(options.router)) {
-      std::string message = "unknown router '" + options.router + "'";
-      std::string suggestion =
-          closest_match(options.router, mapper::known_router_names());
-      if (!suggestion.empty()) {
-        message += " (did you mean '" + suggestion + "'?)";
-      }
-      return fail(std::move(response), ErrorCode::kInvalidRequest, message);
-    }
+  const bool direct = request.pipeline == "direct";
+  if (direct && !mapper::is_known_placer(options.placer)) {
+    return fail(std::move(response), ErrorCode::kInvalidRequest,
+                unknown_strategy("placer", options.placer,
+                                 mapper::known_placer_names()));
+  }
+  if (direct && !mapper::is_known_router(options.router)) {
+    return fail(std::move(response), ErrorCode::kInvalidRequest,
+                unknown_strategy("router", options.router,
+                                 mapper::known_router_names()));
   }
   if (!options.initial_layout.empty() &&
       static_cast<int>(options.initial_layout.size()) !=
@@ -307,90 +306,76 @@ CompileResponse execute_impl(const ServiceConfig& config,
   cache::CompileCache* cache =
       request.cache_policy == CachePolicy::kBypass ? nullptr : config.cache;
 
-  // --- Pipelines --------------------------------------------------------
-  if (request.pipeline == "direct") {
-    // The suite benches' exact semantics: one map_circuit attempt from a
-    // fresh Rng(seed) stream, with an optional whole-result cache keyed by
-    // the canonical compile fingerprint. Byte-identical to bench::run_suite.
-    if (circuit->num_qubits() > dev.num_qubits()) {
-      return fail(std::move(response), ErrorCode::kCompileFailed,
-                  "circuit needs " + std::to_string(circuit->num_qubits()) +
-                      " qubits but " + dev.name() + " has only " +
-                      std::to_string(dev.num_qubits()) + " healthy");
-    }
-    cache::Fingerprint key;
-    if (cache != nullptr) {
-      key = cache::compile_fingerprint(qasm::to_qasm(*circuit), dev, options,
-                                       request.seed);
-      if (auto hit = cache::load_mapping(*cache, key)) {
-        response.mapping = std::move(*hit);
-        response.cache_hit = true;
-      }
-    }
-    if (!response.cache_hit) {
-      qfs::Rng rng(request.seed);
-      response.mapping = mapper::map_circuit(*circuit, dev, options, rng);
-      if (cache != nullptr) {
-        cache::store_mapping(*cache, key, response.mapping);
-      }
-    }
-    response.has_mapping = true;
-    response.placer_used = options.placer;
-    response.router_used = options.router;
-    response.seed_used = request.seed;
-  } else if (request.pipeline == "resilient") {
-    mapper::ResilientOptions resilient;
-    resilient.base = options;
-    resilient.max_attempts = request.max_attempts;
-    resilient.seed = request.seed;
-    // Per-request hit accounting: wrap the memo lookup rather than diffing
-    // the cache's global counters, which other in-flight requests mutate
-    // concurrently.
-    mapper::AttemptMemo memo;
-    bool memo_hit = false;
-    if (cache != nullptr) {
-      cache::Fingerprint base = cache::compile_fingerprint(
-          qasm::to_qasm(*circuit), dev, options, request.seed);
+  // --- Compile ----------------------------------------------------------
+  // One path for both pipelines. "direct" is rung 0 of the resilient ladder
+  // on its own: the same map_circuit from a fresh Rng(seed), proved by the
+  // ladder's validate_attempt like every other rung, cached under the same
+  // per-attempt key.
+  if (!direct && request.pipeline != "resilient") {
+    return fail(std::move(response), ErrorCode::kInvalidRequest,
+                "unknown pipeline '" + request.pipeline +
+                    "' (resilient | direct)");
+  }
+  mapper::ResilientOptions resilient;
+  resilient.base = options;
+  resilient.max_attempts = direct ? 1 : request.max_attempts;
+  resilient.seed = request.seed;
+  // Per-request hit accounting: wrap the memo hooks rather than diffing
+  // the cache's global counters, which other in-flight requests mutate
+  // concurrently. Only a fresh compile is stored, so cache_hit is true
+  // exactly when the returned mapping was read, and a store that follows a
+  // hit means the ladder rejected that hit: a corrupt payload.
+  mapper::AttemptMemo memo;
+  bool memo_hit = false;
+  if (cache != nullptr) {
+    cache::Fingerprint base = cache::compile_fingerprint(
+        qasm::to_qasm(*circuit), dev, options, request.seed);
+    mapper::AttemptMemo inner;
+    if (direct) {
+      // The ladder's validate_attempt already proves every hit; checking
+      // it in the lookup too would run the validator twice per hit.
+      inner = cache::make_attempt_memo(*cache, base);
+    } else {
       // Hits are revalidated against the source circuit: a semantically
       // corrupted artifact counts as a corrupt payload + miss and the rung
       // recompiles fresh.
       cache::MemoValidation validation;
       validation.source = circuit;
       validation.device = &dev;
-      mapper::AttemptMemo inner =
-          cache::make_attempt_memo(*cache, base, validation);
-      memo.lookup = [&memo_hit, lookup = std::move(inner.lookup)](
-                        const std::string& key, mapper::MappingResult* out) {
-        bool hit = lookup(key, out);
-        memo_hit = memo_hit || hit;
-        return hit;
-      };
-      memo.store = std::move(inner.store);
-      resilient.memo = &memo;
+      inner = cache::make_attempt_memo(*cache, base, validation);
     }
-    mapper::CompileAttemptLog attempt_log;
-    auto compiled =
-        mapper::compile_resilient(*circuit, dev, resilient, &attempt_log);
-    if (!compiled.is_ok()) {
-      response.attempt_log = mapper::attempt_log_to_string(attempt_log);
-      return fail(std::move(response), ErrorCode::kCompileFailed,
-                  compiled.status().to_string());
-    }
-    if (attempt_log.size() > 1) {
-      response.attempt_log = mapper::attempt_log_to_string(attempt_log);
-    }
-    mapper::ResilientResult result = std::move(compiled).value();
-    response.mapping = std::move(result.mapping);
-    response.has_mapping = true;
-    response.placer_used = result.options_used.placer;
-    response.router_used = result.options_used.router;
-    response.seed_used = result.seed_used;
-    response.cache_hit = memo_hit;
-  } else {
-    return fail(std::move(response), ErrorCode::kInvalidRequest,
-                "unknown pipeline '" + request.pipeline +
-                    "' (resilient | direct)");
+    memo.lookup = [&memo_hit, lookup = std::move(inner.lookup)](
+                      const std::string& key, mapper::MappingResult* out) {
+      memo_hit = lookup(key, out);
+      return memo_hit;
+    };
+    memo.store = [&memo_hit, cache, store = std::move(inner.store)](
+                     const std::string& key,
+                     const mapper::MappingResult& result) {
+      if (memo_hit) cache->count_corrupt_payload();
+      memo_hit = false;
+      store(key, result);
+    };
+    resilient.memo = &memo;
   }
+  mapper::CompileAttemptLog attempt_log;
+  auto compiled =
+      mapper::compile_resilient(*circuit, dev, resilient, &attempt_log);
+  if (!compiled.is_ok()) {
+    response.attempt_log = mapper::attempt_log_to_string(attempt_log);
+    return fail(std::move(response), ErrorCode::kCompileFailed,
+                compiled.status().to_string());
+  }
+  if (attempt_log.size() > 1) {
+    response.attempt_log = mapper::attempt_log_to_string(attempt_log);
+  }
+  mapper::ResilientResult result = std::move(compiled).value();
+  response.mapping = std::move(result.mapping);
+  response.has_mapping = true;
+  response.placer_used = result.options_used.placer;
+  response.router_used = result.options_used.router;
+  response.seed_used = result.seed_used;
+  response.cache_hit = memo_hit;
 
   response.timing.compile_ms = ms_since(compile_start);
 

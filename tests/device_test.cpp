@@ -322,11 +322,16 @@ TEST(Topology, CsrNeighborsMatchCouplingGraph) {
     EXPECT_EQ(actual, expected);
     EXPECT_TRUE(std::is_sorted(actual.begin(), actual.end()));
   }
-  // The SoA edge mirror matches the pair list the fingerprint hashes.
-  ASSERT_EQ(tables->edge_a.size(), tables->edges.size());
-  for (std::size_t i = 0; i < tables->edges.size(); ++i) {
-    EXPECT_EQ(tables->edge_a[i], tables->edges[i].first);
-    EXPECT_EQ(tables->edge_b[i], tables->edges[i].second);
+  // Each CSR slot names its coupler's index in the lexicographic list.
+  ASSERT_EQ(tables->nbr_edge.size(), tables->nbr.size());
+  for (int q = 0; q < t.num_qubits(); ++q) {
+    for (int k = tables->nbr_offsets[static_cast<std::size_t>(q)];
+         k < tables->nbr_offsets[static_cast<std::size_t>(q) + 1]; ++k) {
+      int v = tables->nbr[static_cast<std::size_t>(k)];
+      EXPECT_EQ(tables->edges[static_cast<std::size_t>(
+                    tables->nbr_edge[static_cast<std::size_t>(k)])],
+                std::make_pair(std::min(q, v), std::max(q, v)));
+    }
   }
 }
 

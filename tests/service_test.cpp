@@ -10,7 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "cache/artifact.h"
 #include "cache/cache.h"
+#include "cache/fingerprint.h"
+#include "cache/memo.h"
 #include "device/device.h"
 #include "qasm/parser.h"
 #include "qasm/writer.h"
@@ -432,6 +435,112 @@ TEST(Service, ResilientPipelineMemoHitsOnRepeat) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.mapped_digest, cold.mapped_digest);
+}
+
+// The key a direct request's rung 0 reads: the attempt key of the
+// request's options and seed, folded into its compile fingerprint.
+cache::Fingerprint rung0_key(const CompileRequest& req) {
+  auto parsed = qasm::parse(req.qasm);
+  EXPECT_TRUE(parsed.is_ok());
+  cache::Fingerprint base = cache::compile_fingerprint(
+      qasm::to_qasm(parsed.value()), device::surface17_device(), req.options,
+      req.seed);
+  return cache::attempt_fingerprint(
+      base, req.options.placer + "|" + req.options.router + "|" +
+                std::to_string(req.seed));
+}
+
+TEST(Service, DirectHitOfAnotherCircuitIsRecompiled) {
+  // A well-formed artifact of a different circuit, planted under the key a
+  // direct request reads: the ladder's validator must reject it, so the
+  // request returns what a cache-free compile returns.
+  cache::CompileCache cache{cache::CacheConfig{}};
+  ServiceConfig config;
+  config.cache = &cache;
+  CompileService service(config);
+
+  CompileRequest req = bell_request();
+  req.pipeline = "direct";
+  CompileRequest other = req;
+  other.qasm = "qreg q[3];\nx q[0];\ncx q[2],q[1];\n";
+  other.cache_policy = CachePolicy::kBypass;
+  CompileResponse planted = service.execute(other);
+  ASSERT_TRUE(planted.ok()) << planted.error_message;
+  cache::store_mapping(cache, rung0_key(req), planted.mapping);
+
+  CompileRequest bypass = req;
+  bypass.cache_policy = CachePolicy::kBypass;
+  CompileResponse fresh = service.execute(bypass);
+  ASSERT_TRUE(fresh.ok()) << fresh.error_message;
+  ASSERT_NE(fresh.mapped_digest, planted.mapped_digest);
+
+  CompileResponse resp = service.execute(req);
+  ASSERT_TRUE(resp.ok()) << resp.error_message;
+  EXPECT_EQ(resp.mapped_digest, fresh.mapped_digest);
+  EXPECT_FALSE(resp.cache_hit);
+  EXPECT_EQ(cache.stats().corrupt_entries, 1u);
+
+  // The fresh compile replaced the planted entry: the repeat is a real hit.
+  CompileResponse again = service.execute(req);
+  ASSERT_TRUE(again.ok()) << again.error_message;
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.mapped_digest, fresh.mapped_digest);
+}
+
+TEST(Service, DirectAndResilientRungZeroShareOneEntry) {
+  cache::CompileCache cache{cache::CacheConfig{}};
+  ServiceConfig config;
+  config.cache = &cache;
+  CompileService service(config);
+
+  CompileRequest req = bell_request();
+  req.pipeline = "direct";
+  CompileResponse direct = service.execute(req);
+  ASSERT_TRUE(direct.ok()) << direct.error_message;
+  EXPECT_FALSE(direct.cache_hit);
+
+  req.pipeline = "resilient";
+  CompileResponse resilient = service.execute(req);
+  ASSERT_TRUE(resilient.ok()) << resilient.error_message;
+  EXPECT_TRUE(resilient.cache_hit);
+  EXPECT_EQ(resilient.mapped_digest, direct.mapped_digest);
+  EXPECT_TRUE(resilient.attempt_log.empty());  // served by rung 0
+  EXPECT_EQ(cache.stats().stores, 1u);
+}
+
+TEST(Service, DirectTooWideCircuitFailsCompilation) {
+  CompileService service;
+  CompileRequest req;
+  req.pipeline = "direct";
+  req.qasm = "qreg q[40];\nh q[39];\n";  // surface-17 has 17 qubits
+  CompileResponse resp = service.execute(req);
+  EXPECT_EQ(resp.code, ErrorCode::kCompileFailed);
+  EXPECT_EQ(resp.error_message,
+            "resource_exhausted: circuit needs 40 qubits but surface-17 has "
+            "only 17 healthy");
+  EXPECT_FALSE(resp.has_mapping);
+}
+
+TEST(Service, DirectMapperAbortFailsCompilation) {
+  // A contract violation inside the mapper (here a non-injective layout)
+  // fails the one rung; it is a compile failure, not an internal error.
+  CompileService service;
+  CompileRequest req = bell_request();
+  req.pipeline = "direct";
+  req.options.initial_layout = {0, 0, 1};
+  CompileResponse resp = service.execute(req);
+  EXPECT_EQ(resp.code, ErrorCode::kCompileFailed);
+  EXPECT_TRUE(starts_with(resp.error_message,
+                          "resource_exhausted: compilation failed after 1 "
+                          "attempt(s); last error: failed_precondition: "
+                          "mapper aborted: assertion failed: "))
+      << resp.error_message;
+  EXPECT_TRUE(ends_with(resp.error_message, "placement is not injective"))
+      << resp.error_message;
+  EXPECT_NE(resp.attempt_log.find("attempt 0 [placer=trivial"),
+            std::string::npos)
+      << resp.attempt_log;
+  EXPECT_FALSE(resp.has_mapping);
 }
 
 TEST(Service, BorrowedCircuitAndDeviceMatchWireRequest) {
