@@ -1,14 +1,16 @@
-// Compile hot-path harness: times each pipeline phase (decompose, place,
-// route, schedule, full pipeline, validate, QASM emit, cache store/hit) per
-// circuit class, each class on its own device (surface-97 unless the row
-// says otherwise), and appends machine-readable rows to BENCH_compile.json,
-// the perf trajectory the hot-path work is pinned against (DESIGN.md §13).
+// Compile hot-path harness: times each pipeline phase (parse, decompose,
+// place, route, schedule, full pipeline, validate, QASM emit, cache
+// store/hit) per circuit class, each class on its own device (surface-97
+// unless the row says otherwise), and appends machine-readable rows to
+// BENCH_compile.json, the perf trajectory the hot-path work is pinned
+// against (DESIGN.md §13).
 //
 // Rows are append-only: each invocation adds one row per (class, phase)
 // under --label, and every new row that has a predecessor with the same
 // (class, phase) but a *different* label records a speedup_vs delta against
 // it — the before/after evidence for an optimization lands in the file
-// itself. Each row also carries a digest: cache::artifact_digest of the
+// itself. Each row also carries a digest: the re-emitted QASM text of the
+// parsed circuit (parse phase), cache::artifact_digest of the
 // MappingResult (pipeline phase) or of what cache::load_mapping returns
 // for it (cache_store and cache_hit phases, so equal digests show an exact
 // round trip), the routed circuit (routing phases), start cycles and
@@ -54,6 +56,7 @@
 #include "mapper/pipeline.h"
 #include "mapper/placement.h"
 #include "mapper/routing.h"
+#include "qasm/parser.h"
 #include "qasm/writer.h"
 #include "report/table.h"
 #include "stats/descriptive.h"
@@ -243,10 +246,25 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   // digest passed alongside the timing call would be computed in an
   // unspecified order relative to it, possibly over the previous output.
 
+  // Phase: parse the class's OpenQASM text, the first layer of every
+  // service request.
+  double ms = 0.0;
+  if (timed("parse")) {
+    const std::string source = qasm::to_qasm(cls.circuit);
+    circuit::Circuit parsed;
+    ms = median_ms(repeat, [&] {
+      auto result = qasm::parse(source);
+      QFS_ASSERT_MSG(result.is_ok(), result.status().to_string());
+      parsed = std::move(result).value();
+    });
+    add("parse", ms, static_cast<int>(parsed.size()),
+        digest_of(qasm::to_qasm(parsed)));
+  }
+
   // Phase: decompose to the device's primitive set. Everything downstream
   // times the decomposed circuit, as the pipeline does.
   circuit::Circuit decomposed;
-  double ms = median_ms(repeat, [&] {
+  ms = median_ms(repeat, [&] {
     decomposed = compiler::decompose_to_gateset(cls.circuit, device.gateset());
   });
   add("decompose", ms, static_cast<int>(cls.circuit.size()));

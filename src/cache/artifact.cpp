@@ -47,7 +47,8 @@ class Encoder {
     for (; n >= 0x80; n >>= 7) u8(static_cast<std::uint8_t>(n | 0x80));
     u8(static_cast<std::uint8_t>(n));
   }
-  void ints(const std::vector<int>& values) {
+  template <typename Ints>
+  void ints(const Ints& values) {
     count(values.size());
     for (int v : values) i32(v);
   }
@@ -175,16 +176,20 @@ qfs::Status decode_gate(Decoder& in, circuit::Circuit& c) {
       in.remaining() - 4 * num_operands < 8 * num_params) {
     return bad("truncated gate list");
   }
-  gate.qubits.resize(num_operands);
-  for (int& q : gate.qubits) {
+  for (std::size_t k = 0; k < num_operands; ++k) {
+    int q = 0;
     in.i32(q);
     if (q < 0 || q >= c.num_qubits()) return bad("qubit operand out of range");
+    gate.qubits.push_back(q);
   }
   if (!circuit::operands_distinct(gate.qubits)) {
     return bad("repeated qubit operand");
   }
-  gate.params.resize(num_params);
-  for (double& p : gate.params) in.f64(p);
+  for (std::size_t k = 0; k < num_params; ++k) {
+    double p = 0.0;
+    in.f64(p);
+    gate.params.push_back(p);
+  }
   c.add(std::move(gate));
   return qfs::Status::ok();
 }
@@ -201,7 +206,8 @@ class DigestFeed {
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void ints(const std::vector<int>& values) {
+  template <typename Ints>
+  void ints(const Ints& values) {
     u64(values.size());
     for (int v : values) i64(v);
   }

@@ -19,8 +19,7 @@ void Circuit::add(Gate g) {
   gates_.push_back(make_gate(g.kind, std::move(g.qubits), std::move(g.params)));
 }
 
-void Circuit::add(GateKind kind, std::vector<int> qubits,
-                  std::vector<double> params) {
+void Circuit::add(GateKind kind, Qubits qubits, Params params) {
   add(Gate{kind, std::move(qubits), std::move(params)});
 }
 

@@ -30,8 +30,7 @@ class Circuit {
 
   /// Append a gate; validates kind/operand contract and qubit range.
   void add(Gate g);
-  void add(GateKind kind, std::vector<int> qubits,
-           std::vector<double> params = {});
+  void add(GateKind kind, Qubits qubits, Params params = {});
 
   // Fluent single-gate builders (return *this for chaining).
   Circuit& i(int q) { return chain(GateKind::kI, {q}); }
@@ -64,7 +63,7 @@ class Circuit {
   Circuit& cswap(int c, int a, int b) { return chain(GateKind::kCswap, {c, a, b}); }
   Circuit& measure(int q) { return chain(GateKind::kMeasure, {q}); }
   Circuit& reset(int q) { return chain(GateKind::kReset, {q}); }
-  Circuit& barrier(std::vector<int> qubits) {
+  Circuit& barrier(Qubits qubits) {
     return chain(GateKind::kBarrier, std::move(qubits));
   }
 
@@ -119,8 +118,7 @@ class Circuit {
   std::string to_string() const;
 
  private:
-  Circuit& chain(GateKind kind, std::vector<int> qubits,
-                 std::vector<double> params = {}) {
+  Circuit& chain(GateKind kind, Qubits qubits, Params params = {}) {
     add(kind, std::move(qubits), std::move(params));
     return *this;
   }

@@ -107,7 +107,7 @@ bool is_two_qubit(GateKind kind) {
   return is_unitary(kind) && gate_arity(kind) == 2;
 }
 
-bool operands_distinct(const std::vector<int>& qubits) {
+bool operands_distinct(const Qubits& qubits) {
   const std::size_t n = qubits.size();
   if (n <= 3) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -117,13 +117,12 @@ bool operands_distinct(const std::vector<int>& qubits) {
     }
     return true;
   }
-  std::vector<int> sorted(qubits);
+  std::vector<int> sorted(qubits.begin(), qubits.end());
   std::sort(sorted.begin(), sorted.end());
   return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 }
 
-Gate make_gate(GateKind kind, std::vector<int> qubits,
-               std::vector<double> params) {
+Gate make_gate(GateKind kind, Qubits qubits, Params params) {
   const int arity = gate_arity(kind);
   if (arity != 0) {
     QFS_ASSERT_MSG(static_cast<int>(qubits.size()) == arity,

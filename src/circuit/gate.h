@@ -5,16 +5,28 @@
 // of the modelled devices (CZ + rotations for surface-code superconducting
 // chips; CX + SX/RZ for IBM-style chips), and non-unitary operations
 // (measure, reset) plus scheduling barriers.
+//
+// A Gate is a fixed-size value (at most 56 bytes): a one-byte kind, up to
+// three operands stored inline as int32 and up to three parameters stored
+// inline as exact doubles. Only a barrier wider than three operands puts
+// its operands on the heap. Every pass, the router and the scheduler
+// included, reads and builds this one representation.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/assert.h"
 
 namespace qfs::circuit {
 
-enum class GateKind {
+enum class GateKind : std::uint8_t {
   // single-qubit, parameter-free
   kI,
   kX,
@@ -69,23 +81,128 @@ bool is_unitary(GateKind kind);
 /// True for two-qubit unitary gates (what an interaction graph records).
 bool is_two_qubit(GateKind kind);
 
+/// A sequence of trivially copyable T that keeps up to N elements inline
+/// and moves them to the heap only beyond that. It offers the subset of
+/// std::vector the IR's call sites use. Spilled storage holds
+/// std::bit_ceil(size()) elements, so push_back grows it by doubling.
+template <typename T, std::uint32_t N>
+class InlineVec {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(N * sizeof(T) >= sizeof(T*),
+                "the inline slots must be able to hold the heap pointer");
+
+ public:
+  InlineVec() = default;
+  InlineVec(std::initializer_list<T> init) {
+    assign(init.begin(), init.size());
+  }
+  // Implicit, so call sites may keep passing a std::vector.
+  InlineVec(const std::vector<T>& v) { assign(v.data(), v.size()); }
+  InlineVec(const InlineVec& other) { assign(other.data(), other.size_); }
+  InlineVec(InlineVec&& other) noexcept : size_(other.size_) {
+    std::memcpy(slots_, other.slots_, sizeof slots_);
+    other.size_ = 0;
+  }
+  InlineVec& operator=(const InlineVec& other) {
+    if (this != &other) {
+      release();
+      assign(other.data(), other.size_);
+    }
+    return *this;
+  }
+  InlineVec& operator=(InlineVec&& other) noexcept {
+    if (this != &other) {
+      release();
+      size_ = other.size_;
+      std::memcpy(slots_, other.slots_, sizeof slots_);
+      other.size_ = 0;
+    }
+    return *this;
+  }
+  ~InlineVec() { release(); }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T* data() { return spilled() ? heap() : slots_; }
+  const T* data() const { return spilled() ? heap() : slots_; }
+  T* begin() { return data(); }
+  T* end() { return data() + size_; }
+  const T* begin() const { return data(); }
+  const T* end() const { return data() + size_; }
+  T& operator[](std::size_t i) { return data()[i]; }
+  const T& operator[](std::size_t i) const { return data()[i]; }
+  T& front() { return data()[0]; }
+  const T& front() const { return data()[0]; }
+  T& back() { return data()[size_ - 1]; }
+  const T& back() const { return data()[size_ - 1]; }
+
+  void push_back(T value) {
+    T* dst = data();
+    if (size_ >= N && (size_ == N || std::has_single_bit(size_))) {
+      T* grown = new T[std::bit_ceil(size_ + 1)];
+      std::memcpy(grown, dst, size_ * sizeof(T));
+      release();
+      set_heap(grown);
+      dst = grown;
+    }
+    dst[size_++] = value;
+  }
+
+  friend bool operator==(const InlineVec& a, const InlineVec& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  bool spilled() const { return size_ > N; }
+  T* heap() const {
+    T* p;
+    std::memcpy(&p, slots_, sizeof p);
+    return p;
+  }
+  void set_heap(T* p) { std::memcpy(slots_, &p, sizeof p); }
+  void release() {
+    if (spilled()) delete[] heap();
+  }
+  /// Fill an empty (or released) vector with `n` elements from `src`.
+  void assign(const T* src, std::size_t n) {
+    QFS_ASSERT_MSG(n <= UINT32_MAX, "too many elements for an InlineVec");
+    size_ = static_cast<std::uint32_t>(n);
+    T* dst = slots_;
+    if (spilled()) {
+      dst = new T[std::bit_ceil(size_)];
+      set_heap(dst);
+    }
+    if (n != 0) std::memcpy(dst, src, n * sizeof(T));
+  }
+
+  std::uint32_t size_ = 0;
+  /// The elements while size_ <= N, else the bytes of the heap pointer.
+  T slots_[N] = {};
+};
+
+/// Qubit operands: three inline, wider barriers on the heap.
+using Qubits = InlineVec<std::int32_t, 3>;
+/// Angle parameters, exact doubles: every kind carries at most three.
+using Params = InlineVec<double, 3>;
+
 /// One instruction: a kind, its qubit operands, and its angle parameters.
 struct Gate {
   GateKind kind = GateKind::kI;
-  std::vector<int> qubits;
-  std::vector<double> params;
+  Qubits qubits;
+  Params params;
 
   bool operator==(const Gate& other) const = default;
 };
 
+static_assert(sizeof(Gate) <= 56, "a Gate must stay a small fixed-size value");
+
 /// True when no qubit appears twice. Allocates only for more than three
 /// operands (wide barriers).
-bool operands_distinct(const std::vector<int>& qubits);
+bool operands_distinct(const Qubits& qubits);
 
 /// Validated constructor: checks arity, parameter count, and operand
 /// distinctness.
-Gate make_gate(GateKind kind, std::vector<int> qubits,
-               std::vector<double> params = {});
+Gate make_gate(GateKind kind, Qubits qubits, Params params = {});
 
 /// The exact inverse of a unitary gate (e.g. s -> sdg, rx(t) -> rx(-t)).
 /// Calling this on a non-unitary gate is a contract violation.

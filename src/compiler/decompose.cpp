@@ -1,5 +1,6 @@
 #include "compiler/decompose.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "circuit/matrix.h"
@@ -166,6 +167,7 @@ class Lowerer {
 Circuit decompose_to_gateset(const Circuit& input,
                              const device::GateSet& target) {
   Circuit out(input.num_qubits(), input.name());
+  out.reserve(input.size());
   Lowerer lowerer(out, target);
   for (const Gate& g : input.gates()) {
     if (!circuit::is_unitary(g.kind)) {
@@ -179,6 +181,10 @@ Circuit decompose_to_gateset(const Circuit& input,
 
 Circuit expand_swaps(const Circuit& input) {
   Circuit out(input.num_qubits(), input.name());
+  const auto swaps = std::count_if(
+      input.gates().begin(), input.gates().end(),
+      [](const Gate& g) { return g.kind == GateKind::kSwap; });
+  out.reserve(input.size() + 2 * static_cast<std::size_t>(swaps));
   for (const Gate& g : input.gates()) {
     if (g.kind == GateKind::kSwap) {
       out.cx(g.qubits[0], g.qubits[1]);

@@ -13,7 +13,7 @@ namespace {
 
 bool same_operands(const Gate& a, const Gate& b) { return a.qubits == b.qubits; }
 
-bool params_close(const std::vector<double>& a, const std::vector<double>& b) {
+bool params_close(const circuit::Params& a, const circuit::Params& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (std::abs(a[i] - b[i]) > 1e-12) return false;

@@ -6,8 +6,6 @@
 #include <limits>
 #include <map>
 
-#include "circuit/flat.h"
-
 namespace qfs::compiler {
 
 using circuit::Circuit;
@@ -140,17 +138,15 @@ Schedule asap_schedule(const Circuit& circuit, const device::Device& device,
       options.respect_control_groups && device.has_control_groups();
   const int num_qubits = circuit.num_qubits();
 
-  // Flat scan: the inner loop reads contiguous Instr operand slots and
-  // per-kind tables (duration, two-qubit flag) instead of walking each
-  // Gate's qubit vector and re-deriving its duration from the error model.
-  // A kind whose duration does not fit is rejected only if it occurs.
-  const circuit::FlatCircuit flat = circuit::flatten(circuit);
-  int duration_by_op[circuit::kNumOps];
-  bool two_qubit_op[circuit::kNumOps];
-  for (int k = 0; k < circuit::kNumOps; ++k) {
+  // The inner loop reads per-kind tables (duration, two-qubit flag) instead
+  // of re-deriving each gate's duration from the error model. A kind whose
+  // duration does not fit is rejected only if it occurs.
+  int duration_by_kind[circuit::kNumGateKinds];
+  bool two_qubit_kind[circuit::kNumGateKinds];
+  for (int k = 0; k < circuit::kNumGateKinds; ++k) {
     const GateKind kind = static_cast<GateKind>(k);
-    two_qubit_op[k] = circuit::is_two_qubit(kind);
-    duration_by_op[k] =
+    two_qubit_kind[k] = circuit::is_two_qubit(kind);
+    duration_by_kind[k] =
         kind == GateKind::kBarrier
             ? 0
             : cycles_for_ns(device.error_model().gate_duration_ns(kind),
@@ -175,14 +171,14 @@ Schedule asap_schedule(const Circuit& circuit, const device::Device& device,
   CrosstalkIndex crosstalk(avoid_crosstalk ? num_qubits : 0);
 
   std::vector<int> qubit_free(static_cast<std::size_t>(num_qubits), 0);
-  schedule.gates.reserve(flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    const circuit::Instr& ins = flat.instrs[i];
-    const int op = static_cast<int>(ins.op);
-    const auto tag = static_cast<std::uint8_t>(op + 1);
-    int operand_count = 0;
-    const std::int32_t* operands = flat.qubits_of(i, &operand_count);
-    const int duration = duration_by_op[op];
+  const std::vector<Gate>& gates = circuit.gates();
+  schedule.gates.reserve(gates.size());
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const int kind = static_cast<int>(gates[i].kind);
+    const auto tag = static_cast<std::uint8_t>(kind + 1);
+    const int operand_count = static_cast<int>(gates[i].qubits.size());
+    const std::int32_t* operands = gates[i].qubits.data();
+    const int duration = duration_by_kind[kind];
     QFS_ASSERT_MSG(duration >= 0, kDurationTooLong);
     int start = 0;
     for (int s = 0; s < operand_count; ++s) {
@@ -209,7 +205,7 @@ Schedule asap_schedule(const Circuit& circuit, const device::Device& device,
                             occupancy.last_conflict(start, duration, tag) + 1);
           }
         }
-        if (avoid_crosstalk && two_qubit_op[op]) {
+        if (avoid_crosstalk && two_qubit_kind[kind]) {
           next = std::max(next, crosstalk.next_start(device, operands[0],
                                                      operands[1], start,
                                                      duration));
@@ -224,7 +220,7 @@ Schedule asap_schedule(const Circuit& circuit, const device::Device& device,
               .occupy(start, duration, tag);
         }
       }
-      if (avoid_crosstalk && two_qubit_op[op]) {
+      if (avoid_crosstalk && two_qubit_kind[kind]) {
         crosstalk.add(operands[0], operands[1],
                       Span{start, start + duration});
       }

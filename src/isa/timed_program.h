@@ -19,8 +19,8 @@ namespace qfs::isa {
 
 struct Instruction {
   circuit::GateKind kind = circuit::GateKind::kI;
-  std::vector<int> qubits;   ///< physical operands
-  std::vector<double> params;
+  circuit::Qubits qubits;  ///< physical operands
+  circuit::Params params;
   int duration_cycles = 1;
 };
 

@@ -199,10 +199,9 @@ RoutingResult OptimalRouter::route(const Circuit& circuit,
         ++result.swaps_inserted;
       }
     }
-    std::vector<int> phys;
-    phys.reserve(g.qubits.size());
-    for (int v : g.qubits) phys.push_back(layout.physical(v));
-    result.mapped.add(g.kind, std::move(phys), g.params);
+    Gate phys = g;
+    for (int& q : phys.qubits) q = layout.physical(q);
+    result.mapped.add(std::move(phys));
   }
   // Any remaining planned swaps are unnecessary for correctness; the A*
   // cost function means there are none on an optimal plan.

@@ -6,7 +6,7 @@
 #include <limits>
 #include <queue>
 
-#include "circuit/flat.h"
+#include "circuit/dependencies.h"
 #include "mapper/optimal.h"
 
 namespace qfs::mapper {
@@ -18,12 +18,20 @@ using device::Device;
 
 namespace {
 
-/// Emit `g` with operands translated from virtual to physical.
+/// Emit a copy of `g` with its operands translated from virtual to
+/// physical.
 void emit_remapped(Circuit& out, const Gate& g, const Layout& layout) {
-  std::vector<int> phys;
-  phys.reserve(g.qubits.size());
-  for (int v : g.qubits) phys.push_back(layout.physical(v));
-  out.add(g.kind, std::move(phys), g.params);
+  Gate phys = g;
+  for (int& q : phys.qubits) q = layout.physical(q);
+  out.add(std::move(phys));
+}
+
+/// The empty routed circuit on the device's register, with room for every
+/// source gate: the inserted SWAPs grow it past that at most once.
+Circuit routed_circuit(const Circuit& circuit, const Device& device) {
+  Circuit out(device.num_qubits(), circuit.name());
+  out.reserve(circuit.size());
+  return out;
 }
 
 /// Swap the virtual contents of two coupled physical qubits, recording the
@@ -70,7 +78,7 @@ RoutingResult TrivialRouter::route(const Circuit& circuit, const Device& device,
                                    [[maybe_unused]] qfs::Rng& rng) const {
   check_routable(circuit, device);
   RoutingResult result;
-  result.mapped = Circuit(device.num_qubits(), circuit.name());
+  result.mapped = routed_circuit(circuit, device);
   result.final_layout = initial;
   Layout& layout = result.final_layout;
   const auto& topo = device.topology();
@@ -98,7 +106,7 @@ RoutingResult BridgeRouter::route(const Circuit& circuit, const Device& device,
                                   [[maybe_unused]] qfs::Rng& rng) const {
   check_routable(circuit, device);
   RoutingResult result;
-  result.mapped = Circuit(device.num_qubits(), circuit.name());
+  result.mapped = routed_circuit(circuit, device);
   result.final_layout = initial;
   Layout& layout = result.final_layout;
   const auto& topo = device.topology();
@@ -148,16 +156,16 @@ RoutingResult BridgeRouter::route(const Circuit& circuit, const Device& device,
 
 namespace {
 
-/// Per-Op unitarity, precomputed so the flat inner loops replace the
+/// Per-kind unitarity, precomputed so the inner loops replace the
 /// is_unitary(kind) switch with one table load.
-struct OpTraits {
-  bool is_unitary[circuit::kNumOps] = {};
+struct KindTraits {
+  bool is_unitary[circuit::kNumGateKinds] = {};
 };
 
-const OpTraits& op_traits() {
-  static const OpTraits traits = [] {
-    OpTraits t;
-    for (int k = 0; k < circuit::kNumOps; ++k) {
+const KindTraits& kind_traits() {
+  static const KindTraits traits = [] {
+    KindTraits t;
+    for (int k = 0; k < circuit::kNumGateKinds; ++k) {
       t.is_unitary[k] = circuit::is_unitary(static_cast<GateKind>(k));
     }
     return t;
@@ -190,8 +198,7 @@ struct AheadNode {
 /// per round — every attempt reuses these allocations (a per-circuit arena)
 /// instead of re-growing a fresh bookkeeping set each time.
 struct LookaheadScratch {
-  circuit::FlatCircuit flat;
-  circuit::FlatDependencies deps;
+  circuit::Dependencies deps;
   std::vector<std::uint8_t> emitted;
   std::vector<int> ready;
   std::vector<int> ahead;
@@ -206,8 +213,8 @@ LookaheadScratch& lookahead_scratch() {
 
 }  // namespace
 
-/// Scans the flat IR (Instr operands, CSR dependency lists, flat distance
-/// rows) in its inner loops and emits from the original Gate objects.
+/// Scans the circuit's gates, its CSR dependency lists and the flat
+/// distance rows in its inner loops.
 ///
 /// Each SWAP decision scores only the couplers next to the front layer,
 /// found through the CSR neighbours of the ready gates' physical qubits.
@@ -237,19 +244,17 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
   }
 
   RoutingResult result;
-  result.mapped = Circuit(device.num_qubits(), circuit.name());
+  result.mapped = routed_circuit(circuit, device);
   result.final_layout = initial;
   Layout& layout = result.final_layout;
   const auto& gates = circuit.gates();
   const std::vector<int>& v2p = layout.v2p();
-  const OpTraits& traits = op_traits();
+  const KindTraits& traits = kind_traits();
 
   LookaheadScratch& scratch = lookahead_scratch();
-  circuit::flatten_into(circuit, scratch.flat);
-  const std::vector<circuit::Instr>& instrs = scratch.flat.instrs;
-  const std::size_t num_gates = instrs.size();
-  circuit::FlatDependencies& deps = scratch.deps;
-  circuit::build_dependencies(scratch.flat, deps);
+  const std::size_t num_gates = gates.size();
+  circuit::Dependencies& deps = scratch.deps;
+  circuit::build_dependencies(circuit, deps);
 
   // Predecessor counts, counted down as predecessors are emitted.
   std::vector<int>& unresolved = deps.num_preds;
@@ -266,14 +271,14 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
   const auto n = static_cast<std::size_t>(tables.n);
   auto row = [&](int p) { return dist + static_cast<std::size_t>(p) * n; };
   auto is_2q = [&](std::size_t i) {
-    return instrs[i].num_qubits == 2 &&
-           traits.is_unitary[static_cast<int>(instrs[i].op)];
+    return gates[i].qubits.size() == 2 &&
+           traits.is_unitary[static_cast<int>(gates[i].kind)];
   };
   auto is_blocked_2q = [&](int gi) {
-    const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
+    const Gate& g = gates[static_cast<std::size_t>(gi)];
     return is_2q(static_cast<std::size_t>(gi)) &&
-           row(v2p[static_cast<std::size_t>(ins.q[0])])
-               [v2p[static_cast<std::size_t>(ins.q[1])]] != 1;
+           row(v2p[static_cast<std::size_t>(g.qubits[0])])
+               [v2p[static_cast<std::size_t>(g.qubits[1])]] != 1;
   };
 
   // Emit every ready gate that is not a blocked two-qubit gate, appending
@@ -343,26 +348,26 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
     ++epoch;
     front_sum = 0;
     for (int gi : ready) {
-      const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
-      const int pa = v2p[static_cast<std::size_t>(ins.q[0])];
-      const int pb = v2p[static_cast<std::size_t>(ins.q[1])];
+      const Gate& g = gates[static_cast<std::size_t>(gi)];
+      const int pa = v2p[static_cast<std::size_t>(g.qubits[0])];
+      const int pb = v2p[static_cast<std::size_t>(g.qubits[1])];
       front_sum += row(pa)[pb];
-      slot_at(pa).front_partner = ins.q[1];
-      slot_at(pb).front_partner = ins.q[0];
+      slot_at(pa).front_partner = g.qubits[1];
+      slot_at(pb).front_partner = g.qubits[0];
     }
     refresh_window();
     ahead_sum = 0;
     nodes.clear();
     for (int gi : ahead) {
-      const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
-      const int pa = v2p[static_cast<std::size_t>(ins.q[0])];
-      const int pb = v2p[static_cast<std::size_t>(ins.q[1])];
+      const Gate& g = gates[static_cast<std::size_t>(gi)];
+      const int pa = v2p[static_cast<std::size_t>(g.qubits[0])];
+      const int pb = v2p[static_cast<std::size_t>(g.qubits[1])];
       ahead_sum += row(pa)[pb];
       QubitSlot& sa = slot_at(pa);
-      nodes.push_back(AheadNode{ins.q[1], sa.ahead_head});
+      nodes.push_back(AheadNode{g.qubits[1], sa.ahead_head});
       sa.ahead_head = static_cast<int>(nodes.size()) - 1;
       QubitSlot& sb = slot_at(pb);
-      nodes.push_back(AheadNode{ins.q[0], sb.ahead_head});
+      nodes.push_back(AheadNode{g.qubits[0], sb.ahead_head});
       sb.ahead_head = static_cast<int>(nodes.size()) - 1;
     }
     state_valid = true;
@@ -398,9 +403,9 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
     // Every ready gate is a blocked two-qubit gate: pick a swap.
     if (swaps_since_progress >= stall_limit) {
       // Safety valve: force-route the first blocked gate trivially.
-      const circuit::Instr& ins = instrs[static_cast<std::size_t>(ready[0])];
-      int pa = v2p[static_cast<std::size_t>(ins.q[0])];
-      int pb = v2p[static_cast<std::size_t>(ins.q[1])];
+      const Gate& g = gates[static_cast<std::size_t>(ready[0])];
+      int pa = v2p[static_cast<std::size_t>(g.qubits[0])];
+      int pb = v2p[static_cast<std::size_t>(g.qubits[1])];
       swap_along_path(result.mapped, layout, topo.shortest_path(pa, pb),
                       result.swaps_inserted);
       swaps_since_progress = 0;
@@ -419,10 +424,10 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
     int best_edge = -1, best_a = -1, best_b = -1;
     std::int64_t best_front_delta = 0, best_ahead_delta = 0;
     for (int gi : ready) {
-      const circuit::Instr& ins = instrs[static_cast<std::size_t>(gi)];
+      const Gate& g = gates[static_cast<std::size_t>(gi)];
       for (int s = 0; s < 2; ++s) {
-        const int p = v2p[static_cast<std::size_t>(ins.q[s])];
-        const int partner = v2p[static_cast<std::size_t>(ins.q[1 - s])];
+        const int p = v2p[static_cast<std::size_t>(g.qubits[s])];
+        const int partner = v2p[static_cast<std::size_t>(g.qubits[1 - s])];
         const int* row_p = row(p);
         const int end = tables.nbr_offsets[static_cast<std::size_t>(p) + 1];
         for (int k = tables.nbr_offsets[static_cast<std::size_t>(p)]; k < end;
@@ -527,7 +532,7 @@ RoutingResult NoiseAwareRouter::route(const Circuit& circuit,
                                       [[maybe_unused]] qfs::Rng& rng) const {
   check_routable(circuit, device);
   RoutingResult result;
-  result.mapped = Circuit(device.num_qubits(), circuit.name());
+  result.mapped = routed_circuit(circuit, device);
   result.final_layout = initial;
   Layout& layout = result.final_layout;
   const auto& topo = device.topology();

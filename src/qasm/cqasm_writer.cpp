@@ -42,8 +42,8 @@ const char* cqasm_name(GateKind kind) {
 /// One instruction body: "cnot q[0],q[1]" or "rx q[0],1.5708".
 /// cQASM puts angle parameters after the operands.
 void emit_instruction(std::ostringstream& os, GateKind kind,
-                      const std::vector<int>& qubits,
-                      const std::vector<double>& params) {
+                      const circuit::Qubits& qubits,
+                      const circuit::Params& params) {
   const char* name = cqasm_name(kind);
   QFS_ASSERT_MSG(name[0] != '\0',
                  std::string("gate has no cQASM spelling: ") +

@@ -231,10 +231,10 @@ struct ParserState {
 
 /// Expand one instance of a QASMBench macro gate (see macro_table) into the
 /// standard qelib1 network over core GateKinds.
-void emit_macro(const std::string& name, const std::vector<double>& p,
-                const std::vector<int>& q, ParserState& state) {
-  auto add = [&state](GateKind kind, std::vector<int> qubits,
-                      std::vector<double> params = {}) {
+void emit_macro(const std::string& name, const circuit::Params& p,
+                const circuit::Qubits& q, ParserState& state) {
+  auto add = [&state](GateKind kind, circuit::Qubits qubits,
+                      circuit::Params params = {}) {
     state.gates.push_back(
         circuit::make_gate(kind, std::move(qubits), std::move(params)));
   };
@@ -300,10 +300,10 @@ qfs::Status error_at(int line_no, const std::string& message) {
 /// Parse an operand token into one or more qubit indices.
 /// Outside a body: "q[3]" (one qubit) or bare "q" (broadcast over the
 /// register). Inside a body (env != nullptr): a formal qubit name.
-qfs::StatusOr<std::vector<int>> parse_operand(std::string_view token,
-                                              const ParserState& state,
-                                              const QubitEnv* env,
-                                              int line_no) {
+qfs::StatusOr<circuit::Qubits> parse_operand(std::string_view token,
+                                             const ParserState& state,
+                                             const QubitEnv* env,
+                                             int line_no) {
   token = trim(token);
   if (env != nullptr) {
     auto it = env->find(std::string(token));
@@ -311,7 +311,7 @@ qfs::StatusOr<std::vector<int>> parse_operand(std::string_view token,
       return error_at(line_no, "unknown qubit '" + std::string(token) +
                                    "' in gate body");
     }
-    return std::vector<int>{it->second};
+    return circuit::Qubits{it->second};
   }
   auto open = token.find('[');
   if (open == std::string_view::npos) {
@@ -321,7 +321,7 @@ qfs::StatusOr<std::vector<int>> parse_operand(std::string_view token,
     if (reg == nullptr) {
       return error_at(line_no, "unknown quantum register '" + name + "'");
     }
-    std::vector<int> all;
+    circuit::Qubits all;
     for (int q = 0; q < reg->size; ++q) all.push_back(reg->offset + q);
     return all;
   }
@@ -341,26 +341,26 @@ qfs::StatusOr<std::vector<int>> parse_operand(std::string_view token,
   if (index < 0 || index >= reg->size) {
     return error_at(line_no, "qubit index out of range");
   }
-  return std::vector<int>{reg->offset + index};
+  return circuit::Qubits{reg->offset + index};
 }
 
-/// Parse a comma-separated operand list. Each element is a vector to allow
+/// Parse a comma-separated operand list. Each element is a list to allow
 /// register broadcast; broadcast elements must agree in length.
-qfs::StatusOr<std::vector<std::vector<int>>> parse_operand_list(
+qfs::StatusOr<std::vector<circuit::Qubits>> parse_operand_list(
     std::string_view text, const ParserState& state, const QubitEnv* env,
     int line_no) {
-  std::vector<std::vector<int>> operands;
+  std::vector<circuit::Qubits> operands;
   for (const std::string& tok : qfs::split(text, ',')) {
     auto q = parse_operand(trim(tok), state, env, line_no);
     if (!q.is_ok()) return q.status();
-    operands.push_back(q.value());
+    operands.push_back(std::move(q).value());
   }
   return operands;
 }
 
 /// Broadcast width of an operand list: all multi-element operands must
 /// share one length; single-element operands repeat.
-qfs::StatusOr<int> broadcast_width(const std::vector<std::vector<int>>& ops,
+qfs::StatusOr<int> broadcast_width(const std::vector<circuit::Qubits>& ops,
                                    int line_no) {
   int width = 1;
   for (const auto& op : ops) {
@@ -374,22 +374,26 @@ qfs::StatusOr<int> broadcast_width(const std::vector<std::vector<int>>& ops,
   return width;
 }
 
-qfs::Status emit_broadcast(GateKind kind, const std::vector<std::vector<int>>& ops,
-                           std::vector<double> params, ParserState& state,
+/// Operand `i` of a broadcast: single-element operands repeat.
+circuit::Qubits broadcast_operands(const std::vector<circuit::Qubits>& ops,
+                                   int i) {
+  circuit::Qubits qubits;
+  for (const auto& op : ops) {
+    qubits.push_back(op.size() == 1 ? op[0] : op[static_cast<std::size_t>(i)]);
+  }
+  return qubits;
+}
+
+qfs::Status emit_broadcast(GateKind kind,
+                           const std::vector<circuit::Qubits>& ops,
+                           const circuit::Params& params, ParserState& state,
                            int line_no) {
   auto width = broadcast_width(ops, line_no);
   if (!width.is_ok()) return width.status();
   for (int i = 0; i < width.value(); ++i) {
-    std::vector<int> qubits;
-    for (const auto& op : ops) {
-      qubits.push_back(op.size() == 1 ? op[0] : op[static_cast<std::size_t>(i)]);
-    }
-    std::vector<bool> seen(static_cast<std::size_t>(state.total_qubits), false);
-    for (int q : qubits) {
-      if (seen[static_cast<std::size_t>(q)]) {
-        return error_at(line_no, "repeated qubit operand");
-      }
-      seen[static_cast<std::size_t>(q)] = true;
+    circuit::Qubits qubits = broadcast_operands(ops, i);
+    if (!circuit::operands_distinct(qubits)) {
+      return error_at(line_no, "repeated qubit operand");
     }
     if (static_cast<int>(qubits.size()) != circuit::gate_arity(kind)) {
       return error_at(line_no, std::string("wrong operand count for ") +
@@ -408,8 +412,8 @@ qfs::Status parse_statement(std::string_view stmt, ParserState& state,
 
 /// Expand one invocation of a user-defined gate.
 qfs::Status expand_custom_gate(const GateDef& def,
-                               const std::vector<double>& params,
-                               const std::vector<int>& qubits,
+                               const circuit::Params& params,
+                               const circuit::Qubits& qubits,
                                ParserState& state, int line_no, int depth) {
   if (depth > kMaxGateExpansionDepth) {
     return error_at(line_no, "gate expansion too deep (recursive definition?)");
@@ -508,11 +512,12 @@ qfs::Status parse_statement(std::string_view stmt, ParserState& state,
     auto ops = parse_operand_list(trim(stmt.substr(7)), state, qubit_env,
                                   line_no);
     if (!ops.is_ok()) return ops.status();
-    std::vector<int> qubits;
+    circuit::Qubits qubits;
     for (const auto& op : ops.value()) {
-      qubits.insert(qubits.end(), op.begin(), op.end());
+      for (int q : op) qubits.push_back(q);
     }
-    state.gates.push_back(circuit::make_gate(GateKind::kBarrier, qubits));
+    state.gates.push_back(
+        circuit::make_gate(GateKind::kBarrier, std::move(qubits)));
     return qfs::Status::ok();
   }
 
@@ -526,7 +531,7 @@ qfs::Status parse_statement(std::string_view stmt, ParserState& state,
   std::string name = to_lower(stmt.substr(0, name_end));
 
   std::string_view rest = trim(stmt.substr(name_end));
-  std::vector<double> params;
+  circuit::Params params;
   if (!rest.empty() && rest.front() == '(') {
     auto close = rest.find(')');
     if (close == std::string_view::npos) {
@@ -549,7 +554,7 @@ qfs::Status parse_statement(std::string_view stmt, ParserState& state,
     if (static_cast<int>(params.size()) != circuit::gate_param_count(kind)) {
       return error_at(line_no, "wrong parameter count for gate '" + name + "'");
     }
-    return emit_broadcast(kind, ops.value(), std::move(params), state, line_no);
+    return emit_broadcast(kind, ops.value(), params, state, line_no);
   }
 
   auto macro = macro_table().find(name);
@@ -563,18 +568,9 @@ qfs::Status parse_statement(std::string_view stmt, ParserState& state,
     auto width = broadcast_width(ops.value(), line_no);
     if (!width.is_ok()) return width.status();
     for (int i = 0; i < width.value(); ++i) {
-      std::vector<int> qubits;
-      for (const auto& op : ops.value()) {
-        qubits.push_back(op.size() == 1 ? op[0]
-                                        : op[static_cast<std::size_t>(i)]);
-      }
-      std::vector<bool> seen(static_cast<std::size_t>(state.total_qubits),
-                             false);
-      for (int q : qubits) {
-        if (seen[static_cast<std::size_t>(q)]) {
-          return error_at(line_no, "repeated qubit operand");
-        }
-        seen[static_cast<std::size_t>(q)] = true;
+      const circuit::Qubits qubits = broadcast_operands(ops.value(), i);
+      if (!circuit::operands_distinct(qubits)) {
+        return error_at(line_no, "repeated qubit operand");
       }
       emit_macro(name, params, qubits, state);
     }
@@ -595,11 +591,8 @@ qfs::Status parse_statement(std::string_view stmt, ParserState& state,
   auto width = broadcast_width(ops.value(), line_no);
   if (!width.is_ok()) return width.status();
   for (int i = 0; i < width.value(); ++i) {
-    std::vector<int> qubits;
-    for (const auto& op : ops.value()) {
-      qubits.push_back(op.size() == 1 ? op[0] : op[static_cast<std::size_t>(i)]);
-    }
-    auto status = expand_custom_gate(def, params, qubits, state, line_no, depth);
+    auto status = expand_custom_gate(
+        def, params, broadcast_operands(ops.value(), i), state, line_no, depth);
     if (!status.is_ok()) return status;
   }
   return qfs::Status::ok();
@@ -730,6 +723,7 @@ qfs::StatusOr<Circuit> parse(const std::string& source) {
     return qfs::parse_error("no qreg declaration found");
   }
   Circuit circuit(state.total_qubits, std::move(circuit_name));
+  circuit.reserve(state.gates.size());
   for (auto& g : state.gates) circuit.add(std::move(g));
   return circuit;
 }

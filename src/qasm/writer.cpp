@@ -30,9 +30,11 @@ void append_qubit(std::string& out, int q) {
 }
 
 void emit_operands(std::string& out, const Gate& g) {
-  for (std::size_t i = 0; i < g.qubits.size(); ++i) {
-    if (i) out += ',';
-    append_qubit(out, g.qubits[i]);
+  const char* separator = "";
+  for (int q : g.qubits) {
+    out += separator;
+    append_qubit(out, q);
+    separator = ",";
   }
   out += ";\n";
 }

@@ -60,7 +60,7 @@ void DensityMatrix::apply_gate(const Gate& g) {
   rho_ = adj.adjoint();
 }
 
-void DensityMatrix::apply_depolarizing(const std::vector<int>& qubits,
+void DensityMatrix::apply_depolarizing(const circuit::Qubits& qubits,
                                        double p) {
   QFS_ASSERT_MSG(0.0 <= p && p <= 1.0, "bad error probability");
   const int k = static_cast<int>(qubits.size());

@@ -27,7 +27,7 @@ class DensityMatrix {
 
   /// k-qubit depolarizing channel on `qubits` with error probability p:
   /// rho -> (1-p) rho + p/(4^k - 1) * sum_{P != I} P rho P^dagger.
-  void apply_depolarizing(const std::vector<int>& qubits, double p);
+  void apply_depolarizing(const circuit::Qubits& qubits, double p);
 
   /// <psi| rho |psi>.
   double fidelity_with(const StateVector& pure) const;

@@ -17,7 +17,7 @@ GateKind random_pauli(qfs::Rng& rng) {
 }
 
 /// Apply a uniformly random non-identity Pauli string on `qubits`.
-void inject_pauli_error(StateVector& sv, const std::vector<int>& qubits,
+void inject_pauli_error(StateVector& sv, const circuit::Qubits& qubits,
                         qfs::Rng& rng) {
   // Draw until at least one factor is non-identity (uniform over the 4^k-1
   // non-identity strings).

@@ -403,12 +403,9 @@ bool clifford_mapping_preserves_state(const Circuit& original,
 
   auto relabel = [np](const Circuit& c, const std::vector<int>& layout) {
     Circuit out(np, c.name());
-    for (const Gate& g : c.gates()) {
-      std::vector<int> mapped_qubits;
-      for (int q : g.qubits) {
-        mapped_qubits.push_back(layout[static_cast<std::size_t>(q)]);
-      }
-      out.add(g.kind, std::move(mapped_qubits), g.params);
+    for (Gate g : c.gates()) {
+      for (int& q : g.qubits) q = layout[static_cast<std::size_t>(q)];
+      out.add(std::move(g));
     }
     return out;
   };

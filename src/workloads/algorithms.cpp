@@ -245,11 +245,10 @@ Circuit phase_estimation(int counting_qubits, double phase) {
   // register reversed == qft convention; composing with its inverse gives
   // the textbook IQFT.
   Circuit iqft = qft(n, true).inverse();
-  for (const auto& g : iqft.gates()) {
+  for (circuit::Gate g : iqft.gates()) {
     // Map qft qubit j -> counting qubit n-1-j (reverse significance).
-    std::vector<int> mapped;
-    for (int q : g.qubits) mapped.push_back(n - 1 - q);
-    c.add(g.kind, std::move(mapped), g.params);
+    for (int& q : g.qubits) q = n - 1 - q;
+    c.add(std::move(g));
   }
   for (int i = 0; i < n; ++i) c.measure(i);
   return c;

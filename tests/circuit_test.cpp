@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "circuit/dependencies.h"
 #include "circuit/draw.h"
-#include "circuit/flat.h"
 #include "circuit/gate.h"
 #include "support/strings.h"
 
@@ -128,6 +128,41 @@ TEST(Gate, ToStringRendersOperandsAndParams) {
   std::string s = gate_to_string(make_gate(GateKind::kRz, {1}, {0.5}));
   EXPECT_NE(s.find("rz(0.5"), std::string::npos);
   EXPECT_NE(s.find("q[1]"), std::string::npos);
+}
+
+TEST(InlineVec, PushBackSpillsPastThreeAndKeepsOrder) {
+  Qubits q;
+  std::vector<int> expected;
+  for (int i = 0; i < 300; ++i) {
+    q.push_back(1000 - i);
+    expected.push_back(1000 - i);
+    ASSERT_EQ(q.size(), expected.size());
+    ASSERT_TRUE(std::equal(q.begin(), q.end(), expected.begin()));
+  }
+  EXPECT_EQ(q.front(), 1000);
+  EXPECT_EQ(q.back(), 701);
+  EXPECT_EQ(q, Qubits(expected));
+}
+
+TEST(InlineVec, CopyMoveAndAssignAcrossTheInlineLimit) {
+  const Qubits narrow = {4, 5};
+  const Qubits wide = std::vector<int>{0, 1, 2, 3, 4, 5, 6};
+  Qubits a = wide;
+  EXPECT_EQ(a, wide);
+  a = narrow;  // spilled -> inline
+  EXPECT_EQ(a, narrow);
+  a = wide;  // inline -> spilled
+  EXPECT_EQ(a, wide);
+  Qubits moved = std::move(a);
+  EXPECT_EQ(moved, wide);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): pinned state
+  moved[6] = 9;
+  EXPECT_EQ(moved.back(), 9);
+  EXPECT_FALSE(moved == wide);
+  Qubits shorter = {0, 1, 2, 3, 4, 5};
+  EXPECT_FALSE(shorter == wide);
+  const Params exact = {0.1, -0.0, 3e-300};
+  EXPECT_EQ(Params(exact)[2], 3e-300);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,18 +372,18 @@ TEST(Draw, RowCountMatchesQubits) {
 }
 
 // ---------------------------------------------------------------------------
-// Flat dependency lists (circuit/flat.h)
+// Dependency lists (circuit/dependencies.h)
 // ---------------------------------------------------------------------------
 
-FlatDependencies dependencies_of(const Circuit& c) {
-  FlatDependencies deps;
-  build_dependencies(flatten(c), deps);
+Dependencies dependencies_of(const Circuit& c) {
+  Dependencies deps;
+  build_dependencies(c, deps);
   return deps;
 }
 
 /// Gate i's predecessors, ascending, read off the successor lists; the
 /// stored count must agree.
-std::vector<int> predecessors_of(const FlatDependencies& deps, int i) {
+std::vector<int> predecessors_of(const Dependencies& deps, int i) {
   std::vector<int> preds;
   for (std::size_t g = 0; g < deps.size(); ++g) {
     const int* s = deps.successors(g);
@@ -362,7 +397,7 @@ std::vector<int> predecessors_of(const FlatDependencies& deps, int i) {
   return preds;
 }
 
-std::vector<int> successors_of(const FlatDependencies& deps, int i) {
+std::vector<int> successors_of(const Dependencies& deps, int i) {
   const auto g = static_cast<std::size_t>(i);
   const int* s = deps.successors(g);
   return std::vector<int>(s, s + deps.num_successors(g));
@@ -371,7 +406,7 @@ std::vector<int> successors_of(const FlatDependencies& deps, int i) {
 TEST(Dag, IndependentGatesHaveNoDependencies) {
   Circuit c(3);
   c.h(0).h(1).h(2);
-  const FlatDependencies deps = dependencies_of(c);
+  const Dependencies deps = dependencies_of(c);
   ASSERT_EQ(deps.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(deps.num_predecessors(i), 0);
@@ -382,7 +417,7 @@ TEST(Dag, IndependentGatesHaveNoDependencies) {
 TEST(Dag, ChainDependencies) {
   Circuit c(2);
   c.h(0).cx(0, 1).x(1);
-  const FlatDependencies deps = dependencies_of(c);
+  const Dependencies deps = dependencies_of(c);
   EXPECT_EQ(predecessors_of(deps, 0), std::vector<int>{});
   EXPECT_EQ(predecessors_of(deps, 1), std::vector<int>{0});
   EXPECT_EQ(predecessors_of(deps, 2), std::vector<int>{1});
@@ -394,7 +429,7 @@ TEST(Dag, ChainDependencies) {
 TEST(Dag, SharedTwoQubitPredecessorNotDuplicated) {
   Circuit c(2);
   c.cx(0, 1).cx(0, 1);
-  const FlatDependencies deps = dependencies_of(c);
+  const Dependencies deps = dependencies_of(c);
   EXPECT_EQ(predecessors_of(deps, 1), std::vector<int>{0});
   EXPECT_EQ(successors_of(deps, 0), std::vector<int>{1});
 }
@@ -404,20 +439,20 @@ TEST(Dag, BarrierOrdersEveryListedQubit) {
   c.h(0);
   c.barrier({0, 1});
   c.x(1);
-  const FlatDependencies deps = dependencies_of(c);
+  const Dependencies deps = dependencies_of(c);
   // x(1) depends on h(0) only through the barrier.
   EXPECT_EQ(predecessors_of(deps, 1), std::vector<int>{0});
   EXPECT_EQ(predecessors_of(deps, 2), std::vector<int>{1});
 }
 
 TEST(Dag, WideBarrierReadsSpilledOperands) {
-  // A five-operand barrier keeps its operands in the overflow pool; every
-  // one of them must order the gates on both sides.
+  // A five-operand barrier keeps its operands on the heap; every one of
+  // them must order the gates on both sides.
   Circuit c(5);
   c.h(0).h(1).h(2).h(3).h(4);
   c.barrier({4, 3, 2, 1, 0});
   c.x(0).cx(3, 4);
-  const FlatDependencies deps = dependencies_of(c);
+  const Dependencies deps = dependencies_of(c);
   EXPECT_EQ(predecessors_of(deps, 5), (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(successors_of(deps, 5), (std::vector<int>{6, 7}));
   for (int i = 0; i < 5; ++i) {
@@ -431,7 +466,7 @@ TEST(Dag, SuccessorsAscendingAndDeduplicated) {
   c.cx(1, 2).cx(0, 3);           // 1, 2: both follow gate 0
   c.cz(0, 1);                    // 3: reaches 0 only through 1 and 2
   c.barrier({0, 1, 2, 3});       // 4
-  const FlatDependencies deps = dependencies_of(c);
+  const Dependencies deps = dependencies_of(c);
   EXPECT_EQ(successors_of(deps, 0), (std::vector<int>{1, 2}));
   EXPECT_EQ(predecessors_of(deps, 3), (std::vector<int>{1, 2}));
   EXPECT_EQ(successors_of(deps, 1), (std::vector<int>{3, 4}));
@@ -444,7 +479,7 @@ TEST(Dag, TopologicalOrderRespectsEdges) {
   // the predecessor counts cover exactly the successor lists' edges.
   Circuit c(3);
   c.h(0).cx(0, 1).cz(1, 2).x(2).barrier({0, 1, 2}).cx(2, 0);
-  const FlatDependencies deps = dependencies_of(c);
+  const Dependencies deps = dependencies_of(c);
   std::size_t edges = 0;
   for (int g = 0; g < static_cast<int>(deps.size()); ++g) {
     for (int s : successors_of(deps, g)) EXPECT_LT(g, s);
@@ -459,10 +494,10 @@ TEST(Dag, RebuildReusesBuffersExactly) {
   big.cx(0, 1).cx(2, 3).barrier({0, 1, 2, 3}).cx(1, 2).h(0).cz(0, 3);
   Circuit small(2);
   small.h(0).cx(0, 1);
-  FlatDependencies deps;
-  build_dependencies(flatten(big), deps);
-  build_dependencies(flatten(small), deps);
-  const FlatDependencies fresh = dependencies_of(small);
+  Dependencies deps;
+  build_dependencies(big, deps);
+  build_dependencies(small, deps);
+  const Dependencies fresh = dependencies_of(small);
   EXPECT_EQ(deps.num_preds, fresh.num_preds);
   EXPECT_EQ(deps.succ_offsets, fresh.succ_offsets);
   EXPECT_EQ(deps.succs, fresh.succs);

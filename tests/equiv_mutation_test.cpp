@@ -344,9 +344,8 @@ TEST(EquivMutation, ScheduleCorruptionIsQFS108) {
     std::vector<isa::Bundle> bundles = program.bundles();
     isa::Instruction& instr = bundles.front().instructions.front();
     instr.kind = instr.kind == GateKind::kRy ? GateKind::kRz : GateKind::kRy;
-    instr.params.assign(static_cast<std::size_t>(
-                            circuit::gate_param_count(instr.kind)),
-                        0.25);
+    instr.params = std::vector<double>(
+        static_cast<std::size_t>(circuit::gate_param_count(instr.kind)), 0.25);
     isa::TimedProgram mutated(program.name(), program.cycle_time_ns(),
                               program.num_qubits(), std::move(bundles));
     TranslationArtifact a = artifact_of(c, c.result.mapped);

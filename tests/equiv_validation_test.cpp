@@ -87,7 +87,7 @@ void expect_clean_and_golden(const SuiteOutcome& outcome,
 
 workloads::SuiteOptions paper_suite_capped() {
   // The paper's 200-circuit mix (80 random / 80 real / 40 reversible),
-  // sized for surface-17 like the suite fingerprint in flat_ir_test.
+  // sized for surface-17 like SuiteGolden's suite fingerprint.
   workloads::SuiteOptions options;
   options.max_qubits = 17;
   options.max_gates = 800;

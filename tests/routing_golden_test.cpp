@@ -1,16 +1,20 @@
 // Routing goldens. Pins the lookahead router's exact output (the emitted
 // QASM, the swap count and the final layout) on inputs the suite goldens
 // never reach: the widest coupler scan (a 467-qubit heavy-hex lattice),
-// barriers wide enough to spill into the flat IR's overflow pool, damaged
-// and disconnected chips, non-default windows and weights that trip the
-// stall valve, and a 100k-gate circuit on the wide lattice.
+// barriers wider than a Gate's three inline operands, damaged and
+// disconnected chips, non-default windows and weights that trip the stall
+// valve, and a 100k-gate circuit on the wide lattice.
 // Any change to candidate order, tie-breaks or emission order shows here.
+// The suite golden pins the compiled artifacts of the paper's whole
+// 200-circuit suite at --jobs 1 and 8.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "backends/registry.h"
+#include "cache/artifact.h"
+#include "common.h"
 #include "compiler/decompose.h"
 #include "device/device.h"
 #include "device/faults.h"
@@ -86,8 +90,8 @@ TEST(RoutingGolden, HeavyHex467RandomCircuits) {
 
 TEST(RoutingGolden, WideBarriersSpillToOverflow) {
   // Barriers of 4..12 operands (plus one full-register barrier) between
-  // bursts of gates: their operands live in the flat IR's overflow pool,
-  // and they order every listed qubit.
+  // bursts of gates: their operands spill from a Gate's three inline slots
+  // to the heap, and they order every listed qubit.
   const Device d = device::surface97_device();
   const Circuit body = random_decomposed(d, 30, 2400, 0.4, 21);
   qfs::Rng rng(22);
@@ -235,6 +239,36 @@ TEST(RoutingGolden, HeavyHex467Routes100kGates) {
   const int swaps = route_and_hash(hasher, c, d, Layout::identity(467));
   EXPECT_EQ(swaps, 240285);
   EXPECT_EQ(hasher.finish().hex(), "e51a19d66b184fa5e8d6745cb2a1400f");
+}
+
+/// The paper's full 200-circuit suite through bench::run_suite with the
+/// lookahead-heavy configuration; returns hash128 hex over the canonical
+/// CSV plus every MappingResult's cache::artifact_digest, so a match means
+/// bit-exact artifacts, not just equal summary metrics.
+std::string suite_fingerprint(int jobs) {
+  Device dev = device::surface17_device();
+  bench::SuiteRunConfig config;
+  config.jobs = jobs;
+  config.suite.max_qubits = 17;
+  config.suite.max_gates = 800;
+  config.mapping.placer = "degree-match";
+  config.mapping.router = "lookahead";
+  config.mapping.sabre_refinement_rounds = 1;
+  auto rows = bench::run_suite(dev, config);
+  qfs::Hasher hasher;
+  hasher.update(bench::suite_rows_to_csv(rows));
+  for (const auto& row : rows) {
+    hasher.update(cache::artifact_digest(row.mapping).hex());
+  }
+  return hasher.finish().hex();
+}
+
+TEST(SuiteGolden, FingerprintMatchesGoldenAtJobs1And8) {
+  // Golden for the Linux x86-64 / glibc toolchain (the digest covers the
+  // bits of doubles computed by libm).
+  const char* kGolden = "0ab84ab7cbca20743eb65e485e01d73a";
+  EXPECT_EQ(suite_fingerprint(1), kGolden);
+  EXPECT_EQ(suite_fingerprint(8), kGolden);
 }
 
 }  // namespace

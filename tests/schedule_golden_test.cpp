@@ -1,4 +1,4 @@
-// Schedule goldens. Every suite golden elsewhere (EquivValidation, FlatIr)
+// Schedule goldens. Every suite golden elsewhere (EquivValidation, SuiteGolden)
 // compiles with compute_latency off, so these digests are the only pin on
 // what the scheduler outputs: the suite's latency_before/after_ns through
 // bench::run_suite, and the full Schedule contents (index, start, duration,

@@ -293,6 +293,37 @@ TEST(Service, VerifyArtifactPassesOnHealthyCompiles) {
   EXPECT_TRUE(resp.diagnostics.empty());
 }
 
+TEST(Service, WideBarrierCompilesAndValidatesWithBothRouters) {
+  // A barrier over a whole 300-qubit register is one gate with 300
+  // operands. Both routers, and the scheduler behind compute_latency, must
+  // carry it through to an artifact the validator proves.
+  CompileService service;
+  for (const char* router : {"lookahead", "trivial"}) {
+    CompileRequest req;
+    req.qasm =
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[300];\n"
+        "h q[0];\ncx q[0],q[1];\nbarrier q;\ncx q[1],q[2];\n";
+    req.device = "heavy_hex(rows=13,cols=29)";
+    req.options.router = router;
+    req.options.compute_latency = true;
+    req.verify_artifact = true;
+    req.emit_timed = true;
+    CompileResponse resp = service.execute(req);
+    ASSERT_TRUE(resp.ok()) << router << ": " << resp.error_message << "\n"
+                           << resp.attempt_log;
+    EXPECT_TRUE(resp.diagnostics.empty()) << router;
+    EXPECT_EQ(resp.router_used, router);
+    EXPECT_GT(resp.mapping.latency_after_ns, 0.0) << router;
+    int barrier_width = 0;
+    for (const circuit::Gate& g : resp.mapping.mapped.gates()) {
+      if (g.kind == circuit::GateKind::kBarrier) {
+        barrier_width = static_cast<int>(g.qubits.size());
+      }
+    }
+    EXPECT_EQ(barrier_width, 300) << router;
+  }
+}
+
 TEST(Service, QasmParseErrorIsTyped) {
   CompileService service;
   CompileRequest req;
