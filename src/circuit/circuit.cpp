@@ -15,8 +15,9 @@ void Circuit::add(Gate g) {
   for (int q : g.qubits) {
     QFS_ASSERT_MSG(q < num_qubits_, "gate operand exceeds circuit width");
   }
-  // Re-validate through make_gate so raw Gate{} literals obey the contract.
-  gates_.push_back(make_gate(g.kind, std::move(g.qubits), std::move(g.params)));
+  // Check in place, so raw Gate{} literals obey the contract too.
+  check_gate(g);
+  gates_.push_back(std::move(g));
 }
 
 void Circuit::add(GateKind kind, Qubits qubits, Params params) {

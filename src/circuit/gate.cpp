@@ -122,19 +122,24 @@ bool operands_distinct(const Qubits& qubits) {
   return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 }
 
-Gate make_gate(GateKind kind, Qubits qubits, Params params) {
-  const int arity = gate_arity(kind);
+void check_gate(const Gate& g) {
+  const int arity = gate_arity(g.kind);
   if (arity != 0) {
-    QFS_ASSERT_MSG(static_cast<int>(qubits.size()) == arity,
-                   std::string("wrong operand count for ") + gate_name(kind));
+    QFS_ASSERT_MSG(static_cast<int>(g.qubits.size()) == arity,
+                   std::string("wrong operand count for ") + gate_name(g.kind));
   } else {
-    QFS_ASSERT_MSG(!qubits.empty(), "barrier needs at least one qubit");
+    QFS_ASSERT_MSG(!g.qubits.empty(), "barrier needs at least one qubit");
   }
-  QFS_ASSERT_MSG(static_cast<int>(params.size()) == gate_param_count(kind),
-                 std::string("wrong parameter count for ") + gate_name(kind));
-  QFS_ASSERT_MSG(operands_distinct(qubits), "repeated qubit operand in gate");
-  for (int q : qubits) QFS_ASSERT_MSG(q >= 0, "negative qubit index");
-  return Gate{kind, std::move(qubits), std::move(params)};
+  QFS_ASSERT_MSG(static_cast<int>(g.params.size()) == gate_param_count(g.kind),
+                 std::string("wrong parameter count for ") + gate_name(g.kind));
+  QFS_ASSERT_MSG(operands_distinct(g.qubits), "repeated qubit operand in gate");
+  for (int q : g.qubits) QFS_ASSERT_MSG(q >= 0, "negative qubit index");
+}
+
+Gate make_gate(GateKind kind, Qubits qubits, Params params) {
+  Gate g{kind, std::move(qubits), std::move(params)};
+  check_gate(g);
+  return g;
 }
 
 Gate inverse_gate(const Gate& g) {

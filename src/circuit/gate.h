@@ -200,8 +200,12 @@ static_assert(sizeof(Gate) <= 56, "a Gate must stay a small fixed-size value");
 /// operands (wide barriers).
 bool operands_distinct(const Qubits& qubits);
 
-/// Validated constructor: checks arity, parameter count, and operand
-/// distinctness.
+/// The gate contract: arity, parameter count, operand distinctness and
+/// non-negative operands, checked in that order. make_gate and
+/// Circuit::add both check through it.
+void check_gate(const Gate& g);
+
+/// Validated constructor: builds the gate and checks it with check_gate.
 Gate make_gate(GateKind kind, Qubits qubits, Params params = {});
 
 /// The exact inverse of a unitary gate (e.g. s -> sdg, rx(t) -> rx(-t)).

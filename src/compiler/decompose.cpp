@@ -1,7 +1,10 @@
 #include "compiler/decompose.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "circuit/matrix.h"
 #include "compiler/euler.h"
@@ -16,17 +19,59 @@ namespace {
 
 constexpr double kPi = M_PI;
 
+/// Lowered parameter-free kinds, indexed by kind: each entry is the kind's
+/// gate on qubits 0..k-1 rewritten by the rules below. Built on first use
+/// and local to one decompose_to_gateset call.
+using Templates =
+    std::array<std::optional<std::vector<Gate>>, circuit::kNumGateKinds>;
+
 /// Emits gates into `out`, lowering recursively until native.
+///
+/// A parameter-free kind lowers the same way wherever it acts: the rules
+/// only pass qubit indices through. So each such kind is lowered once into
+/// a template and later gates of that kind relabel it, which emits exactly
+/// the gates the rules would. Parametrised kinds go through the rules.
 class Lowerer {
  public:
-  Lowerer(Circuit& out, const device::GateSet& target)
-      : out_(out), target_(target) {}
+  Lowerer(Circuit& out, const device::GateSet& target, Templates& templates)
+      : out_(out), target_(target), templates_(templates) {}
 
   void lower(const Gate& g) {
     if (target_.supports(g.kind)) {
       out_.add(g);
       return;
     }
+    if (g.params.empty()) {
+      emit_template(g);
+      return;
+    }
+    apply_rule(g);
+  }
+
+ private:
+  void emit_template(const Gate& g) {
+    auto& lowered = templates_[static_cast<std::size_t>(g.kind)];
+    if (!lowered) lowered = build_template(g.kind);
+    for (const Gate& t : *lowered) {
+      Gate relabelled = t;
+      for (auto& q : relabelled.qubits) {
+        q = g.qubits[static_cast<std::size_t>(q)];
+      }
+      out_.add(std::move(relabelled));
+    }
+  }
+
+  std::vector<Gate> build_template(GateKind kind) {
+    const int arity = circuit::gate_arity(kind);
+    circuit::Qubits canonical;
+    for (int q = 0; q < arity; ++q) canonical.push_back(q);
+    Circuit lowered(arity);
+    Lowerer(lowered, target_, templates_).apply_rule(Gate{kind, canonical, {}});
+    return lowered.gates();
+  }
+
+  /// Rewrites one non-native gate by its lowering rule.
+  void apply_rule(const Gate& g) {
     switch (g.kind) {
       // ---- three-qubit ----
       case GateKind::kCcx:
@@ -84,7 +129,6 @@ class Lowerer {
     }
   }
 
- private:
   void lower_1q(GateKind kind, int q) { lower(circuit::make_gate(kind, {q})); }
 
   void lower_param(GateKind kind, int q, double value) {
@@ -160,6 +204,7 @@ class Lowerer {
 
   Circuit& out_;
   const device::GateSet& target_;
+  Templates& templates_;
 };
 
 }  // namespace
@@ -168,7 +213,8 @@ Circuit decompose_to_gateset(const Circuit& input,
                              const device::GateSet& target) {
   Circuit out(input.num_qubits(), input.name());
   out.reserve(input.size());
-  Lowerer lowerer(out, target);
+  Templates templates;
+  Lowerer lowerer(out, target, templates);
   for (const Gate& g : input.gates()) {
     if (!circuit::is_unitary(g.kind)) {
       out.add(g);  // measure/reset/barrier pass through

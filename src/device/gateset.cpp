@@ -5,11 +5,13 @@ namespace qfs::device {
 using circuit::GateKind;
 
 GateSet::GateSet(std::string name, std::set<GateKind> kinds)
-    : name_(std::move(name)), kinds_(std::move(kinds)) {}
-
-bool GateSet::supports(GateKind kind) const {
-  if (!circuit::is_unitary(kind)) return true;
-  return kinds_.count(kind) != 0;
+    : name_(std::move(name)), kinds_(std::move(kinds)) {
+  for (int k = 0; k < circuit::kNumGateKinds; ++k) {
+    const auto kind = static_cast<GateKind>(k);
+    if (!circuit::is_unitary(kind) || kinds_.count(kind) != 0) {
+      supported_ |= std::uint32_t{1} << k;
+    }
+  }
 }
 
 bool GateSet::supports_circuit(const circuit::Circuit& circuit) const {

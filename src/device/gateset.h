@@ -1,6 +1,7 @@
 // Primitive gate sets: which gate kinds a device executes natively.
 #pragma once
 
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -11,14 +12,16 @@ namespace qfs::device {
 /// The native vocabulary of a quantum processor.
 class GateSet {
  public:
-  GateSet() = default;
+  GateSet() : GateSet(std::string(), {}) {}
   GateSet(std::string name, std::set<circuit::GateKind> kinds);
 
   const std::string& name() const { return name_; }
 
   /// Measure/reset/barrier are always permitted; unitary kinds must be in
   /// the set.
-  bool supports(circuit::GateKind kind) const;
+  bool supports(circuit::GateKind kind) const {
+    return ((supported_ >> static_cast<unsigned>(kind)) & 1u) != 0;
+  }
 
   /// True when every gate of the circuit is native.
   bool supports_circuit(const circuit::Circuit& circuit) const;
@@ -26,8 +29,14 @@ class GateSet {
   const std::set<circuit::GateKind>& kinds() const { return kinds_; }
 
  private:
+  static_assert(circuit::kNumGateKinds <= 32,
+                "supported_ holds one bit per gate kind");
+
   std::string name_;
   std::set<circuit::GateKind> kinds_;
+  /// Bit k is set when supports(GateKind(k)): every kind in kinds_ plus
+  /// the non-unitary kinds.
+  std::uint32_t supported_ = 0;
 };
 
 /// Surface-code superconducting chip set (Versluis et al. style): arbitrary

@@ -57,6 +57,21 @@ TEST(GateSet, UniversalSupportsEverythingUnitary) {
   }
 }
 
+TEST(GateSet, SupportsMatchesItsKinds) {
+  // A default-constructed set and a hand-built one alongside every factory.
+  for (const GateSet& gs :
+       {surface_code_gateset(), ibm_gateset(), sycamore_gateset(),
+        ion_trap_gateset(), rydberg_gateset(), universal_gateset(), GateSet(),
+        GateSet("mixed", {GateKind::kH, GateKind::kMeasure, GateKind::kCcz})}) {
+    for (int k = 0; k < circuit::kNumGateKinds; ++k) {
+      const auto kind = static_cast<GateKind>(k);
+      EXPECT_EQ(gs.supports(kind),
+                !circuit::is_unitary(kind) || gs.kinds().count(kind) != 0)
+          << gs.name() << " " << circuit::gate_name(kind);
+    }
+  }
+}
+
 TEST(GateSet, SupportsCircuit) {
   GateSet gs = surface_code_gateset();
   Circuit native(2);

@@ -1,15 +1,20 @@
 // Pins the no-heap-per-gate layout of circuit::Gate with a counting global
 // operator new: copying, building and appending gates of up to three
-// operands allocates nothing; only a barrier wider than that does.
+// operands allocates nothing; only a barrier wider than that does. Also
+// pins that decompose_to_gateset lowers each parameter-free kind once per
+// call: its allocations do not grow with the number of gates it lowers.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <numeric>
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "compiler/decompose.h"
+#include "device/gateset.h"
 
 namespace {
 std::atomic<long> g_allocations{0};
@@ -90,6 +95,47 @@ TEST(GateAlloc, WideBarrierAllocates) {
   Gate copy;
   EXPECT_EQ(allocations_in([&] { copy = c.gates().front(); }), 1);
   EXPECT_EQ(copy, c.gates().front());
+}
+
+/// `n` gates cycling through h, t, ccx and swap over scattered qubits of a
+/// 16-qubit register.
+Circuit h_t_ccx_swap(int n) {
+  Circuit c(16);
+  c.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const int a = (5 * i) % 16;
+    const int b = (5 * i + 7) % 16;
+    const int t = (5 * i + 11) % 16;
+    switch (i % 4) {
+      case 0: c.h(a); break;
+      case 1: c.t(b); break;
+      case 2: c.ccx(a, b, t); break;
+      default: c.swap(t, a); break;
+    }
+  }
+  return c;
+}
+
+TEST(GateAlloc, LoweringAllocatesPerKindNotPerGate) {
+  for (const device::GateSet& gs :
+       {device::surface_code_gateset(), device::ibm_gateset()}) {
+    const Circuit small = h_t_ccx_swap(64);
+    const Circuit large = h_t_ccx_swap(4096);
+    Circuit lowered_small;
+    Circuit lowered_large;
+    const long small_allocs = allocations_in(
+        [&] { lowered_small = compiler::decompose_to_gateset(small, gs); });
+    const long large_allocs = allocations_in(
+        [&] { lowered_large = compiler::decompose_to_gateset(large, gs); });
+    ASSERT_GT(lowered_large.size(), large.size()) << gs.name();
+    // Both calls lower the same kinds, so they build the same templates.
+    // What may grow with the input is the output vector, which doubles
+    // from the input's size: at most bit_width(output size) more blocks.
+    EXPECT_LE(large_allocs - small_allocs,
+              static_cast<long>(std::bit_width(lowered_large.size())))
+        << gs.name() << ": " << small_allocs << " allocations for 64 gates, "
+        << large_allocs << " for 4096";
+  }
 }
 
 }  // namespace
