@@ -1,6 +1,6 @@
 // Compile hot-path harness: times each pipeline phase (parse, decompose,
-// place, route, schedule, full pipeline, validate, QASM emit, cache
-// store/hit) per circuit class, each class on its own device (surface-97
+// place, route, routed-circuit lowering, schedule, full pipeline, validate,
+// QASM emit, cache store/hit) per circuit class, each class on its own device (surface-97
 // unless the row says otherwise), and appends machine-readable rows to
 // BENCH_compile.json, the perf trajectory the hot-path work is pinned
 // against (DESIGN.md §13).
@@ -10,7 +10,9 @@
 // (class, phase) but a *different* label records a speedup_vs delta against
 // it — the before/after evidence for an optimization lands in the file
 // itself. Each row also carries a digest: the re-emitted QASM text of the
-// parsed circuit (parse phase), cache::artifact_digest of the
+// parsed circuit (parse phase), the QASM text of the lowered circuit
+// (decompose and lower_routed phases), the placer's layout (place_degree
+// phase), cache::artifact_digest of the
 // MappingResult (pipeline phase) or of what cache::load_mapping returns
 // for it (cache_store and cache_hit phases, so equal digests show an exact
 // round trip), the routed circuit (routing phases), start cycles and
@@ -202,13 +204,22 @@ struct Row {
   int gates = 0;
   /// Throughput in kilogates/second (gates / ms); 0 when not meaningful.
   double kgps = 0.0;
-  /// Digest of the phase's output (empty when the phase has no
-  /// deterministic artifact, e.g. decompose and placement).
+  /// Digest of the phase's output; every phase sets one.
   std::string digest;
 };
 
 std::string digest_of(const std::string& bytes) {
   return qfs::hash128(bytes).hex();
+}
+
+/// The virtual-to-physical map of a layout: the bytes a placement phase's
+/// digest covers.
+std::string layout_bytes(const mapper::Layout& layout) {
+  std::ostringstream os;
+  os << "layout";
+  for (int p : layout.v2p()) os << ' ' << p;
+  os << '\n';
+  return os.str();
 }
 
 /// Start cycles in program order plus the makespan: the bytes a schedule
@@ -267,7 +278,8 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   ms = median_ms(repeat, [&] {
     decomposed = compiler::decompose_to_gateset(cls.circuit, device.gateset());
   });
-  add("decompose", ms, static_cast<int>(cls.circuit.size()));
+  add("decompose", ms, static_cast<int>(cls.circuit.size()),
+      digest_of(qasm::to_qasm(decomposed)));
   const int gates = static_cast<int>(decomposed.size());
 
   // Phase: placement (degree-match: the distance-table-heavy placer that
@@ -279,7 +291,7 @@ std::vector<Row> bench_class(const CircuitClass& cls,
       qfs::Rng rng(1);
       placement = mapper::DegreeMatchPlacer().place(decomposed, device, rng);
     });
-    add("place_degree", ms, gates);
+    add("place_degree", ms, gates, digest_of(layout_bytes(placement)));
   }
 
   // Phases: routing from the identity layout (fixed start so the digest is
@@ -298,6 +310,18 @@ std::vector<Row> bench_class(const CircuitClass& cls,
     routed = mapper::LookaheadRouter().route(decomposed, device, identity, rng);
   });
   add("route_lookahead", ms, gates, digest_of(qasm::to_qasm(routed.mapped)));
+
+  // Phase: lowering the routed circuit to primitives (SWAPs expanded, then
+  // decomposed), as map_circuit's last step does.
+  if (timed("lower_routed")) {
+    circuit::Circuit lowered;
+    ms = median_ms(repeat, [&] {
+      lowered = compiler::decompose_to_gateset(
+          compiler::expand_swaps(routed.mapped), device.gateset());
+    });
+    add("lower_routed", ms, static_cast<int>(routed.mapped.size()),
+        digest_of(qasm::to_qasm(lowered)));
+  }
 
   // Phase: ASAP scheduling of the routed circuit (SWAPs expanded to
   // primitives first, as the pipeline does before scheduling).
