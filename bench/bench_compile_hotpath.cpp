@@ -1,9 +1,9 @@
 // Compile hot-path harness: times each pipeline phase (parse, decompose,
 // place, route, routed-circuit lowering, schedule, full pipeline, validate,
-// QASM emit, cache store/hit) per circuit class, each class on its own device (surface-97
-// unless the row says otherwise), and appends machine-readable rows to
-// BENCH_compile.json, the perf trajectory the hot-path work is pinned
-// against (DESIGN.md §13).
+// QASM emit, cache store/hit) per circuit class, each class on its own
+// device (surface-97 unless the row says otherwise), and appends
+// machine-readable rows to BENCH_compile.json, the perf trajectory the
+// hot-path work is pinned against (DESIGN.md §13).
 //
 // Rows are append-only: each invocation adds one row per (class, phase)
 // under --label, and every new row that has a predecessor with the same
