@@ -323,8 +323,9 @@ std::vector<Row> bench_class(const CircuitClass& cls,
         digest_of(qasm::to_qasm(lowered)));
   }
 
-  // Phase: ASAP scheduling of the routed circuit (SWAPs expanded to
-  // primitives first, as the pipeline does before scheduling).
+  // Phase: ASAP scheduling of the routed circuit with its SWAPs expanded
+  // to CNOTs. map_circuit schedules a different circuit: the output of
+  // decompose_to_gateset(expand_swaps(...)), lowered to the native set.
   if (timed("schedule_asap")) {
     circuit::Circuit physical = compiler::expand_swaps(routed.mapped);
     compiler::Schedule schedule;

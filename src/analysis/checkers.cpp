@@ -381,20 +381,4 @@ std::vector<Diagnostic> lint_source(const std::string& qasm_source,
   return analyze_circuit(parsed.value(), options);
 }
 
-compiler::PassCheckFn make_pass_check(CheckOptions options) {
-  return [options](const circuit::Circuit& c) {
-    std::vector<compiler::PassCheckFinding> findings;
-    for (const Diagnostic& d : analyze_circuit(c, options)) {
-      if (d.severity != Severity::kError) continue;
-      std::string message = d.message;
-      if (d.location.gate_index >= 0) {
-        message =
-            "gate " + std::to_string(d.location.gate_index) + ": " + message;
-      }
-      findings.push_back(compiler::PassCheckFinding{d.code, std::move(message)});
-    }
-    return findings;
-  };
-}
-
 }  // namespace qfs::analysis

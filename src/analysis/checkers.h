@@ -41,7 +41,6 @@
 
 #include "analysis/diagnostic.h"
 #include "circuit/circuit.h"
-#include "compiler/pass_manager.h"
 #include "device/device.h"
 #include "isa/timed_program.h"
 
@@ -109,9 +108,5 @@ std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
 /// `options`.
 std::vector<Diagnostic> lint_source(const std::string& qasm_source,
                                     const CheckOptions& options = {});
-
-/// Adapter for PassManager::enable_verification: returns a check function
-/// that reports error-severity findings (warnings don't fail a pipeline).
-compiler::PassCheckFn make_pass_check(CheckOptions options);
 
 }  // namespace qfs::analysis

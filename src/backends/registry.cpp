@@ -382,28 +382,4 @@ std::string list_devices_text() {
   return os.str();
 }
 
-std::string list_devices_json() {
-  std::ostringstream os;
-  os << '[';
-  bool first_backend = true;
-  for (const auto& info : BackendRegistry::global().entries()) {
-    if (!first_backend) os << ',';
-    first_backend = false;
-    os << "{\"name\":\"" << info.name << "\",\"summary\":\"" << info.summary
-       << "\",\"params\":[";
-    for (std::size_t j = 0; j < info.params.size(); ++j) {
-      if (j > 0) os << ',';
-      const ParamInfo& p = info.params[j];
-      os << "{\"name\":\"" << p.name << "\",\"min\":"
-         << format_spec_value(p.min_value)
-         << ",\"max\":" << format_spec_value(p.max_value)
-         << ",\"default\":" << format_spec_value(p.default_value)
-         << ",\"integer\":" << (p.integer ? "true" : "false") << "}";
-    }
-    os << "]}";
-  }
-  os << ']';
-  return os.str();
-}
-
 }  // namespace qfs::backends

@@ -87,7 +87,4 @@ std::string default_calibration_text(const device::Device& dev);
 /// per stanza with parameter ranges and defaults.
 std::string list_devices_text();
 
-/// JSON array of registry entries for the qfsd "devices" op.
-std::string list_devices_json();
-
 }  // namespace qfs::backends

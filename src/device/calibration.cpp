@@ -216,15 +216,4 @@ qfs::StatusOr<Topology> parse_topology(const std::string& text) {
   return Topology(name, std::move(g));
 }
 
-std::string topology_to_text(const Topology& topology) {
-  std::ostringstream os;
-  os << "# qfs topology\n";
-  os << "name," << topology.name() << '\n';
-  os << "qubits," << topology.num_qubits() << '\n';
-  for (const auto& [a, b] : topology.edge_list()) {
-    os << "edge," << a << ',' << b << '\n';
-  }
-  return os.str();
-}
-
 }  // namespace qfs::device

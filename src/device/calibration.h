@@ -41,7 +41,4 @@ std::string calibration_to_text(
 /// contract) — disconnected descriptions are rejected.
 qfs::StatusOr<Topology> parse_topology(const std::string& text);
 
-/// Render a topology back into the description format.
-std::string topology_to_text(const Topology& topology);
-
 }  // namespace qfs::device

@@ -84,42 +84,6 @@ qfs::StatusOr<FaultSpec> parse_fault_spec(const std::string& text) {
   return spec;
 }
 
-std::string fault_spec_to_string(const FaultSpec& spec) {
-  std::ostringstream os;
-  const char* sep = "";
-  if (!spec.dead_qubits.empty()) {
-    os << "dead_qubits=";
-    for (std::size_t i = 0; i < spec.dead_qubits.size(); ++i) {
-      os << (i ? "|" : "") << spec.dead_qubits[i];
-    }
-    sep = ";";
-  }
-  if (!spec.dead_edges.empty()) {
-    os << sep << "dead_edges=";
-    for (std::size_t i = 0; i < spec.dead_edges.size(); ++i) {
-      os << (i ? "|" : "") << spec.dead_edges[i].first << '-'
-         << spec.dead_edges[i].second;
-    }
-    sep = ";";
-  }
-  if (spec.dead_qubit_fraction > 0.0) {
-    os << sep << "dead_qubit_fraction="
-       << qfs::format_double(spec.dead_qubit_fraction, 4);
-    sep = ";";
-  }
-  if (spec.dead_edge_fraction > 0.0) {
-    os << sep << "dead_edge_fraction="
-       << qfs::format_double(spec.dead_edge_fraction, 4);
-    sep = ";";
-  }
-  if (spec.fidelity_drift > 0.0) {
-    os << sep << "drift=" << qfs::format_double(spec.fidelity_drift, 4);
-    sep = ";";
-  }
-  os << sep << "seed=" << spec.seed;
-  return os.str();
-}
-
 std::string DegradedDevice::summary() const {
   std::ostringstream os;
   os << device.name() << ": " << device.num_qubits() << "/"

@@ -47,9 +47,6 @@ struct FaultSpec {
 /// rejected with an invalid_argument Status naming the offending pair.
 qfs::StatusOr<FaultSpec> parse_fault_spec(const std::string& text);
 
-/// Render a spec back into the parse_fault_spec format (for diagnostics).
-std::string fault_spec_to_string(const FaultSpec& spec);
-
 /// A degraded chip: the largest connected healthy region of the parent,
 /// presented as a valid standalone Device.
 struct DegradedDevice {

@@ -82,39 +82,6 @@ const std::vector<std::pair<int, int>>& Topology::edge_list() const {
   return tables_ == nullptr ? kEmpty : tables_->edges;
 }
 
-namespace {
-
-SubTopology make_subtopology(const Topology& parent, std::vector<int> keep,
-                             const std::string& name) {
-  std::sort(keep.begin(), keep.end());
-  graph::Graph sub = graph::induced_subgraph(parent.coupling(), keep);
-  SubTopology out;
-  std::string sub_name =
-      name.empty() ? parent.name() + "-sub" + std::to_string(keep.size())
-                   : name;
-  out.topology = Topology(sub_name, std::move(sub));
-  out.from_parent.assign(static_cast<std::size_t>(parent.num_qubits()), -1);
-  for (std::size_t i = 0; i < keep.size(); ++i) {
-    out.from_parent[static_cast<std::size_t>(keep[i])] = static_cast<int>(i);
-  }
-  out.to_parent = std::move(keep);
-  return out;
-}
-
-}  // namespace
-
-SubTopology induced_subtopology(const Topology& parent,
-                                const std::vector<int>& keep,
-                                const std::string& name) {
-  return make_subtopology(parent, keep, name);
-}
-
-SubTopology largest_connected_component(const Topology& parent,
-                                        const std::string& name) {
-  return make_subtopology(
-      parent, graph::largest_component_nodes(parent.coupling()), name);
-}
-
 Topology surface_lattice(int narrow_width, int num_rows) {
   QFS_ASSERT_MSG(narrow_width >= 1, "narrow width must be >= 1");
   QFS_ASSERT_MSG(num_rows >= 3 && num_rows % 2 == 1,

@@ -19,8 +19,8 @@ namespace qfs::device {
 /// Precomputed lookup tables for one coupling graph, built once per
 /// Topology construction and *shared* (via shared_ptr) by every copy of
 /// that Topology — a Device copied into a compile_resilient fallback
-/// attempt, a SubTopology handed around, or a Topology stored by value all
-/// reuse the same buffers instead of recomputing or deep-copying them.
+/// attempt or a Topology stored by value both reuse the same buffers
+/// instead of recomputing or deep-copying them.
 ///
 /// Layout is optimized for the router/placer inner loops:
 ///  - `dist` is a single flat row-major n*n buffer (one indirection and one
@@ -67,8 +67,8 @@ class Topology {
   ///    qfs::AssertionError ("qubit out of range"), they are never UB,
   ///  - a disconnected pair throws qfs::AssertionError ("disconnected
   ///    topology"); callers that must tolerate partitioned chips (fault
-  ///    injection, subtopology carving) check `reachable()` or `connected()`
-  ///    first instead of catching.
+  ///    injection) check `reachable()` or `connected()` first instead of
+  ///    catching.
   int distance(int a, int b) const;
 
   /// `distance` without the range/connectivity checks: the inner-loop
@@ -112,28 +112,6 @@ class Topology {
   graph::Graph coupling_;
   std::shared_ptr<const TopologyTables> tables_;
 };
-
-/// A topology carved out of a parent chip (e.g. the healthy remainder after
-/// fault injection), with the qubit-id translation in both directions.
-struct SubTopology {
-  Topology topology;
-  /// New qubit id -> parent qubit id (ascending).
-  std::vector<int> to_parent;
-  /// Parent qubit id -> new qubit id, or -1 for qubits that were dropped.
-  std::vector<int> from_parent;
-};
-
-/// Topology induced on `keep` (distinct, in-range parent qubit ids; order is
-/// ignored — new ids are assigned ascending). The result may be disconnected;
-/// use largest_connected_component for a routable target.
-SubTopology induced_subtopology(const Topology& parent,
-                                const std::vector<int>& keep,
-                                const std::string& name = "");
-
-/// Largest connected component of `parent` as a standalone topology (ties
-/// broken toward the component containing the smallest qubit id).
-SubTopology largest_connected_component(const Topology& parent,
-                                        const std::string& name = "");
 
 /// Surface-code lattice with alternating row widths (narrow, narrow+1, ...)
 /// starting and ending on a narrow row. Row count must be odd and >= 3.

@@ -24,13 +24,6 @@ std::vector<int> bfs_distances(const Graph& g, Node source) {
   return dist;
 }
 
-std::vector<std::vector<int>> all_pairs_hop_distances(const Graph& g) {
-  std::vector<std::vector<int>> all;
-  all.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (Node u = 0; u < g.num_nodes(); ++u) all.push_back(bfs_distances(g, u));
-  return all;
-}
-
 std::vector<int> flat_all_pairs_hop_distances(const Graph& g) {
   const std::size_t n = static_cast<std::size_t>(g.num_nodes());
   std::vector<int> flat(n * n, kUnreachable);
@@ -191,26 +184,6 @@ Graph induced_subgraph(const Graph& g, const std::vector<Node>& keep) {
     }
   }
   return sub;
-}
-
-std::vector<Node> largest_component_nodes(const Graph& g) {
-  auto comp = connected_components(g);
-  std::vector<int> size;
-  for (int c : comp) {
-    if (c >= static_cast<int>(size.size())) size.resize(static_cast<std::size_t>(c) + 1, 0);
-    ++size[static_cast<std::size_t>(c)];
-  }
-  int best = -1;
-  for (int c = 0; c < static_cast<int>(size.size()); ++c) {
-    // Strict > keeps the first (smallest-first-node) component on ties.
-    if (best == -1 || size[static_cast<std::size_t>(c)] > size[static_cast<std::size_t>(best)]) best = c;
-  }
-  std::vector<Node> nodes;
-  if (best == -1) return nodes;
-  for (Node u = 0; u < g.num_nodes(); ++u) {
-    if (comp[static_cast<std::size_t>(u)] == best) nodes.push_back(u);
-  }
-  return nodes;
 }
 
 }  // namespace qfs::graph

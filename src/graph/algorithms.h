@@ -14,9 +14,6 @@ inline constexpr int kUnreachable = std::numeric_limits<int>::max();
 /// Hop distances from `source` to every node (BFS); kUnreachable if none.
 std::vector<int> bfs_distances(const Graph& g, Node source);
 
-/// All-pairs hop distances; result[u][v] == kUnreachable when disconnected.
-std::vector<std::vector<int>> all_pairs_hop_distances(const Graph& g);
-
 /// All-pairs hop distances as one flat row-major buffer: entry u*n + v is
 /// the hop count from u to v, kUnreachable when disconnected. Rows are
 /// BFS-filled in place, so no per-row vectors are allocated; this is the
@@ -47,9 +44,5 @@ std::vector<Node> bfs_order(const Graph& g, Node source);
 /// Subgraph induced on `keep` (must be distinct, in-range nodes). Node i of
 /// the result corresponds to keep[i]; edge weights are preserved.
 Graph induced_subgraph(const Graph& g, const std::vector<Node>& keep);
-
-/// Nodes of the largest connected component, ascending. Ties broken toward
-/// the component containing the smallest node id. Empty for empty graphs.
-std::vector<Node> largest_component_nodes(const Graph& g);
 
 }  // namespace qfs::graph

@@ -188,14 +188,6 @@ std::vector<double> betweenness_centrality(const Graph& g) {
   return centrality;
 }
 
-double average_betweenness(const Graph& g) {
-  if (g.num_nodes() == 0) return 0.0;
-  auto c = betweenness_centrality(g);
-  double sum = 0.0;
-  for (double v : c) sum += v;
-  return sum / g.num_nodes();
-}
-
 int eccentricity(const Graph& g, Node u) {
   auto dist = bfs_distances(g, u);
   int worst = 0;

@@ -66,9 +66,6 @@ double degree_assortativity(const Graph& g);
 /// fractionally).
 std::vector<double> betweenness_centrality(const Graph& g);
 
-/// Mean betweenness over all nodes.
-double average_betweenness(const Graph& g);
-
 /// Eccentricity of u: largest hop distance to any reachable node.
 int eccentricity(const Graph& g, Node u);
 

@@ -1,7 +1,6 @@
 #include "profile/interaction.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 namespace qfs::profile {
 
@@ -38,68 +37,6 @@ graph::Graph active_interaction_graph(const circuit::Circuit& circuit,
   }
   if (qubit_of_node != nullptr) *qubit_of_node = std::move(active);
   return compact;
-}
-
-std::vector<graph::Graph> sliced_interaction_graphs(
-    const circuit::Circuit& circuit, int slices) {
-  QFS_ASSERT_MSG(slices >= 1, "need at least one slice");
-  const auto& gates = circuit.gates();
-  std::vector<graph::Graph> out;
-  out.reserve(static_cast<std::size_t>(slices));
-  const std::size_t total = gates.size();
-  for (int s = 0; s < slices; ++s) {
-    std::size_t begin = total * static_cast<std::size_t>(s) /
-                        static_cast<std::size_t>(slices);
-    std::size_t end = total * static_cast<std::size_t>(s + 1) /
-                      static_cast<std::size_t>(slices);
-    graph::Graph g(circuit.num_qubits());
-    for (std::size_t i = begin; i < end; ++i) {
-      const Gate& gate = gates[i];
-      if (!circuit::is_unitary(gate.kind) || gate.qubits.size() < 2) continue;
-      for (std::size_t a = 0; a < gate.qubits.size(); ++a) {
-        for (std::size_t b = a + 1; b < gate.qubits.size(); ++b) {
-          g.add_edge(gate.qubits[a], gate.qubits[b], 1.0);
-        }
-      }
-    }
-    out.push_back(std::move(g));
-  }
-  return out;
-}
-
-double interaction_drift(const circuit::Circuit& circuit, int slices) {
-  QFS_ASSERT_MSG(slices >= 2, "drift needs at least two slices");
-  auto windows = sliced_interaction_graphs(circuit, slices);
-  double total_drift = 0.0;
-  int measured = 0;
-  for (std::size_t s = 0; s + 1 < windows.size(); ++s) {
-    const graph::Graph& a = windows[s];
-    const graph::Graph& b = windows[s + 1];
-    // Normalised L1 distance over the union of edges.
-    double diff = 0.0, norm = 0.0;
-    auto accumulate = [&](const graph::Graph& g1, const graph::Graph& g2,
-                          bool count_norm) {
-      for (const auto& e : g1.edges()) {
-        double w1 = e.weight;
-        double w2 = g2.edge_weight(e.u, e.v);
-        if (count_norm) {
-          diff += std::abs(w1 - w2);
-          norm += std::max(w1, w2);
-        } else if (w2 == 0.0) {
-          // edges only in g1 were already counted; edges only in g2:
-          diff += w1;
-          norm += w1;
-        }
-      }
-    };
-    accumulate(a, b, true);
-    accumulate(b, a, false);
-    if (norm > 0.0) {
-      total_drift += diff / norm;
-      ++measured;
-    }
-  }
-  return measured == 0 ? 0.0 : total_drift / measured;
 }
 
 }  // namespace qfs::profile

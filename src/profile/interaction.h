@@ -25,18 +25,4 @@ graph::Graph interaction_graph(const circuit::Circuit& circuit);
 graph::Graph active_interaction_graph(const circuit::Circuit& circuit,
                                       std::vector<int>* qubit_of_node = nullptr);
 
-/// Temporal slicing: split the circuit's gate list into `slices`
-/// consecutive windows of (near-)equal gate count and return each window's
-/// interaction graph (over the full register). Captures how the
-/// interaction pattern drifts over the course of the algorithm —
-/// information a static interaction graph hides.
-std::vector<graph::Graph> sliced_interaction_graphs(
-    const circuit::Circuit& circuit, int slices);
-
-/// Interaction drift: mean normalised L1 distance between the adjacency
-/// matrices of consecutive slices. 0 = the interaction pattern is
-/// stationary (e.g. a repeated VQE layer); 1 = consecutive windows share
-/// no interactions at all.
-double interaction_drift(const circuit::Circuit& circuit, int slices = 4);
-
 }  // namespace qfs::profile

@@ -6,7 +6,6 @@
 
 #include "analysis/checkers.h"
 #include "analysis/diagnostic.h"
-#include "compiler/pass_manager.h"
 #include "compiler/schedule.h"
 #include "device/device.h"
 #include "isa/timed_program.h"
@@ -359,29 +358,6 @@ TEST(Rendering, SummaryCountsBySeverity) {
   w.severity = Severity::kWarning;
   EXPECT_EQ(diagnostic_summary({e, w, w}), "1 error, 2 warnings");
   EXPECT_EQ(diagnostic_summary({}), "0 errors, 0 warnings");
-}
-
-// ---------------------------------------------------------------------------
-// Pass-check adapter
-// ---------------------------------------------------------------------------
-
-TEST(PassCheck, ReportsOnlyErrors) {
-  device::Device dev = device::line_device(4);
-  CheckOptions opts;
-  opts.device = &dev;
-  opts.physical = true;
-  auto check = make_pass_check(opts);
-
-  Circuit idle_warning_only(4);
-  idle_warning_only.rz(0.5, 0);
-  EXPECT_TRUE(check(idle_warning_only).empty());
-
-  Circuit broken(4);
-  broken.h(0);  // non-native for the surface-code set
-  auto findings = check(broken);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].code, "QFS005");
-  EXPECT_NE(findings[0].message.find("gate 0"), std::string::npos);
 }
 
 }  // namespace

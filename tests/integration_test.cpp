@@ -5,8 +5,6 @@
 
 #include <cmath>
 
-#include "compiler/decompose.h"
-#include "compiler/optimize.h"
 #include "compiler/schedule.h"
 #include "graph/generators.h"
 #include "device/fidelity.h"
@@ -189,17 +187,6 @@ TEST(Integration, MappedCircuitSchedulesValidly) {
   compiler::Schedule s = compiler::asap_schedule(r.mapped, d);
   EXPECT_TRUE(compiler::schedule_is_valid(r.mapped, d, s));
   EXPECT_GT(s.makespan_cycles, 0);
-}
-
-// Decomposed-then-optimised circuits stay equivalent and never grow.
-TEST(Integration, OptimizeAfterDecomposeKeepsSemantics) {
-  qfs::Rng rng(17);
-  Circuit c = workloads::qft(4);
-  Circuit lowered =
-      compiler::decompose_to_gateset(c, device::surface_code_gateset());
-  Circuit optimized = compiler::optimize(lowered);
-  EXPECT_LE(optimized.gate_count(), lowered.gate_count());
-  EXPECT_TRUE(sim::circuits_equivalent(c, optimized, 1e-7));
 }
 
 }  // namespace

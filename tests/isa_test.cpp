@@ -2,7 +2,6 @@
 
 #include "compiler/schedule.h"
 #include "device/device.h"
-#include "isa/binary.h"
 #include "isa/pulse.h"
 #include "isa/timed_program.h"
 #include "mapper/pipeline.h"
@@ -234,105 +233,6 @@ TEST(Pulse, ChannelNames) {
   EXPECT_EQ(channel_name(ChannelId{ChannelKind::kFlux, 1, 4}), "flux:Q1-Q4");
   EXPECT_EQ(channel_name(ChannelId{ChannelKind::kReadout, 0, -1}),
             "readout:Q0");
-}
-
-// ---------------------------------------------------------------------------
-// Binary encoding
-// ---------------------------------------------------------------------------
-
-TEST(Binary, RoundTripSmallProgram) {
-  Device d = device::line_device(3);
-  Circuit c(3, "bin");
-  c.rx(0.5, 0).cz(0, 1).rz(-1.25, 2).measure(1);
-  TimedProgram p = lower(c, d);
-  auto words = encode_program(p);
-  EXPECT_EQ(words[0], kBinaryMagic);
-  auto back = decode_program(words);
-  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
-  const TimedProgram& q = back.value();
-  EXPECT_EQ(q.num_qubits(), p.num_qubits());
-  EXPECT_EQ(q.instruction_count(), p.instruction_count());
-  EXPECT_EQ(q.makespan_cycles(), p.makespan_cycles());
-  EXPECT_DOUBLE_EQ(q.cycle_time_ns(), p.cycle_time_ns());
-  // Structure: same bundles, same kinds/qubits, angles to float32 accuracy.
-  ASSERT_EQ(q.bundles().size(), p.bundles().size());
-  for (std::size_t b = 0; b < p.bundles().size(); ++b) {
-    ASSERT_EQ(q.bundles()[b].instructions.size(),
-              p.bundles()[b].instructions.size());
-    EXPECT_EQ(q.bundles()[b].start_cycle, p.bundles()[b].start_cycle);
-    for (std::size_t i = 0; i < p.bundles()[b].instructions.size(); ++i) {
-      const auto& orig = p.bundles()[b].instructions[i];
-      const auto& dec = q.bundles()[b].instructions[i];
-      EXPECT_EQ(dec.kind, orig.kind);
-      EXPECT_EQ(dec.qubits, orig.qubits);
-      ASSERT_EQ(dec.params.size(), orig.params.size());
-      for (std::size_t pi = 0; pi < orig.params.size(); ++pi) {
-        EXPECT_NEAR(dec.params[pi], orig.params[pi], 1e-6);
-      }
-    }
-  }
-}
-
-TEST(Binary, RoundTripMappedCircuit) {
-  Device d = device::surface17_device();
-  qfs::Rng rng(3);
-  Circuit c = workloads::qft(5);
-  mapper::MappingResult r = mapper::map_circuit(c, d, rng);
-  TimedProgram p = lower(r.mapped, d);
-  auto back = decode_program(encode_program(p));
-  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
-  EXPECT_EQ(back.value().instruction_count(), p.instruction_count());
-  EXPECT_TRUE(program_is_valid(back.value(), d));
-}
-
-TEST(Binary, DecodeRejectsBadMagic) {
-  auto result = decode_program({0xDEADBEEF, 2, 200, 0});
-  ASSERT_FALSE(result.is_ok());
-  EXPECT_NE(result.status().message().find("magic"), std::string::npos);
-}
-
-TEST(Binary, DecodeRejectsTruncation) {
-  Device d = device::line_device(2);
-  Circuit c(2);
-  c.cz(0, 1);
-  auto words = encode_program(lower(c, d));
-  words.pop_back();
-  EXPECT_FALSE(decode_program(words).is_ok());
-}
-
-TEST(Binary, DecodeRejectsTrailingGarbage) {
-  Device d = device::line_device(2);
-  Circuit c(2);
-  c.x(0);
-  auto words = encode_program(lower(c, d));
-  words.push_back(123);
-  EXPECT_FALSE(decode_program(words).is_ok());
-}
-
-TEST(Binary, DecodeRejectsBadOpcode) {
-  Device d = device::line_device(2);
-  Circuit c(2);
-  c.x(0);
-  auto words = encode_program(lower(c, d));
-  words[4] = (words[4] & ~0xFFu) | 0xEE;  // invalid opcode
-  EXPECT_FALSE(decode_program(words).is_ok());
-}
-
-TEST(Binary, DecodeRejectsOperandOutOfRange) {
-  Device d = device::line_device(2);
-  Circuit c(2);
-  c.x(0);
-  auto words = encode_program(lower(c, d));
-  words[4] = (words[4] & ~0xFF00u) | (7u << 8);  // qubit 7 of 2
-  EXPECT_FALSE(decode_program(words).is_ok());
-}
-
-TEST(Binary, EmptyProgramEncodes) {
-  Device d = device::line_device(1);
-  TimedProgram p = lower(Circuit(1), d);
-  auto back = decode_program(encode_program(p));
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().instruction_count(), 0);
 }
 
 TEST(ProgramValidation, RandomMappedCircuitsLowerCleanly) {

@@ -83,65 +83,6 @@ TEST(Interaction, QftInteractionIsComplete) {
 }
 
 // ---------------------------------------------------------------------------
-// Temporal slicing
-// ---------------------------------------------------------------------------
-
-TEST(Slicing, WindowsPartitionGates) {
-  Circuit c(4);
-  for (int i = 0; i < 12; ++i) c.cx(i % 3, 3);
-  auto slices = sliced_interaction_graphs(c, 3);
-  ASSERT_EQ(slices.size(), 3u);
-  double total = 0.0;
-  for (const auto& g : slices) total += g.total_weight();
-  EXPECT_DOUBLE_EQ(total, 12.0);
-}
-
-TEST(Slicing, SingleSliceEqualsFullGraph) {
-  Circuit c(3);
-  c.cx(0, 1).cz(1, 2).cx(0, 1);
-  auto slices = sliced_interaction_graphs(c, 1);
-  ASSERT_EQ(slices.size(), 1u);
-  EXPECT_EQ(slices[0], interaction_graph(c));
-}
-
-TEST(Drift, StationaryCircuitHasZeroDrift) {
-  // Identical repeated layers: every window has the same interactions.
-  Circuit c(4);
-  for (int layer = 0; layer < 8; ++layer) {
-    c.cx(0, 1).cx(2, 3);
-  }
-  EXPECT_NEAR(profile::interaction_drift(c, 4), 0.0, 1e-12);
-}
-
-TEST(Drift, PhaseChangingCircuitHasHighDrift) {
-  // First half interacts (0,1); second half (2,3): windows disjoint.
-  Circuit c(4);
-  for (int i = 0; i < 6; ++i) c.cx(0, 1);
-  for (int i = 0; i < 6; ++i) c.cx(2, 3);
-  EXPECT_NEAR(profile::interaction_drift(c, 2), 1.0, 1e-12);
-}
-
-TEST(Drift, IntermediateValuesOrdered) {
-  qfs::Rng rng(3);
-  // Structured circuit (repeating ansatz) drifts less than a random one.
-  Circuit ansatz = workloads::vqe_ansatz(6, 6, rng);
-  workloads::RandomCircuitSpec spec;
-  spec.num_qubits = 6;
-  spec.num_gates = ansatz.gate_count();
-  spec.two_qubit_fraction = 0.4;
-  Circuit random = workloads::random_circuit(spec, rng);
-  EXPECT_LT(profile::interaction_drift(ansatz, 4),
-            profile::interaction_drift(random, 4));
-}
-
-TEST(Drift, ValidatesSliceCount) {
-  Circuit c(2);
-  c.cx(0, 1);
-  EXPECT_THROW(profile::interaction_drift(c, 1), AssertionError);
-  EXPECT_THROW(sliced_interaction_graphs(c, 0), AssertionError);
-}
-
-// ---------------------------------------------------------------------------
 // Circuit profiles
 // ---------------------------------------------------------------------------
 

@@ -18,11 +18,9 @@ using device::DegradedDevice;
 using device::Device;
 using device::FaultInjector;
 using device::FaultSpec;
-using device::SubTopology;
-using device::Topology;
 
 // ---------------------------------------------------------------------------
-// Graph: induced subgraphs and largest component
+// Graph: induced subgraphs
 // ---------------------------------------------------------------------------
 
 TEST(InducedSubgraph, PreservesEdgesAndWeights) {
@@ -55,53 +53,6 @@ TEST(InducedSubgraph, RejectsBadKeepList) {
   EXPECT_THROW(graph::induced_subgraph(g, {-1}), qfs::AssertionError);
 }
 
-TEST(LargestComponent, PicksBiggest) {
-  graph::Graph g(7);
-  g.add_edge(0, 1);           // component {0,1}
-  g.add_edge(2, 3);           // component {2,3,4,5}
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);           // node 6 isolated
-  std::vector<graph::Node> big = graph::largest_component_nodes(g);
-  EXPECT_EQ(big, (std::vector<graph::Node>{2, 3, 4, 5}));
-}
-
-TEST(LargestComponent, TieBreaksTowardSmallestNode) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  EXPECT_EQ(graph::largest_component_nodes(g),
-            (std::vector<graph::Node>{0, 1}));
-}
-
-TEST(LargestComponent, EmptyGraph) {
-  EXPECT_TRUE(graph::largest_component_nodes(graph::Graph()).empty());
-}
-
-// ---------------------------------------------------------------------------
-// Topology: induced subtopologies
-// ---------------------------------------------------------------------------
-
-TEST(SubTopologyTest, InducedSubtopologyMapsBothWays) {
-  Topology line = device::line_topology(5);
-  SubTopology sub = device::induced_subtopology(line, {1, 2, 3}, "mid");
-  EXPECT_EQ(sub.topology.name(), "mid");
-  EXPECT_EQ(sub.topology.num_qubits(), 3);
-  EXPECT_TRUE(sub.topology.adjacent(0, 1));
-  EXPECT_TRUE(sub.topology.adjacent(1, 2));
-  EXPECT_FALSE(sub.topology.adjacent(0, 2));
-  EXPECT_EQ(sub.to_parent, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sub.from_parent, (std::vector<int>{-1, 0, 1, 2, -1}));
-}
-
-TEST(SubTopologyTest, LargestConnectedComponentOfSplitLine) {
-  // Removing qubit 1 from line:6 splits it into {0} and {2,3,4,5}.
-  Topology line = device::line_topology(6);
-  SubTopology healthy = device::induced_subtopology(line, {0, 2, 3, 4, 5});
-  SubTopology lcc = device::largest_connected_component(healthy.topology);
-  EXPECT_EQ(lcc.topology.num_qubits(), 4);
-  EXPECT_TRUE(graph::is_connected(lcc.topology.coupling()));
-}
-
 // ---------------------------------------------------------------------------
 // Fault spec parsing
 // ---------------------------------------------------------------------------
@@ -119,13 +70,6 @@ TEST(FaultSpecParse, FullSpecRoundTrips) {
   EXPECT_DOUBLE_EQ(spec.dead_edge_fraction, 0.2);
   EXPECT_DOUBLE_EQ(spec.fidelity_drift, 0.02);
   EXPECT_EQ(spec.seed, 7u);
-
-  auto again = device::parse_fault_spec(device::fault_spec_to_string(spec));
-  ASSERT_TRUE(again.is_ok()) << again.status().to_string();
-  EXPECT_EQ(again.value().dead_qubits, spec.dead_qubits);
-  EXPECT_EQ(again.value().dead_edges, spec.dead_edges);
-  EXPECT_DOUBLE_EQ(again.value().fidelity_drift, spec.fidelity_drift);
-  EXPECT_EQ(again.value().seed, spec.seed);
 }
 
 TEST(FaultSpecParse, RejectsMalformedInput) {
@@ -179,6 +123,30 @@ TEST(FaultInjection, ExplicitDeadEdgeStrandsTail) {
   EXPECT_EQ(degraded.value().device.num_qubits(), 4);
   EXPECT_EQ(degraded.value().dead_edges, 1);
   EXPECT_EQ(degraded.value().stranded_qubits, 1);
+}
+
+TEST(FaultInjection, TieBetweenLiveComponentsKeepsTheFirst) {
+  // Equal-sized live components: the one holding the smallest live qubit
+  // wins.
+  {
+    FaultSpec spec;
+    spec.dead_qubits = {0, 3};
+    auto r = FaultInjector(spec).apply(device::line_device(6));
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().to_parent, (std::vector<int>{1, 2}));
+    EXPECT_EQ(r.value().stranded_qubits, 2);
+  }
+  // Dead qubits never count as members: every component here has one
+  // qubit, and the dead qubit 0 must not be the one kept.
+  {
+    FaultSpec spec;
+    spec.dead_qubits = {0};
+    spec.dead_edges = {{1, 2}};
+    auto r = FaultInjector(spec).apply(device::line_device(3));
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ(r.value().to_parent, (std::vector<int>{1}));
+    EXPECT_EQ(r.value().stranded_qubits, 1);
+  }
 }
 
 TEST(FaultInjection, InvalidCasualtiesRejected) {
