@@ -7,6 +7,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,9 @@
 #include "cache/fingerprint.h"
 #include "cache/memo.h"
 #include "common.h"
+#include "device/calibration.h"
 #include "device/device.h"
+#include "device/faults.h"
 #include "gtest/gtest.h"
 #include "mapper/pipeline.h"
 #include "qasm/writer.h"
@@ -72,6 +75,68 @@ TEST(FingerprintTest, HugeAnglesKeepDistinctKeys) {
       truncated));
   EXPECT_NE(key(1e100), key(truncated));
   EXPECT_NE(key(std::ldexp(1.0, 300)), key(10.0 * std::ldexp(1.0, 300)));
+}
+
+/// compile_fingerprint of a fixed circuit on `dev` with the default
+/// options and with a non-default set, as hex.
+std::vector<std::string> fingerprint_hexes(const device::Device& dev) {
+  circuit::Circuit c(3, "golden");
+  c.h(0).cx(0, 1).rz(0.25, 2).ccx(0, 1, 2).measure(2);
+  const std::string text = qasm::to_qasm(c);
+  mapper::MappingOptions other;
+  other.placer = "sabre";
+  other.router = "lookahead";
+  other.sabre_refinement_rounds = 3;
+  other.initial_layout = {2, 0, 1};
+  other.compute_latency = true;
+  return {compile_fingerprint(text, dev, mapper::MappingOptions{}, 2022).hex(),
+          compile_fingerprint(text, dev, other, 7331).hex()};
+}
+
+device::Device registry_device(const char* spec) {
+  auto made = backends::make_device(spec);
+  QFS_ASSERT_MSG(made.is_ok(), made.status().to_string());
+  return std::move(made).value();
+}
+
+// Pins the cache keys themselves: any change to canonical_device_text,
+// canonical_options_text or the field framing shows here.
+TEST(FingerprintGolden, Surface97) {
+  EXPECT_EQ(fingerprint_hexes(registry_device("surface97")),
+            (std::vector<std::string>{"09f1029ea18e503a28eab9d1ba63b2c1",
+                                      "8dfb39fa279a758a4d2e3a2597d9d8de"}));
+}
+
+TEST(FingerprintGolden, HeavyHex13x29) {
+  EXPECT_EQ(fingerprint_hexes(registry_device("heavy_hex(rows=13,cols=29)")),
+            (std::vector<std::string>{"bc43fa0dcfed2e68b1869941d96381b5",
+                                      "ef23a3c5f138f4f28e63750ff0263f33"}));
+}
+
+TEST(FingerprintGolden, CalibrationFile) {
+  device::Device dev = registry_device("surface17");
+  std::ifstream in(std::string(QFS_TESTDATA_DIR) +
+                   "/long_durations_calibration.txt");
+  std::ostringstream text;
+  text << in.rdbuf();
+  auto model = device::parse_calibration(text.str(), dev.num_qubits());
+  ASSERT_TRUE(model.is_ok()) << model.status().to_string();
+  dev.mutable_error_model() = model.value();
+  EXPECT_EQ(fingerprint_hexes(dev),
+            (std::vector<std::string>{"293699cdf251e6d10f5bda5edbc94af5",
+                                      "1c5e185477abab351d0e9ae28913417d"}));
+}
+
+TEST(FingerprintGolden, FaultInjectedDevice) {
+  auto spec =
+      device::parse_fault_spec("dead_edge_fraction=0.1;drift=0.02;seed=7");
+  ASSERT_TRUE(spec.is_ok());
+  auto degraded = device::FaultInjector(std::move(spec).value())
+                      .apply(registry_device("surface97"));
+  ASSERT_TRUE(degraded.is_ok());
+  EXPECT_EQ(fingerprint_hexes(degraded.value().device),
+            (std::vector<std::string>{"481638e6ed22acae42024049e5d82a15",
+                                      "86d1f43d484f7cee53af07684feafd20"}));
 }
 
 TEST(FingerprintTest, StableAndSensitive) {

@@ -2,7 +2,9 @@
 // operator new: copying, building and appending gates of up to three
 // operands allocates nothing; only a barrier wider than that does. Also
 // pins that decompose_to_gateset lowers each parameter-free kind once per
-// call: its allocations do not grow with the number of gates it lowers.
+// call: its allocations do not grow with the number of gates it lowers,
+// and that qasm::parse and qasm::to_qasm allocate per circuit, not per
+// gate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +17,8 @@
 #include "circuit/circuit.h"
 #include "compiler/decompose.h"
 #include "device/gateset.h"
+#include "qasm/parser.h"
+#include "qasm/writer.h"
 
 namespace {
 std::atomic<long> g_allocations{0};
@@ -136,6 +140,49 @@ TEST(GateAlloc, LoweringAllocatesPerKindNotPerGate) {
         << gs.name() << ": " << small_allocs << " allocations for 64 gates, "
         << large_allocs << " for 4096";
   }
+}
+
+/// h_t_ccx_swap(n) with an rz of a varying angle after every fourth gate.
+Circuit with_angles(int n) {
+  Circuit c = h_t_ccx_swap(n);
+  Circuit out(16, "alloc");
+  out.reserve(c.size() + c.size() / 4);
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    out.add(c.gates()[i]);
+    if (i % 4 == 3) out.rz(0.001 * static_cast<double>(i % 97), 3);
+  }
+  return out;
+}
+
+TEST(GateAlloc, ParseAllocatesPerCircuitNotPerGate) {
+  const std::string small_text = qasm::to_qasm(with_angles(64));
+  const std::string large_text = qasm::to_qasm(with_angles(4096));
+  std::size_t large_size = 0;
+  const long small_allocs =
+      allocations_in([&] { ASSERT_TRUE(qasm::parse(small_text).is_ok()); });
+  const long large_allocs = allocations_in([&] {
+    auto parsed = qasm::parse(large_text);
+    ASSERT_TRUE(parsed.is_ok());
+    large_size = parsed.value().size();
+  });
+  // Only the gate vector may grow with the input, by doubling.
+  EXPECT_LE(large_allocs - small_allocs,
+            static_cast<long>(std::bit_width(large_size)))
+      << small_allocs << " allocations for 64 gates, " << large_allocs
+      << " for 4096";
+}
+
+TEST(GateAlloc, EmitAllocatesPerCircuitNotPerGate) {
+  const Circuit small = with_angles(64);
+  const Circuit large = with_angles(4096);
+  std::size_t large_size = 0;
+  const long small_allocs = allocations_in([&] { (void)qasm::to_qasm(small); });
+  const long large_allocs =
+      allocations_in([&] { large_size = qasm::to_qasm(large).size(); });
+  EXPECT_LE(large_allocs - small_allocs,
+            static_cast<long>(std::bit_width(large_size)))
+      << small_allocs << " allocations for 64 gates, " << large_allocs
+      << " for 4096";
 }
 
 }  // namespace
