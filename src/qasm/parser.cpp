@@ -1,10 +1,12 @@
 #include "qasm/parser.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <climits>
 #include <cmath>
-#include <map>
-#include <optional>
-#include <sstream>
+#include <cstdint>
+#include <iterator>
+#include <string_view>
 #include <vector>
 
 #include "support/strings.h"
@@ -13,652 +15,681 @@ namespace qfs::qasm {
 
 using circuit::Circuit;
 using circuit::GateKind;
+using K = GateKind;
 
 namespace {
 
-// ---- Angle expression evaluation (recursive descent) -----------------------
+// The C locale's classes, without a locale lookup.
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+constexpr bool is_word(char c) {
+  return is_alpha(c) || is_digit(c) || c == '_';
+}
+constexpr char lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
-/// Optional binding environment: formal parameter name -> value.
-using ParamEnv = std::map<std::string, double>;
+/// The identifier-like prefix of `s` ([A-Za-z0-9_]*).
+std::string_view word(std::string_view s) {
+  std::size_t n = 0;
+  while (n < s.size() && is_word(s[n])) ++n;
+  return s.substr(0, n);
+}
 
+std::string lowered(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = lower(c);
+  return out;
+}
+
+/// Calls `fn(field)` for each `delim`-separated field of `s`, empty fields
+/// included, while `fn` returns true; true when it always did.
+template <typename Fn>
+bool for_each_field(std::string_view s, char delim, Fn&& fn) {
+  while (true) {
+    const std::size_t end = s.find(delim);
+    if (!fn(s.substr(0, end))) return false;
+    if (end == std::string_view::npos) return true;
+    s.remove_prefix(end + 1);
+  }
+}
+
+/// The concatenated `parts`.
+template <typename... Parts>
+std::string concat(const Parts&... parts) {
+  std::string text;
+  (text.append(std::string_view(parts)), ...);
+  return text;
+}
+
+/// `name` lower-cased into an integer, first byte highest, so that keys
+/// sort as names do; 0 for a name too long for the tables below.
+constexpr std::uint64_t pack(std::string_view name) {
+  if (name.empty() || name.size() > 8) return 0;
+  std::uint64_t key = 0;
+  for (char c : name) key = key << 8 | std::uint8_t(lower(c));
+  return key << 8 * (8 - name.size());
+}
+
+struct BuiltinName {
+  std::string_view name;
+  GateKind kind;
+  std::uint64_t key = pack(name);
+};
+constexpr BuiltinName kBuiltins[] = {
+    {"ccx", K::kCcx}, {"ccz", K::kCcz}, {"cp", K::kCphase},
+    {"cswap", K::kCswap}, {"cu1", K::kCphase}, {"cx", K::kCx}, {"cy", K::kCy},
+    {"cz", K::kCz}, {"h", K::kH}, {"id", K::kI}, {"p", K::kPhase},
+    {"rx", K::kRx}, {"ry", K::kRy}, {"rz", K::kRz}, {"s", K::kS},
+    {"sdg", K::kSdg}, {"swap", K::kSwap}, {"sx", K::kSx}, {"sxdg", K::kSxdg},
+    {"t", K::kT}, {"tdg", K::kTdg}, {"u", K::kU3}, {"u1", K::kPhase},
+    {"u3", K::kU3}, {"x", K::kX}, {"y", K::kY}, {"z", K::kZ},
+};
+
+/// QASMBench gates with no GateKind of their own. Each expands inline to
+/// its standard qelib1 network (Parser::emit_macro), so the rest of the
+/// stack (profiling, mapping, simulation) only ever sees core kinds.
+enum class Macro : std::uint8_t { kCh, kCrz, kCu3, kRxx, kRzz, kU2 };
+struct MacroName {
+  std::string_view name;
+  Macro macro;
+  int params;
+  int qubits;
+  std::uint64_t key = pack(name);
+};
+constexpr MacroName kMacros[] = {
+    {"ch", Macro::kCh, 0, 2},   {"crz", Macro::kCrz, 1, 2},
+    {"cu3", Macro::kCu3, 3, 2}, {"rxx", Macro::kRxx, 1, 2},
+    {"rzz", Macro::kRzz, 1, 2}, {"u2", Macro::kU2, 2, 1},
+};
+static_assert(std::ranges::is_sorted(kBuiltins, {}, &BuiltinName::name));
+static_assert(std::ranges::is_sorted(kMacros, {}, &MacroName::name));
+
+/// The entry of sorted `table` named `name` in any case, or nullptr.
+template <typename Entry, std::size_t N>
+const Entry* find_name(const Entry (&table)[N], std::string_view name) {
+  // A branch-free binary search: the last entry whose key is <= key.
+  const std::uint64_t key = pack(name);
+  const Entry* it = table;
+  for (std::size_t n = N; n > 1; n -= n / 2) {
+    it = it[n / 2].key <= key ? it + n / 2 : it;
+  }
+  return it->key == key ? it : nullptr;
+}
+
+/// A user-defined gate (OPENQASM `gate` block). Its body statements are
+/// parsed at each invocation, against the definitions in force then.
+struct GateDef {
+  std::string name;  ///< lower-cased
+  std::vector<std::string> param_names, qubit_names;
+  std::vector<std::string> body;  ///< statements without trailing ';'
+};
+
+/// One expansion of a definition's body: its formals bound to the
+/// invocation's parameter values and qubits.
+struct Frame {
+  const GateDef* def;
+  const std::vector<double>* params;
+  const std::vector<int>* qubits;
+};
+
+/// The value bound to formal `name`, or nullptr. A repeated formal name
+/// binds its last argument.
+template <typename T>
+const T* bound(const std::vector<std::string>& names,
+               const std::vector<T>& values, std::string_view name) {
+  const auto it = std::find(names.rbegin(), names.rend(), name);
+  return it == names.rend() ? nullptr : &values[names.rend() - it - 1];
+}
+
+/// Recursive descent over + - * / ( ), literals, pi and bound parameters.
+/// The first error sticks; what is evaluated after it is discarded.
 class ExprParser {
  public:
-  ExprParser(std::string_view text, const ParamEnv* env)
-      : text_(text), env_(env) {}
+  ExprParser(std::string_view text, const Frame* frame)
+      : text_(text), frame_(frame) {}
 
   qfs::StatusOr<double> parse() {
-    auto v = parse_sum();
-    if (!v.is_ok()) return v;
+    const double value = chain("+-");
     skip_ws();
-    if (pos_ != text_.size()) {
-      return qfs::parse_error("trailing characters in expression: " +
-                              std::string(text_));
-    }
-    return v;
+    if (pos_ < text_.size()) fail("trailing characters in expression: ", text_);
+    if (!error_.empty()) return qfs::parse_error(error_);
+    return value;
   }
 
  private:
+  template <typename... Parts>
+  double fail(const Parts&... parts) {
+    if (error_.empty()) error_ = concat(parts...);
+    return 0.0;
+  }
+
   void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && is_space(text_[pos_])) ++pos_;
   }
 
   bool consume(char c) {
     skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
+    const bool hit = pos_ < text_.size() && text_[pos_] == c;
+    pos_ += hit;
+    return hit;
   }
 
-  qfs::StatusOr<double> parse_sum() {
-    auto lhs = parse_product();
-    if (!lhs.is_ok()) return lhs;
-    double acc = lhs.value();
-    while (true) {
-      if (consume('+')) {
-        auto rhs = parse_product();
-        if (!rhs.is_ok()) return rhs;
-        acc += rhs.value();
-      } else if (consume('-')) {
-        auto rhs = parse_product();
-        if (!rhs.is_ok()) return rhs;
-        acc -= rhs.value();
-      } else {
-        return acc;
-      }
+  /// Operands joined by `ops`: a sum ("+-") of products ("*/") of unary
+  /// terms.
+  double chain(std::string_view ops) {
+    const bool sum = ops == "+-";
+    double acc = sum ? chain("*/") : unary();
+    while (error_.empty()) {
+      const bool first = consume(ops[0]);
+      if (!first && !consume(ops[1])) break;
+      const double rhs = sum ? chain("*/") : unary();
+      if (!sum && !first && rhs == 0.0) return fail("division by zero");
+      acc = sum ? (first ? acc + rhs : acc - rhs)
+                : (first ? acc * rhs : acc / rhs);
     }
+    return acc;
   }
 
-  qfs::StatusOr<double> parse_product() {
-    auto lhs = parse_unary();
-    if (!lhs.is_ok()) return lhs;
-    double acc = lhs.value();
-    while (true) {
-      if (consume('*')) {
-        auto rhs = parse_unary();
-        if (!rhs.is_ok()) return rhs;
-        acc *= rhs.value();
-      } else if (consume('/')) {
-        auto rhs = parse_unary();
-        if (!rhs.is_ok()) return rhs;
-        if (rhs.value() == 0.0) return qfs::parse_error("division by zero");
-        acc /= rhs.value();
-      } else {
-        return acc;
-      }
-    }
+  double unary() {
+    if (consume('-')) return -unary();
+    if (consume('+')) return unary();
+    return atom();
   }
 
-  qfs::StatusOr<double> parse_unary() {
-    if (consume('-')) {
-      auto v = parse_unary();
-      if (!v.is_ok()) return v;
-      return -v.value();
-    }
-    if (consume('+')) return parse_unary();
-    return parse_atom();
-  }
-
-  qfs::StatusOr<double> parse_atom() {
+  double atom() {
     skip_ws();
     if (consume('(')) {
-      auto v = parse_sum();
-      if (!v.is_ok()) return v;
-      if (!consume(')')) return qfs::parse_error("missing ')'");
-      return v;
+      const double v = chain("+-");
+      return error_.empty() && !consume(')') ? fail("missing ')'") : v;
     }
+    const std::string_view tail = text_.substr(pos_);
     // Identifier: "pi" or a bound formal parameter.
-    if (pos_ < text_.size() &&
-        (std::isalpha(static_cast<unsigned char>(text_[pos_])) ||
-         text_[pos_] == '_')) {
-      std::size_t start = pos_;
-      while (pos_ < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '_')) {
-        ++pos_;
-      }
-      std::string name(text_.substr(start, pos_ - start));
+    if (!tail.empty() && (is_alpha(tail[0]) || tail[0] == '_')) {
+      const std::string_view name = word(tail);
+      pos_ += name.size();
       if (name == "pi") return M_PI;
-      if (env_ != nullptr) {
-        auto it = env_->find(name);
-        if (it != env_->end()) return it->second;
-      }
-      return qfs::parse_error("unknown identifier '" + name +
-                              "' in expression");
+      const double* value =
+          frame_ ? bound(frame_->def->param_names, *frame_->params, name)
+                 : nullptr;
+      return value ? *value
+                   : fail("unknown identifier '", name, "' in expression");
     }
     // Decimal literal.
-    std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            ((text_[pos_] == '+' || text_[pos_] == '-') && pos_ > start &&
-             (text_[pos_ - 1] == 'e' || text_[pos_ - 1] == 'E')))) {
-      ++pos_;
+    const auto exponent = [&](std::size_t i) {
+      return tail[i] == 'e' || tail[i] == 'E';
+    };
+    std::size_t n = 0;
+    while (n < tail.size() &&
+           (is_digit(tail[n]) || tail[n] == '.' || exponent(n) ||
+            ((tail[n] == '+' || tail[n] == '-') && n > 0 && exponent(n - 1)))) {
+      ++n;
     }
-    if (pos_ == start) {
-      return qfs::parse_error("expected number, 'pi' or parameter in: " +
-                              std::string(text_));
-    }
+    if (n == 0) return fail("expected number, 'pi' or parameter in: ", text_);
+    pos_ += n;
     double value = 0.0;
-    if (!qfs::parse_double(text_.substr(start, pos_ - start), value)) {
-      return qfs::parse_error("bad numeric literal in expression: " +
-                              std::string(text_.substr(start, pos_ - start)));
+    if (!qfs::parse_double(tail.substr(0, n), value)) {
+      return fail("bad numeric literal in expression: ", tail.substr(0, n));
     }
     return value;
   }
 
   std::string_view text_;
-  const ParamEnv* env_;
+  const Frame* frame_;
   std::size_t pos_ = 0;
+  std::string error_;
 };
 
-// ---- Statement parsing ------------------------------------------------------
+// ---- The parser -------------------------------------------------------------
 
-const std::map<std::string, GateKind>& gate_table() {
-  static const std::map<std::string, GateKind> table = {
-      {"id", GateKind::kI},       {"x", GateKind::kX},
-      {"y", GateKind::kY},        {"z", GateKind::kZ},
-      {"h", GateKind::kH},        {"s", GateKind::kS},
-      {"sdg", GateKind::kSdg},    {"t", GateKind::kT},
-      {"tdg", GateKind::kTdg},    {"sx", GateKind::kSx},
-      {"sxdg", GateKind::kSxdg},  {"rx", GateKind::kRx},
-      {"ry", GateKind::kRy},      {"rz", GateKind::kRz},
-      {"p", GateKind::kPhase},    {"u1", GateKind::kPhase},
-      {"u3", GateKind::kU3},      {"u", GateKind::kU3},
-      {"cx", GateKind::kCx},      {"cy", GateKind::kCy},
-      {"cz", GateKind::kCz},      {"cp", GateKind::kCphase},
-      {"cu1", GateKind::kCphase}, {"swap", GateKind::kSwap},
-      {"ccx", GateKind::kCcx},    {"ccz", GateKind::kCcz},
-      {"cswap", GateKind::kCswap},
-  };
-  return table;
-}
-
-// ---- QASMBench macro gates --------------------------------------------------
-//
-// Gates that appear in QASMBench-style circuits but have no dedicated
-// GateKind. Each expands inline to its standard qelib1 network, so the rest
-// of the stack (profiling, mapping, simulation) only ever sees core kinds.
-
-struct MacroSignature {
-  int params;
-  int qubits;
-};
-
-const std::map<std::string, MacroSignature>& macro_table() {
-  static const std::map<std::string, MacroSignature> table = {
-      {"u2", {2, 1}},  {"rzz", {1, 2}}, {"rxx", {1, 2}},
-      {"crz", {1, 2}}, {"cu3", {3, 2}}, {"ch", {0, 2}},
-  };
-  return table;
-}
-
-/// A user-defined gate (OPENQASM `gate` block).
-struct GateDef {
+/// One declared register. Quantum registers concatenate in declaration
+/// order into the circuit's qubits [offset, offset + size).
+struct Register {
   std::string name;
-  std::vector<std::string> param_names;
-  std::vector<std::string> qubit_names;
-  std::vector<std::string> body;  ///< statements without trailing ';'
+  bool quantum = true;
+  int offset = 0, size = 0;
 };
 
-/// One declared quantum register: qubits [offset, offset + size) of the
-/// flat circuit index space. Registers concatenate in declaration order.
-struct QuantumReg {
-  std::string name;
-  int offset = 0;
-  int size = 0;
+/// An operand: one qubit (width 1) or a whole register for broadcast.
+struct Operand {
+  int first = 0, width = 1;
+  int at(int i) const { return width == 1 ? first : first + i; }
 };
-
-struct ParserState {
-  std::vector<QuantumReg> qregs;
-  int total_qubits = 0;
-  std::vector<std::string> creg_names;
-  int total_clbits = 0;
-  std::map<std::string, GateDef> gate_defs;
-  std::vector<circuit::Gate> gates;
-
-  const QuantumReg* find_qreg(std::string_view name) const {
-    for (const auto& r : qregs) {
-      if (r.name == name) return &r;
-    }
-    return nullptr;
-  }
-};
-
-/// Expand one instance of a QASMBench macro gate (see macro_table) into the
-/// standard qelib1 network over core GateKinds.
-void emit_macro(const std::string& name, const circuit::Params& p,
-                const circuit::Qubits& q, ParserState& state) {
-  auto add = [&state](GateKind kind, circuit::Qubits qubits,
-                      circuit::Params params = {}) {
-    state.gates.push_back(
-        circuit::make_gate(kind, std::move(qubits), std::move(params)));
-  };
-  if (name == "u2") {
-    // u2(phi, lambda) = u3(pi/2, phi, lambda).
-    add(GateKind::kU3, {q[0]}, {M_PI / 2.0, p[0], p[1]});
-  } else if (name == "rzz") {
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kRz, {q[1]}, {p[0]});
-    add(GateKind::kCx, {q[0], q[1]});
-  } else if (name == "rxx") {
-    // Conjugate rzz by Hadamards on both qubits.
-    add(GateKind::kH, {q[0]});
-    add(GateKind::kH, {q[1]});
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kRz, {q[1]}, {p[0]});
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kH, {q[0]});
-    add(GateKind::kH, {q[1]});
-  } else if (name == "crz") {
-    add(GateKind::kRz, {q[1]}, {p[0] / 2.0});
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kRz, {q[1]}, {-p[0] / 2.0});
-    add(GateKind::kCx, {q[0], q[1]});
-  } else if (name == "cu3") {
-    // cu3(theta, phi, lambda) c, t — qelib1's controlled-U decomposition.
-    const double theta = p[0], phi = p[1], lambda = p[2];
-    add(GateKind::kPhase, {q[0]}, {(lambda + phi) / 2.0});
-    add(GateKind::kPhase, {q[1]}, {(lambda - phi) / 2.0});
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kU3, {q[1]}, {-theta / 2.0, 0.0, -(phi + lambda) / 2.0});
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kU3, {q[1]}, {theta / 2.0, phi, 0.0});
-  } else if (name == "ch") {
-    // qelib1: gate ch a,b { h b; sdg b; cx a,b; h b; t b; cx a,b;
-    //                       t b; h b; s b; x b; s a; }
-    add(GateKind::kH, {q[1]});
-    add(GateKind::kSdg, {q[1]});
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kH, {q[1]});
-    add(GateKind::kT, {q[1]});
-    add(GateKind::kCx, {q[0], q[1]});
-    add(GateKind::kT, {q[1]});
-    add(GateKind::kH, {q[1]});
-    add(GateKind::kS, {q[1]});
-    add(GateKind::kX, {q[1]});
-    add(GateKind::kS, {q[0]});
-  } else {
-    QFS_ASSERT_MSG(false, "emit_macro: unknown macro '" + name + "'");
-  }
-}
-
-/// Qubit binding environment inside a gate-definition body: formal qubit
-/// name -> concrete physical index.
-using QubitEnv = std::map<std::string, int>;
-
-qfs::Status error_at(int line_no, const std::string& message) {
-  std::ostringstream os;
-  os << "line " << line_no << ": " << message;
-  return qfs::parse_error(os.str());
-}
-
-/// Parse an operand token into one or more qubit indices.
-/// Outside a body: "q[3]" (one qubit) or bare "q" (broadcast over the
-/// register). Inside a body (env != nullptr): a formal qubit name.
-qfs::StatusOr<circuit::Qubits> parse_operand(std::string_view token,
-                                             const ParserState& state,
-                                             const QubitEnv* env,
-                                             int line_no) {
-  token = trim(token);
-  if (env != nullptr) {
-    auto it = env->find(std::string(token));
-    if (it == env->end()) {
-      return error_at(line_no, "unknown qubit '" + std::string(token) +
-                                   "' in gate body");
-    }
-    return circuit::Qubits{it->second};
-  }
-  auto open = token.find('[');
-  if (open == std::string_view::npos) {
-    // Broadcast: the whole register.
-    std::string name(trim(token));
-    const QuantumReg* reg = state.find_qreg(name);
-    if (reg == nullptr) {
-      return error_at(line_no, "unknown quantum register '" + name + "'");
-    }
-    circuit::Qubits all;
-    for (int q = 0; q < reg->size; ++q) all.push_back(reg->offset + q);
-    return all;
-  }
-  auto close = token.find(']');
-  if (close == std::string_view::npos || close < open) {
-    return error_at(line_no, "malformed operand '" + std::string(token) + "'");
-  }
-  std::string name(trim(token.substr(0, open)));
-  const QuantumReg* reg = state.find_qreg(name);
-  if (reg == nullptr) {
-    return error_at(line_no, "unknown quantum register '" + name + "'");
-  }
-  int index = 0;
-  if (!qfs::parse_int(token.substr(open + 1, close - open - 1), index)) {
-    return error_at(line_no, "bad qubit index in '" + std::string(token) + "'");
-  }
-  if (index < 0 || index >= reg->size) {
-    return error_at(line_no, "qubit index out of range");
-  }
-  return circuit::Qubits{reg->offset + index};
-}
-
-/// Parse a comma-separated operand list. Each element is a list to allow
-/// register broadcast; broadcast elements must agree in length.
-qfs::StatusOr<std::vector<circuit::Qubits>> parse_operand_list(
-    std::string_view text, const ParserState& state, const QubitEnv* env,
-    int line_no) {
-  std::vector<circuit::Qubits> operands;
-  for (const std::string& tok : qfs::split(text, ',')) {
-    auto q = parse_operand(trim(tok), state, env, line_no);
-    if (!q.is_ok()) return q.status();
-    operands.push_back(std::move(q).value());
-  }
-  return operands;
-}
-
-/// Broadcast width of an operand list: all multi-element operands must
-/// share one length; single-element operands repeat.
-qfs::StatusOr<int> broadcast_width(const std::vector<circuit::Qubits>& ops,
-                                   int line_no) {
-  int width = 1;
-  for (const auto& op : ops) {
-    if (static_cast<int>(op.size()) == 1) continue;
-    if (width == 1) {
-      width = static_cast<int>(op.size());
-    } else if (width != static_cast<int>(op.size())) {
-      return error_at(line_no, "mismatched register broadcast widths");
-    }
-  }
-  return width;
-}
-
-/// Operand `i` of a broadcast: single-element operands repeat.
-circuit::Qubits broadcast_operands(const std::vector<circuit::Qubits>& ops,
-                                   int i) {
-  circuit::Qubits qubits;
-  for (const auto& op : ops) {
-    qubits.push_back(op.size() == 1 ? op[0] : op[static_cast<std::size_t>(i)]);
-  }
-  return qubits;
-}
-
-qfs::Status emit_broadcast(GateKind kind,
-                           const std::vector<circuit::Qubits>& ops,
-                           const circuit::Params& params, ParserState& state,
-                           int line_no) {
-  auto width = broadcast_width(ops, line_no);
-  if (!width.is_ok()) return width.status();
-  for (int i = 0; i < width.value(); ++i) {
-    circuit::Qubits qubits = broadcast_operands(ops, i);
-    if (!circuit::operands_distinct(qubits)) {
-      return error_at(line_no, "repeated qubit operand");
-    }
-    if (static_cast<int>(qubits.size()) != circuit::gate_arity(kind)) {
-      return error_at(line_no, std::string("wrong operand count for ") +
-                                   circuit::gate_name(kind));
-    }
-    state.gates.push_back(circuit::make_gate(kind, std::move(qubits), params));
-  }
-  return qfs::Status::ok();
-}
 
 constexpr int kMaxGateExpansionDepth = 32;
 
-qfs::Status parse_statement(std::string_view stmt, ParserState& state,
-                            int line_no, const ParamEnv* param_env,
-                            const QubitEnv* qubit_env, int depth);
+/// One pass over the source. A statement ends at ';', a definition that
+/// starts "gate " at its first '}', a "//" comment at the end of its line;
+/// a statement's line is the line of its terminator. Gates go straight
+/// into the circuit through Circuit::add, which checks each one.
+class Parser {
+ public:
+  explicit Parser(std::string_view source) : src_(source) {}
 
-/// Expand one invocation of a user-defined gate.
-qfs::Status expand_custom_gate(const GateDef& def,
-                               const circuit::Params& params,
-                               const circuit::Qubits& qubits,
-                               ParserState& state, int line_no, int depth) {
-  if (depth > kMaxGateExpansionDepth) {
-    return error_at(line_no, "gate expansion too deep (recursive definition?)");
-  }
-  QFS_ASSERT(params.size() == def.param_names.size());
-  QFS_ASSERT(qubits.size() == def.qubit_names.size());
-  ParamEnv env;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    env[def.param_names[i]] = params[i];
-  }
-  QubitEnv qenv;
-  for (std::size_t i = 0; i < qubits.size(); ++i) {
-    qenv[def.qubit_names[i]] = qubits[static_cast<std::size_t>(i)];
-  }
-  for (const std::string& body_stmt : def.body) {
-    auto status =
-        parse_statement(body_stmt, state, line_no, &env, &qenv, depth + 1);
-    if (!status.is_ok()) return status;
-  }
-  return qfs::Status::ok();
-}
-
-qfs::Status parse_statement(std::string_view stmt, ParserState& state,
-                            int line_no, const ParamEnv* param_env,
-                            const QubitEnv* qubit_env, int depth) {
-  stmt = trim(stmt);
-  if (stmt.empty()) return qfs::Status::ok();
-  const bool in_body = qubit_env != nullptr;
-
-  if (!in_body &&
-      (starts_with(stmt, "OPENQASM") || starts_with(stmt, "include"))) {
-    return qfs::Status::ok();
-  }
-
-  if (!in_body && (starts_with(stmt, "qreg") || starts_with(stmt, "creg"))) {
-    bool quantum = starts_with(stmt, "qreg");
-    auto rest = trim(stmt.substr(4));
-    auto open = rest.find('[');
-    auto close = rest.find(']');
-    if (open == std::string_view::npos || close == std::string_view::npos) {
-      return error_at(line_no, "malformed register declaration");
-    }
-    std::string name(trim(rest.substr(0, open)));
-    int size = 0;
-    if (!qfs::parse_int(rest.substr(open + 1, close - open - 1), size) ||
-        size <= 0) {
-      return error_at(line_no, "bad register size");
-    }
-    if (quantum) {
-      if (state.find_qreg(name) != nullptr) {
-        return error_at(line_no, "duplicate quantum register '" + name + "'");
+  qfs::StatusOr<Circuit> run() {
+    while (scan('\0'), pos_ < src_.size()) {
+      const std::size_t begin = pos_;
+      const bool definition = src_.substr(begin, 5) == "gate ";
+      const bool commented = scan(definition ? '}' : ';');
+      if (pos_ == src_.size()) {
+        fail(src_.back() == '\n' ? line_ - 1 : line_,
+             "unterminated statement at end of input");
+        return error_;
       }
-      state.qregs.push_back({name, state.total_qubits, size});
-      state.total_qubits += size;
-    } else {
-      for (const auto& existing : state.creg_names) {
-        if (existing == name) {
-          return error_at(line_no,
-                          "duplicate classical register '" + name + "'");
+      // A definition keeps its closing brace.
+      const std::size_t end = definition ? pos_ + 1 : pos_;
+      ++pos_;
+      const std::string_view text =
+          commented ? stripped(begin, end) : src_.substr(begin, end - begin);
+      if (!(definition ? gate_definition(text, line_)
+                       : statement(text, line_, nullptr, 0))) {
+        return error_;
+      }
+    }
+    if (total_qubits_ < 1) return qfs::parse_error("no qreg declaration found");
+    circuit_.set_name(std::move(name_));
+    return std::move(circuit_);
+  }
+
+ private:
+  /// Per-depth scratch, reused so that parsing allocates per circuit, not
+  /// per gate. A statement inside d nested expansions uses scratch_[d].
+  struct Scratch {
+    std::vector<Operand> ops;
+    int width = 1;  ///< the broadcast width of ops; -1 when they disagree
+    std::vector<double> params;
+    std::vector<int> qubits;
+  };
+
+  /// Records the error "line N: <parts>"; false, to return.
+  template <typename... Parts>
+  bool fail(int line, const Parts&... parts) {
+    error_ = qfs::parse_error(concat("line ", std::to_string(line), ": ",
+                                     parts...));
+    return false;
+  }
+
+  bool comment_at(std::size_t i) const {
+    return src_[i] == '/' && i + 1 < src_.size() && src_[i + 1] == '/';
+  }
+
+  /// The bytes that end or interrupt a statement.
+  static constexpr auto kSpecial = [] {
+    std::array<bool, 256> special{};
+    for (char c : {';', '}', '\n', '/'}) special[std::uint8_t(c)] = true;
+    return special;
+  }();
+
+  /// Moves pos_ to the next `stop` outside comments, or with stop '\0' to
+  /// the next byte outside whitespace and comments, counting lines. True
+  /// when it passed a comment.
+  bool scan(char stop) {
+    bool commented = false;
+    int line = line_;
+    std::size_t i = pos_;
+    for (; i < src_.size(); ++i) {
+      const char c = src_[i];
+      if (stop != '\0' && !kSpecial[std::uint8_t(c)]) continue;
+      if (c == '\n') {
+        ++line;
+      } else if (comment_at(i)) {
+        const std::size_t end = std::min(src_.find('\n', i), src_.size());
+        // The writer records the circuit name as "// circuit: <name>";
+        // recover it so print->parse->print is a fixed point (first wins).
+        const std::string_view text = trim(src_.substr(i + 2, end - i - 2));
+        if (name_.empty() && starts_with(text, "circuit:")) {
+          name_ = std::string(trim(text.substr(8)));
         }
+        i = end - 1;  // the loop steps onto the comment's newline
+        commented = true;
+      } else if (stop != '\0' ? c == stop : !is_space(c)) {
+        break;
       }
-      state.creg_names.push_back(name);
-      state.total_clbits += size;
     }
-    return qfs::Status::ok();
+    pos_ = i;
+    line_ = line;
+    return commented;
   }
 
-  if (state.qregs.empty()) {
-    return error_at(line_no, "gate statement before qreg declaration");
+  /// The source text of [begin, end) without its comments.
+  std::string_view stripped(std::size_t begin, std::size_t end) {
+    stripped_.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      if (comment_at(i)) i = std::min(src_.find('\n', i), end);
+      if (i < end) stripped_ += src_[i];
+    }
+    return stripped_;
   }
 
-  if (!in_body && starts_with(stmt, "measure")) {
-    auto arrow = stmt.find("->");
-    if (arrow == std::string_view::npos) {
-      return error_at(line_no, "measure without '->'");
+  const Register* find_register(std::string_view name, bool quantum) const {
+    for (const Register& r : registers_) {
+      if (r.quantum == quantum && r.name == name) return &r;
     }
-    auto q = parse_operand(trim(stmt.substr(7, arrow - 7)), state, nullptr,
-                           line_no);
-    if (!q.is_ok()) return q.status();
-    for (int qubit : q.value()) {
-      state.gates.push_back(circuit::make_gate(GateKind::kMeasure, {qubit}));
-    }
-    return qfs::Status::ok();
+    return nullptr;
   }
 
-  if (!in_body && starts_with(stmt, "reset")) {
-    auto q = parse_operand(trim(stmt.substr(5)), state, nullptr, line_no);
-    if (!q.is_ok()) return q.status();
-    for (int qubit : q.value()) {
-      state.gates.push_back(circuit::make_gate(GateKind::kReset, {qubit}));
+  const GateDef* find_def(std::string_view name) const {
+    for (const GateDef& d : defs_) {
+      if (std::ranges::equal(name, d.name, {}, lower)) return &d;
     }
-    return qfs::Status::ok();
+    return nullptr;
   }
 
-  if (starts_with(stmt, "barrier")) {
-    auto ops = parse_operand_list(trim(stmt.substr(7)), state, qubit_env,
-                                  line_no);
-    if (!ops.is_ok()) return ops.status();
+  /// One statement; `frame` is null outside a gate body.
+  bool statement(std::string_view stmt, int line, const Frame* frame,
+                 int depth) {
+    stmt = trim(stmt);
+    const bool top = frame == nullptr;
+    if (stmt.empty() || (top && (starts_with(stmt, "OPENQASM") ||
+                                 starts_with(stmt, "include")))) {
+      return true;
+    }
+    if (top && (starts_with(stmt, "qreg") || starts_with(stmt, "creg"))) {
+      return declare_register(stmt, line);
+    }
+    if (total_qubits_ == 0) {
+      return fail(line, "gate statement before qreg declaration");
+    }
+    const bool measure = top && starts_with(stmt, "measure");
+    if (measure || (top && starts_with(stmt, "reset"))) {
+      const std::size_t arrow = stmt.find("->");
+      if (measure && arrow == std::string_view::npos) {
+        return fail(line, "measure without '->'");
+      }
+      const auto target = measure ? stmt.substr(7, arrow - 7) : stmt.substr(5);
+      Operand op;
+      if (!operand(target, nullptr, line, op)) return false;
+      for (int i = 0; i < op.width; ++i) {
+        circuit_.add(measure ? K::kMeasure : K::kReset, {op.at(i)});
+      }
+      return true;
+    }
+    Scratch& scratch = scratch_[static_cast<std::size_t>(depth)];
+    if (!starts_with(stmt, "barrier")) {
+      return apply_gate(stmt, line, frame, depth, scratch);
+    }
+    if (!operand_list(stmt.substr(7), frame, line, scratch)) return false;
     circuit::Qubits qubits;
-    for (const auto& op : ops.value()) {
-      for (int q : op) qubits.push_back(q);
+    for (const Operand& op : scratch.ops) {
+      for (int i = 0; i < op.width; ++i) qubits.push_back(op.first + i);
     }
-    state.gates.push_back(
-        circuit::make_gate(GateKind::kBarrier, std::move(qubits)));
-    return qfs::Status::ok();
+    circuit_.add(K::kBarrier, std::move(qubits));
+    return true;
   }
 
-  // Generic gate: name[(params)] operands
-  std::size_t name_end = 0;
-  while (name_end < stmt.size() &&
-         (std::isalnum(static_cast<unsigned char>(stmt[name_end])) ||
-          stmt[name_end] == '_')) {
-    ++name_end;
-  }
-  std::string name = to_lower(stmt.substr(0, name_end));
-
-  std::string_view rest = trim(stmt.substr(name_end));
-  circuit::Params params;
-  if (!rest.empty() && rest.front() == '(') {
-    auto close = rest.find(')');
-    if (close == std::string_view::npos) {
-      return error_at(line_no, "missing ')' in gate parameters");
+  bool declare_register(std::string_view stmt, int line) {
+    const bool quantum = starts_with(stmt, "qreg");
+    const std::string_view rest = trim(stmt.substr(4));
+    const std::size_t open = rest.find('[');
+    const std::size_t close = rest.find(']');
+    if (open == std::string_view::npos || close == std::string_view::npos) {
+      return fail(line, "malformed register declaration");
     }
-    for (const std::string& p : qfs::split(rest.substr(1, close - 1), ',')) {
-      auto v = ExprParser(trim(p), param_env).parse();
-      if (!v.is_ok()) return error_at(line_no, v.status().message());
-      params.push_back(v.value());
+    const std::string_view name = trim(rest.substr(0, open));
+    int size = 0;
+    // A ']' before the '[' leaves the size running to the end of the text.
+    if (!qfs::parse_int(rest.substr(open + 1, close - open - 1), size) ||
+        size <= 0 || (quantum && size > INT_MAX - total_qubits_)) {
+      return fail(line, "bad register size");
     }
-    rest = trim(rest.substr(close + 1));
-  }
-
-  auto ops = parse_operand_list(rest, state, qubit_env, line_no);
-  if (!ops.is_ok()) return ops.status();
-
-  auto builtin = gate_table().find(name);
-  if (builtin != gate_table().end()) {
-    GateKind kind = builtin->second;
-    if (static_cast<int>(params.size()) != circuit::gate_param_count(kind)) {
-      return error_at(line_no, "wrong parameter count for gate '" + name + "'");
+    if (find_register(name, quantum) != nullptr) {
+      return fail(line, "duplicate ", quantum ? "quantum" : "classical",
+                  " register '", name, "'");
     }
-    return emit_broadcast(kind, ops.value(), params, state, line_no);
+    registers_.push_back({std::string(name), quantum, total_qubits_, size});
+    if (!quantum) return true;
+    total_qubits_ += size;
+    // Widen the circuit; gates parsed before a later qreg move across.
+    Circuit wider(total_qubits_);
+    wider.reserve(src_.size() / 12);  // statements run 8 to 30 bytes
+    wider.append(circuit_);
+    circuit_ = std::move(wider);
+    return true;
   }
 
-  auto macro = macro_table().find(name);
-  if (macro != macro_table().end()) {
-    if (static_cast<int>(params.size()) != macro->second.params) {
-      return error_at(line_no, "wrong parameter count for gate '" + name + "'");
+  /// "q[3]" (one qubit) or bare "q" (the whole register); inside a body, a
+  /// formal qubit name.
+  bool operand(std::string_view token, const Frame* frame, int line,
+               Operand& out) {
+    token = trim(token);
+    if (frame != nullptr) {
+      const int* q = bound(frame->def->qubit_names, *frame->qubits, token);
+      out = {q ? *q : 0, 1};
+      return q || fail(line, "unknown qubit '", token, "' in gate body");
     }
-    if (static_cast<int>(ops.value().size()) != macro->second.qubits) {
-      return error_at(line_no, "wrong operand count for gate '" + name + "'");
+    std::size_t open = std::string_view::npos, close = open;
+    for (std::size_t i = token.size(); i-- > 0;) {  // the first of each
+      if (token[i] == '[') open = i;
+      if (token[i] == ']') close = i;
     }
-    auto width = broadcast_width(ops.value(), line_no);
-    if (!width.is_ok()) return width.status();
-    for (int i = 0; i < width.value(); ++i) {
-      const circuit::Qubits qubits = broadcast_operands(ops.value(), i);
-      if (!circuit::operands_distinct(qubits)) {
-        return error_at(line_no, "repeated qubit operand");
+    if (open != std::string_view::npos &&
+        (close == std::string_view::npos || close < open)) {
+      return fail(line, "malformed operand '", token, "'");
+    }
+    const std::string_view name = trim(token.substr(0, open));
+    const Register* reg = find_register(name, true);
+    if (reg == nullptr) {
+      return fail(line, "unknown quantum register '", name, "'");
+    }
+    out = {reg->offset, reg->size};
+    if (open == std::string_view::npos) return true;
+    int index = 0;
+    if (!qfs::parse_int(token.substr(open + 1, close - open - 1), index)) {
+      return fail(line, "bad qubit index in '", token, "'");
+    }
+    if (index < 0 || index >= reg->size) {
+      return fail(line, "qubit index out of range");
+    }
+    out = {reg->offset + index, 1};
+    return true;
+  }
+
+  /// Fills scratch.ops and scratch.width: all multi-qubit operands of a
+  /// broadcast must share one width, and single ones repeat.
+  bool operand_list(std::string_view text, const Frame* frame, int line,
+                    Scratch& scratch) {
+    scratch.ops.clear();
+    scratch.width = 1;
+    return for_each_field(text, ',', [&](std::string_view field) {
+      Operand& op = scratch.ops.emplace_back();
+      if (!operand(field, frame, line, op)) return false;
+      if (op.width != 1 && op.width != scratch.width) {
+        scratch.width = scratch.width == 1 ? op.width : -1;
       }
-      emit_macro(name, params, qubits, state);
+      return true;
+    });
+  }
+
+  /// name[(params)] operands, for a builtin, a macro or a definition.
+  bool apply_gate(std::string_view stmt, int line, const Frame* frame,
+                  int depth, Scratch& scratch) {
+    const std::string_view name = word(stmt);
+    std::string_view rest = trim(stmt.substr(name.size()));
+    std::vector<double>& params = scratch.params;
+    params.clear();
+    if (!rest.empty() && rest.front() == '(') {
+      const std::size_t close = rest.find(')');
+      if (close == std::string_view::npos) {
+        return fail(line, "missing ')' in gate parameters");
+      }
+      if (!for_each_field(rest.substr(1, close - 1), ',', [&](auto p) {
+            auto v = ExprParser(trim(p), frame).parse();
+            if (!v.is_ok()) return fail(line, v.status().message());
+            params.push_back(v.value());
+            return true;
+          })) {
+        return false;
+      }
+      rest = trim(rest.substr(close + 1));
     }
-    return qfs::Status::ok();
-  }
+    const std::vector<Operand>& ops = scratch.ops;
+    if (!operand_list(rest, frame, line, scratch)) return false;
 
-  auto custom = state.gate_defs.find(name);
-  if (custom == state.gate_defs.end()) {
-    return error_at(line_no, "unsupported statement or gate '" + name + "'");
-  }
-  const GateDef& def = custom->second;
-  if (params.size() != def.param_names.size()) {
-    return error_at(line_no, "wrong parameter count for gate '" + name + "'");
-  }
-  if (ops.value().size() != def.qubit_names.size()) {
-    return error_at(line_no, "wrong operand count for gate '" + name + "'");
-  }
-  auto width = broadcast_width(ops.value(), line_no);
-  if (!width.is_ok()) return width.status();
-  for (int i = 0; i < width.value(); ++i) {
-    auto status = expand_custom_gate(
-        def, params, broadcast_operands(ops.value(), i), state, line_no, depth);
-    if (!status.is_ok()) return status;
-  }
-  return qfs::Status::ok();
-}
-
-/// Parse a full "gate NAME(params) qubits { body }" definition.
-qfs::Status parse_gate_definition(std::string_view text, ParserState& state,
-                                  int line_no) {
-  // Strip the leading "gate".
-  auto rest = trim(text.substr(4));
-  auto brace = rest.find('{');
-  if (brace == std::string_view::npos) {
-    return error_at(line_no, "gate definition without '{'");
-  }
-  auto header = trim(rest.substr(0, brace));
-  auto body_text = rest.substr(brace + 1);
-  auto close = body_text.rfind('}');
-  if (close == std::string_view::npos) {
-    return error_at(line_no, "gate definition without '}'");
-  }
-  body_text = body_text.substr(0, close);
-
-  GateDef def;
-  // Header: NAME [(p1, p2)] q1, q2.
-  std::size_t name_end = 0;
-  while (name_end < header.size() &&
-         (std::isalnum(static_cast<unsigned char>(header[name_end])) ||
-          header[name_end] == '_')) {
-    ++name_end;
-  }
-  def.name = to_lower(header.substr(0, name_end));
-  if (def.name.empty()) return error_at(line_no, "gate definition needs a name");
-  if (gate_table().count(def.name) || macro_table().count(def.name) ||
-      state.gate_defs.count(def.name)) {
-    return error_at(line_no, "gate '" + def.name + "' is already defined");
-  }
-  auto header_rest = trim(header.substr(name_end));
-  if (!header_rest.empty() && header_rest.front() == '(') {
-    auto pclose = header_rest.find(')');
-    if (pclose == std::string_view::npos) {
-      return error_at(line_no, "missing ')' in gate definition parameters");
+    // A builtin, a macro or a definition, in that order.
+    const BuiltinName* b = find_name(kBuiltins, name);
+    const MacroName* m = b ? nullptr : find_name(kMacros, name);
+    const GateDef* def = b || m ? nullptr : find_def(name);
+    if (!b && !m && !def) {
+      return fail(line, "unsupported statement or gate '", lowered(name), "'");
     }
-    for (const std::string& p :
-         qfs::split(header_rest.substr(1, pclose - 1), ',')) {
-      std::string pname(trim(p));
-      if (pname.empty()) return error_at(line_no, "empty parameter name");
-      def.param_names.push_back(pname);
+    const auto n_ops = std::ssize(ops);
+    if (std::ssize(params) != (b   ? circuit::gate_param_count(b->kind)
+                               : m ? m->params
+                                   : std::ssize(def->param_names))) {
+      return fail(line, "wrong parameter count for gate '", lowered(name),
+                  "'");
     }
-    header_rest = trim(header_rest.substr(pclose + 1));
-  }
-  for (const std::string& q : qfs::split(header_rest, ',')) {
-    std::string qname(trim(q));
-    if (qname.empty()) return error_at(line_no, "empty qubit name in gate def");
-    def.qubit_names.push_back(qname);
-  }
-  if (def.qubit_names.empty()) {
-    return error_at(line_no, "gate definition needs at least one qubit");
+    // A builtin's operand count is checked per broadcast gate, below.
+    if (!b && n_ops != (m ? m->qubits : std::ssize(def->qubit_names))) {
+      return fail(line, "wrong operand count for gate '", lowered(name), "'");
+    }
+    if (scratch.width < 0) {
+      return fail(line, "mismatched register broadcast widths");
+    }
+    circuit::Params p;  // a definition may take more than a gate's three
+    for (std::size_t k = 0; !def && k < params.size(); ++k) {
+      p.push_back(params[k]);
+    }
+    for (int i = 0; i < scratch.width; ++i) {  // operand i of the broadcast
+      if (def != nullptr) {
+        if (depth > kMaxGateExpansionDepth) {
+          return fail(line, "gate expansion too deep (recursive definition?)");
+        }
+        scratch.qubits.clear();
+        for (const Operand& op : ops) scratch.qubits.push_back(op.at(i));
+        const Frame body{def, &params, &scratch.qubits};
+        for (const std::string& stmt : def->body) {
+          if (!statement(stmt, line, &body, depth + 1)) return false;
+        }
+        continue;
+      }
+      circuit::Qubits qubits;
+      for (const Operand& op : ops) qubits.push_back(op.at(i));
+      if (qubits.size() > 1 && !circuit::operands_distinct(qubits)) {
+        return fail(line, "repeated qubit operand");
+      } else if (m != nullptr) {
+        emit_macro(m->macro, p, qubits);
+      } else if (n_ops != circuit::gate_arity(b->kind)) {
+        return fail(line, "wrong operand count for ",
+                    circuit::gate_name(b->kind));
+      } else {
+        circuit_.add(circuit::Gate{b->kind, std::move(qubits), p});
+      }
+    }
+    return true;
   }
 
-  for (const std::string& s : qfs::split(body_text, ';')) {
-    std::string body_stmt(trim(s));
-    if (!body_stmt.empty()) def.body.push_back(body_stmt);
+  void emit_macro(Macro macro, const circuit::Params& p,
+                  const circuit::Qubits& q) {
+    const auto cx = [&] { circuit_.add(K::kCx, {q[0], q[1]}); };
+    const auto h_both = [&] {
+      for (int i : {0, 1}) circuit_.add(K::kH, {q[i]});
+    };
+    switch (macro) {
+      case Macro::kU2:
+        // u2(phi, lambda) = u3(pi/2, phi, lambda).
+        circuit_.add(K::kU3, {q[0]}, {M_PI / 2.0, p[0], p[1]});
+        return;
+      case Macro::kRzz:
+      case Macro::kRxx:
+        // rxx conjugates rzz by Hadamards on both qubits.
+        if (macro == Macro::kRxx) h_both();
+        cx();
+        circuit_.add(K::kRz, {q[1]}, {p[0]});
+        cx();
+        if (macro == Macro::kRxx) h_both();
+        return;
+      case Macro::kCrz:
+        circuit_.add(K::kRz, {q[1]}, {p[0] / 2.0});
+        cx();
+        circuit_.add(K::kRz, {q[1]}, {-p[0] / 2.0});
+        cx();
+        return;
+      case Macro::kCu3: {
+        // cu3(theta, phi, lambda) c, t — qelib1's controlled-U decomposition.
+        const double theta = p[0], phi = p[1], lam = p[2];
+        circuit_.add(K::kPhase, {q[0]}, {(lam + phi) / 2.0});
+        circuit_.add(K::kPhase, {q[1]}, {(lam - phi) / 2.0});
+        cx();
+        circuit_.add(K::kU3, {q[1]}, {-theta / 2.0, 0.0, -(phi + lam) / 2.0});
+        cx();
+        circuit_.add(K::kU3, {q[1]}, {theta / 2.0, phi, 0.0});
+        return;
+      }
+      case Macro::kCh:
+        // qelib1: gate ch a,b { h b; sdg b; cx a,b; h b; t b; cx a,b;
+        //                       t b; h b; s b; x b; s a; }
+        for (K k : {K::kH, K::kSdg, K::kCx, K::kH, K::kT, K::kCx, K::kT, K::kH,
+                    K::kS, K::kX}) {
+          k == K::kCx ? cx() : circuit_.add(k, {q[1]});
+        }
+        circuit_.add(K::kS, {q[0]});
+        return;
+    }
   }
-  state.gate_defs[def.name] = std::move(def);
-  return qfs::Status::ok();
-}
+
+  /// The trimmed `delim`-separated fields of `text` into `out`. An empty
+  /// field is the error `empty`, or skipped when `empty` is null.
+  bool names(std::string_view text, char delim, std::vector<std::string>& out,
+             int line, const char* empty) {
+    return for_each_field(text, delim, [&](std::string_view field) {
+      if (!trim(field).empty()) out.emplace_back(trim(field));
+      return !trim(field).empty() || !empty || fail(line, empty);
+    });
+  }
+
+  /// "gate NAME[(p1, p2)] q1, q2 { body }", up to its first '}'.
+  bool gate_definition(std::string_view text, int line) {
+    const std::string_view rest = trim(text.substr(4));
+    const std::size_t brace = rest.find('{');
+    if (brace == std::string_view::npos) {
+      return fail(line, "gate definition without '{'");
+    }
+    const std::string_view header = trim(rest.substr(0, brace));
+    const std::string_view name = word(header);
+    GateDef def{lowered(name), {}, {}, {}};
+    if (name.empty()) return fail(line, "gate definition needs a name");
+    if (find_name(kBuiltins, name) != nullptr ||
+        find_name(kMacros, name) != nullptr || find_def(name) != nullptr) {
+      return fail(line, "gate '", def.name, "' is already defined");
+    }
+    std::string_view formals = trim(header.substr(name.size()));
+    bool ok = true;
+    if (!formals.empty() && formals.front() == '(') {
+      const std::size_t close = formals.find(')');
+      if (close == std::string_view::npos) {
+        return fail(line, "missing ')' in gate definition parameters");
+      }
+      ok = names(formals.substr(1, close - 1), ',', def.param_names, line,
+                 "empty parameter name");
+      formals = trim(formals.substr(close + 1));
+    }
+    if (!ok || !names(formals, ',', def.qubit_names, line,
+                      "empty qubit name in gate def")) {
+      return false;
+    }
+    // The body runs from the '{' to the closing '}', the text's last byte.
+    names(rest.substr(brace + 1, rest.size() - brace - 2), ';', def.body, line,
+          nullptr);
+    defs_.push_back(std::move(def));
+    return true;
+  }
+
+  std::string_view src_;
+  std::size_t pos_ = 0;
+  int line_ = 1;
+  qfs::Status error_;
+  std::string name_, stripped_;
+
+  std::vector<Register> registers_;
+  int total_qubits_ = 0;  ///< 0 until the first qreg
+  std::vector<GateDef> defs_;
+  Circuit circuit_;
+  std::array<Scratch, kMaxGateExpansionDepth + 2> scratch_;
+};
 
 }  // namespace
 
@@ -667,65 +698,7 @@ qfs::StatusOr<double> evaluate_angle_expression(const std::string& expr) {
 }
 
 qfs::StatusOr<Circuit> parse(const std::string& source) {
-  ParserState state;
-  int line_no = 0;
-  std::istringstream in(source);
-  std::string line;
-  std::string pending;  // statements may span lines until ';' (or '}' for
-                        // gate definitions)
-  auto flush = [&state, &pending, &line_no]() -> qfs::Status {
-    while (true) {
-      std::string_view trimmed = trim(pending);
-      if (trimmed.empty()) {
-        pending.clear();
-        return qfs::Status::ok();
-      }
-      if (starts_with(trimmed, "gate ") || trimmed == "gate") {
-        auto brace_close = pending.find('}');
-        if (brace_close == std::string::npos) return qfs::Status::ok();
-        auto status = parse_gate_definition(
-            trim(pending.substr(0, brace_close + 1)), state, line_no);
-        if (!status.is_ok()) return status;
-        pending = pending.substr(brace_close + 1);
-        continue;
-      }
-      auto semi = pending.find(';');
-      if (semi == std::string::npos) return qfs::Status::ok();
-      auto status = parse_statement(pending.substr(0, semi), state, line_no,
-                                    nullptr, nullptr, 0);
-      if (!status.is_ok()) return status;
-      pending = pending.substr(semi + 1);
-    }
-  };
-
-  std::string circuit_name;
-  while (std::getline(in, line)) {
-    ++line_no;
-    auto comment = line.find("//");
-    if (comment != std::string::npos) {
-      // The writer records the circuit name as "// circuit: <name>";
-      // recover it so print->parse->print is a fixed point (first wins).
-      std::string_view text = trim(std::string_view(line).substr(comment + 2));
-      if (starts_with(text, "circuit:") && circuit_name.empty()) {
-        circuit_name = std::string(trim(text.substr(8)));
-      }
-      line = line.substr(0, comment);
-    }
-    pending += line;
-    pending += '\n';
-    auto status = flush();
-    if (!status.is_ok()) return status;
-  }
-  if (!trim(pending).empty()) {
-    return error_at(line_no, "unterminated statement at end of input");
-  }
-  if (state.qregs.empty()) {
-    return qfs::parse_error("no qreg declaration found");
-  }
-  Circuit circuit(state.total_qubits, std::move(circuit_name));
-  circuit.reserve(state.gates.size());
-  for (auto& g : state.gates) circuit.add(std::move(g));
-  return circuit;
+  return Parser(source).run();
 }
 
 }  // namespace qfs::qasm

@@ -1,7 +1,13 @@
 #include "qasm/writer.h"
 
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cstdint>
+#include <cstring>
+#include <string_view>
 
+#include "support/assert.h"
 #include "support/strings.h"
 
 namespace qfs::qasm {
@@ -11,112 +17,132 @@ using circuit::GateKind;
 
 namespace {
 
-void append_angle(std::string& out, double value) {
-  // 12 significant decimals round-trips doubles well enough for angles.
-  qfs::append_double(out, value, 12);
-}
-
-void append_int(std::string& out, int value) {
-  char buf[16];
-  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, value);
-  (void)ec;  // 16 bytes hold any int
-  out.append(buf, end);
-}
-
-void append_qubit(std::string& out, int q) {
-  out += "q[";
-  append_int(out, q);
-  out += ']';
-}
-
-void emit_operands(std::string& out, const Gate& g) {
-  const char* separator = "";
-  for (int q : g.qubits) {
-    out += separator;
-    append_qubit(out, q);
-    separator = ",";
+/// The text of each angle, formatted once per distinct value and then
+/// copied. Lowered circuits repeat a few angles (+-pi/2, +-pi/4, pi), so
+/// most lookups hit. Slots are keyed by the double's bit pattern and
+/// direct-mapped: a colliding angle takes the slot over.
+struct AngleTexts {
+  std::string_view text(double value) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    Slot& slot = slots_[(bits * 0x9E3779B97F4A7C15ull) >> (64 - kSlotBits)];
+    if (slot.size != 0 && slot.bits == bits) return {slot.text, slot.size};
+    // 12 significant decimals round-trips doubles well enough for angles.
+    formatted_.clear();
+    qfs::append_double(formatted_, value, 12);
+    if (formatted_.size() > sizeof slot.text) return formatted_;
+    slot.bits = bits;
+    slot.size = static_cast<std::uint8_t>(formatted_.size());
+    std::memcpy(slot.text, formatted_.data(), formatted_.size());
+    return {slot.text, slot.size};
   }
-  out += ";\n";
-}
 
-void emit_gate(std::string& out, const Gate& g) {
-  switch (g.kind) {
-    case GateKind::kMeasure:
-      out += "measure ";
-      append_qubit(out, g.qubits[0]);
-      out += " -> c[";
-      append_int(out, g.qubits[0]);
-      out += "];\n";
-      return;
-    case GateKind::kReset:
-      out += "reset ";
-      append_qubit(out, g.qubits[0]);
-      out += ";\n";
-      return;
-    case GateKind::kBarrier:
-      out += "barrier ";
-      emit_operands(out, g);
-      return;
-    case GateKind::kPhase:
-      // qelib1 calls the phase gate u1.
-      out += "u1(";
-      append_angle(out, g.params[0]);
-      out += ") ";
-      emit_operands(out, g);
-      return;
-    case GateKind::kCphase:
-      out += "cu1(";
-      append_angle(out, g.params[0]);
-      out += ") ";
-      emit_operands(out, g);
-      return;
-    case GateKind::kCcz: {
-      // qelib1 has no ccz; emit the standard h-ccx-h conjugation.
-      const int t = g.qubits[2];
-      out += "h ";
-      append_qubit(out, t);
-      out += ";\nccx ";
-      emit_operands(out, g);
-      out += "h ";
-      append_qubit(out, t);
-      out += ";\n";
-      return;
+  static constexpr int kSlotBits = 8;
+  struct Slot {
+    std::uint64_t bits = 0;
+    std::uint8_t size = 0;  ///< 0 while empty; no rendering is empty
+    char text[23];          ///< |angle| < 1e9 fits
+  };
+  Slot slots_[1 << kSlotBits] = {};
+  std::string formatted_;
+};
+
+/// A qubit operand, rendered "q[N]".
+struct Qubit {
+  int index;
+};
+
+/// The bytes of the program: with kWrite, written through one pointer into
+/// a buffer sized once; without, only counted to size that buffer.
+template <bool kWrite>
+struct Out {
+  char* buffer = nullptr;
+  std::size_t size = 0;
+
+  template <typename... Parts>
+  void put(const Parts&... parts) {
+    (one(parts), ...);
+  }
+  void one(std::string_view s) {
+    if constexpr (kWrite) std::memcpy(buffer + size, s.data(), s.size());
+    size += s.size();
+  }
+  void one(char c) {
+    if constexpr (kWrite) buffer[size] = c;
+    ++size;
+  }
+  void one(int v) {  // qubit indices and counts: non-negative
+    if constexpr (kWrite) {
+      size = static_cast<std::size_t>(
+          std::to_chars(buffer + size, buffer + size + 10, v).ptr - buffer);
+    } else {
+      for (++size; v >= 10; v /= 10) ++size;
     }
-    default:
-      break;
   }
-  out += circuit::gate_name(g.kind);
-  if (!g.params.empty()) {
-    out += '(';
+  void one(Qubit q) { put("q[", q.index, ']'); }
+};
+
+template <bool kWrite>
+void emit(Out<kWrite>& out, const circuit::Circuit& circuit,
+          AngleTexts& angles) {
+  // qelib1 calls the phase gates u1 and cu1.
+  static const auto kMnemonics = [] {
+    std::array<std::string_view, circuit::kNumGateKinds> names;
+    for (int k = 0; k < circuit::kNumGateKinds; ++k) {
+      names[k] = circuit::gate_name(static_cast<GateKind>(k));
+    }
+    names[static_cast<int>(GateKind::kPhase)] = "u1";
+    names[static_cast<int>(GateKind::kCphase)] = "cu1";
+    return names;
+  }();
+  const auto operands = [&out](const Gate& g) {
+    for (std::size_t i = 0; i < g.qubits.size(); ++i) {
+      if (i) out.put(',');
+      out.put(Qubit{g.qubits[i]});
+    }
+    out.put(";\n");
+  };
+  out.put("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
+  if (!circuit.name().empty()) {
+    out.put("// circuit: ", std::string_view(circuit.name()), '\n');
+  }
+  const int n = circuit.num_qubits();
+  out.put("qreg q[", n, "];\ncreg c[", n, "];\n");
+  for (const Gate& g : circuit.gates()) {
+    switch (g.kind) {
+      case GateKind::kMeasure:
+        out.put("measure ", Qubit{g.qubits[0]}, " -> c[", g.qubits[0], "];\n");
+        continue;
+      case GateKind::kReset:
+        out.put("reset ", Qubit{g.qubits[0]}, ";\n");
+        continue;
+      case GateKind::kCcz:
+        // qelib1 has no ccz; emit the standard h-ccx-h conjugation.
+        out.put("h ", Qubit{g.qubits[2]}, ";\nccx ");
+        operands(g);
+        out.put("h ", Qubit{g.qubits[2]}, ";\n");
+        continue;
+      default:
+        out.put(kMnemonics[static_cast<std::size_t>(g.kind)]);
+    }
     for (std::size_t i = 0; i < g.params.size(); ++i) {
-      if (i) out += ',';
-      append_angle(out, g.params[i]);
+      out.put(i == 0 ? '(' : ',', angles.text(g.params[i]));
     }
-    out += ')';
+    out.put(g.params.empty() ? "" : ")", ' ');
+    operands(g);
   }
-  out += ' ';
-  emit_operands(out, g);
 }
 
 }  // namespace
 
 std::string to_qasm(const circuit::Circuit& circuit) {
-  std::string out;
-  // Header plus about one short line per gate; append grows past it.
-  out.reserve(96 + circuit.name().size() + 24 * circuit.gates().size());
-  out += "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
-  if (!circuit.name().empty()) {
-    out += "// circuit: ";
-    out += circuit.name();
-    out += '\n';
-  }
-  out += "qreg q[";
-  append_int(out, circuit.num_qubits());
-  out += "];\ncreg c[";
-  append_int(out, circuit.num_qubits());
-  out += "];\n";
-  for (const Gate& g : circuit.gates()) emit_gate(out, g);
-  return out;
+  AngleTexts angles;
+  Out<false> counter;
+  emit(counter, circuit, angles);
+  std::string text(counter.size, '\0');
+  Out<true> writer{text.data()};
+  emit(writer, circuit, angles);
+  QFS_ASSERT(writer.size == text.size());
+  return text;
 }
 
 }  // namespace qfs::qasm

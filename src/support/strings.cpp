@@ -36,14 +36,6 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 }
 }  // namespace
 
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0;
-  while (b < s.size() && is_space(s[b])) ++b;
-  std::size_t e = s.size();
-  while (e > b && is_space(s[e - 1])) --e;
-  return s.substr(b, e - b);
-}
-
 std::vector<std::string> split(std::string_view s, char delim) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -68,19 +60,9 @@ std::vector<std::string> split_whitespace(std::string_view s) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 void append_double(std::string& out, double value, int precision) {
@@ -99,13 +81,6 @@ std::string format_double(double value, int precision) {
   std::string out;
   append_double(out, value, precision);
   return out;
-}
-
-bool parse_int(std::string_view s, int& out) {
-  s = trim(s);
-  if (s.empty()) return false;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc() && ptr == s.data() + s.size();
 }
 
 bool parse_double(std::string_view s, double& out) {

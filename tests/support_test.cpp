@@ -289,7 +289,6 @@ TEST(Strings, StartsEndsWith) {
   EXPECT_FALSE(ends_with("qasm", ".qasm"));
 }
 
-TEST(Strings, ToLower) { EXPECT_EQ(to_lower("OpenQASM 2.0"), "openqasm 2.0"); }
 
 TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
