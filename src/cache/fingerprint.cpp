@@ -1,19 +1,36 @@
 #include "cache/fingerprint.h"
 
-#include <cstdio>
-#include <sstream>
+#include <charconv>
 
 namespace qfs::cache {
 
 namespace {
 
-/// Shortest exact rendering of a double (%.17g round-trips every finite
-/// value); used for calibration data where 1-ulp drift must change the key.
-std::string g17(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
+/// Appends canonical-text fields to one string: ints in decimal, doubles
+/// as their shortest exact rendering, to_chars(general, 17), which the
+/// standard defines as printf's %.17g (so 1-ulp calibration drift changes
+/// the key).
+struct Text {
+  std::string out;
+
+  template <typename... Parts>
+  Text& put(const Parts&... parts) {
+    (one(parts), ...);
+    return *this;
+  }
+  void one(std::string_view s) { out.append(s); }
+  void one(char c) { out.push_back(c); }
+  void one(int v) {
+    char buf[16];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  }
+  void one(double v) {
+    char buf[32];
+    const auto end =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+    out.append(buf, end.ptr);
+  }
+};
 
 }  // namespace
 
@@ -35,62 +52,55 @@ FingerprintBuilder& FingerprintBuilder::field(std::string_view tag,
 }
 
 std::string canonical_device_text(const device::Device& device) {
-  std::ostringstream os;
+  Text text;
   const auto& topo = device.topology();
   const auto& em = device.error_model();
-  os << "device " << device.name() << '\n';
+  text.put("device ", device.name(), '\n');
   // The registry spec (backend name + resolved parameters): two backends
   // that happen to share a coupling graph and error model still get
   // distinct cache keys.
-  os << "spec " << device.spec() << '\n';
-  os << "qubits " << device.num_qubits() << '\n';
-  os << "edges";
-  for (const auto& [a, b] : topo.edge_list()) os << ' ' << a << '-' << b;
-  os << '\n';
-  os << "gateset " << device.gateset().name();
+  text.put("spec ", device.spec(), '\n');
+  text.put("qubits ", device.num_qubits(), '\n');
+  text.put("edges");
+  for (const auto& [a, b] : topo.edge_list()) text.put(' ', a, '-', b);
+  text.put("\ngateset ", device.gateset().name());
   for (circuit::GateKind kind : device.gateset().kinds()) {
-    os << ' ' << circuit::gate_name(kind);
+    text.put(' ', circuit::gate_name(kind));
   }
-  os << '\n';
-  os << "base-fidelity " << g17(em.single_qubit_fidelity()) << ' '
-     << g17(em.two_qubit_fidelity()) << ' ' << g17(em.measurement_fidelity())
-     << '\n';
-  os << "durations-ns " << g17(em.single_qubit_duration_ns()) << ' '
-     << g17(em.two_qubit_duration_ns()) << ' '
-     << g17(em.measurement_duration_ns()) << '\n';
-  os << "coherence-ns " << g17(em.t1_ns()) << ' ' << g17(em.t2_ns()) << '\n';
+  text.put("\nbase-fidelity ", em.single_qubit_fidelity(), ' ',
+           em.two_qubit_fidelity(), ' ', em.measurement_fidelity(), '\n');
+  text.put("durations-ns ", em.single_qubit_duration_ns(), ' ',
+           em.two_qubit_duration_ns(), ' ', em.measurement_duration_ns(), '\n');
+  text.put("coherence-ns ", em.t1_ns(), ' ', em.t2_ns(), '\n');
   // Effective per-qubit / per-edge fidelities: calibration overrides are
   // private to the model, but evaluating every site captures them exactly.
-  os << "qubit-fidelity";
+  text.put("qubit-fidelity");
   for (int q = 0; q < device.num_qubits(); ++q) {
-    os << ' ' << g17(em.qubit_fidelity(q));
+    text.put(' ', em.qubit_fidelity(q));
   }
-  os << '\n';
-  os << "edge-fidelity";
+  text.put("\nedge-fidelity");
   for (const auto& [a, b] : topo.edge_list()) {
-    os << ' ' << g17(em.edge_fidelity(a, b));
+    text.put(' ', em.edge_fidelity(a, b));
   }
-  os << '\n';
-  os << "control-groups";
+  text.put("\ncontrol-groups");
   if (device.has_control_groups()) {
     for (int q = 0; q < device.num_qubits(); ++q) {
-      os << ' ' << device.control_group(q);
+      text.put(' ', device.control_group(q));
     }
   }
-  os << '\n';
-  return os.str();
+  text.put('\n');
+  return std::move(text.out);
 }
 
 std::string canonical_options_text(const mapper::MappingOptions& options) {
-  std::ostringstream os;
-  os << "placer " << options.placer << '\n';
-  os << "router " << options.router << '\n';
-  os << "sabre-rounds " << options.sabre_refinement_rounds << '\n';
-  os << "initial-layout";
-  for (int p : options.initial_layout) os << ' ' << p;
-  os << '\n';
-  os << "compute-latency " << (options.compute_latency ? 1 : 0) << '\n';
-  return os.str();
+  Text text;
+  text.put("placer ", options.placer, '\n');
+  text.put("router ", options.router, '\n');
+  text.put("sabre-rounds ", options.sabre_refinement_rounds, '\n');
+  text.put("initial-layout");
+  for (int p : options.initial_layout) text.put(' ', p);
+  text.put("\ncompute-latency ", options.compute_latency ? 1 : 0, '\n');
+  return std::move(text.out);
 }
 
 Fingerprint compile_fingerprint(std::string_view canonical_qasm,
