@@ -19,11 +19,15 @@ std::string gate_label(const Gate& g) {
   return std::string(circuit::gate_name(g.kind));
 }
 
-Diagnostic make_diag(const char* code, Severity severity, std::string message,
+/// A diagnostic with its code's severity from checker_registry(), the one
+/// place each severity is set.
+Diagnostic make_diag(const char* code, std::string message,
                      SourceLocation loc = {}) {
+  const CheckerInfo* info = find_checker(code);
+  QFS_ASSERT_MSG(info != nullptr, std::string("unregistered code ") + code);
   Diagnostic d;
   d.code = code;
-  d.severity = severity;
+  d.severity = info->severity;
   d.message = std::move(message);
   d.location = loc;
   return d;
@@ -38,7 +42,7 @@ void check_register_width(int num_qubits, const CheckOptions& options,
   os << "circuit uses " << num_qubits << " qubits but device '"
      << options.device->name() << "' has only "
      << options.device->num_qubits();
-  out.push_back(make_diag("QFS009", Severity::kError, os.str()));
+  out.push_back(make_diag("QFS009", os.str()));
 }
 
 /// QFS004: declared-but-never-used qubits (lint stage only — on a mapped
@@ -56,7 +60,7 @@ void check_idle_qubits(int num_qubits, const std::vector<Gate>& gates,
     if (used[static_cast<std::size_t>(q)]) continue;
     std::ostringstream os;
     os << "qubit " << q << " is declared but never used";
-    out.push_back(make_diag("QFS004", Severity::kWarning, os.str(),
+    out.push_back(make_diag("QFS004", os.str(),
                             SourceLocation{-1, -1, q}));
   }
 }
@@ -162,7 +166,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
       std::ostringstream os;
       os << "qubit operand " << q << " of gate '" << gate_label(g)
          << "' is out of range for a circuit of width " << num_qubits;
-      out.push_back(make_diag("QFS001", Severity::kError, os.str(),
+      out.push_back(make_diag("QFS001", os.str(),
                               SourceLocation{-1, i, q}));
     }
 
@@ -173,7 +177,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
         std::ostringstream os;
         os << "gate '" << gate_label(g) << "' lists qubit " << q
            << " more than once";
-        out.push_back(make_diag("QFS002", Severity::kError, os.str(),
+        out.push_back(make_diag("QFS002", os.str(),
                                 SourceLocation{-1, i, q}));
       }
     }
@@ -186,7 +190,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
       std::ostringstream os;
       os << "operation '" << gate_label(g)
          << "' is unreachable: every used qubit has already been measured";
-      out.push_back(make_diag("QFS008", Severity::kWarning, os.str(),
+      out.push_back(make_diag("QFS008", os.str(),
                               SourceLocation{-1, i, -1}));
       measure_all_reported = true;
     }
@@ -205,7 +209,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
         std::ostringstream os;
         os << "gate '" << gate_label(g) << "' acts on qubit " << q
            << " after it was measured (no reset in between)";
-        out.push_back(make_diag("QFS003", Severity::kWarning, os.str(),
+        out.push_back(make_diag("QFS003", os.str(),
                                 SourceLocation{-1, i, q}));
       }
     }
@@ -215,7 +219,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
       std::ostringstream os;
       os << "gate '" << gate_label(g) << "' is not in device '"
          << dev->name() << "' gate set '" << dev->gateset().name() << "'";
-      out.push_back(make_diag("QFS005", Severity::kError, os.str(),
+      out.push_back(make_diag("QFS005", os.str(),
                               SourceLocation{-1, i, -1}));
     }
 
@@ -235,7 +239,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
           os << "gate '" << gate_label(g) << "' couples qubits "
              << g.qubits[a] << " and " << g.qubits[b]
              << ", which are not adjacent on device '" << dev->name() << "'";
-          out.push_back(make_diag("QFS006", Severity::kError, os.str(),
+          out.push_back(make_diag("QFS006", os.str(),
                                   SourceLocation{-1, i, g.qubits[a]}));
         }
       }
@@ -258,7 +262,7 @@ std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
     std::ostringstream os;
     os << "program uses " << program.num_qubits() << " qubits but device '"
        << device.name() << "' has only " << device.num_qubits();
-    out.push_back(make_diag("QFS009", Severity::kError, os.str()));
+    out.push_back(make_diag("QFS009", os.str()));
   }
 
   struct Span {
@@ -278,7 +282,7 @@ std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
         os << "instruction '" << circuit::gate_name(ins.kind) << "' at cycle "
            << b.start_cycle << " has non-positive duration "
            << ins.duration_cycles;
-        out.push_back(make_diag("QFS007", Severity::kError, os.str(),
+        out.push_back(make_diag("QFS007", os.str(),
                                 SourceLocation{-1, instr_index, -1}));
       }
       bool in_range = true;
@@ -290,7 +294,7 @@ std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
            << circuit::gate_name(ins.kind) << "' at cycle " << b.start_cycle
            << " is out of range for a " << program.num_qubits()
            << "-qubit program";
-        out.push_back(make_diag("QFS001", Severity::kError, os.str(),
+        out.push_back(make_diag("QFS001", os.str(),
                                 SourceLocation{-1, instr_index, q}));
       }
       if (in_range) {
@@ -303,7 +307,7 @@ std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
                  << s.instr << " and " << instr_index
                  << " overlap in cycles [" << std::max(s.start, b.start_cycle)
                  << ", " << std::min(s.end, end) << ")";
-              out.push_back(make_diag("QFS007", Severity::kError, os.str(),
+              out.push_back(make_diag("QFS007", os.str(),
                                       SourceLocation{-1, instr_index, q}));
             }
           }
@@ -322,7 +326,7 @@ std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
         os << "instruction '" << circuit::gate_name(ins.kind)
            << "' couples qubits " << ins.qubits[0] << " and " << ins.qubits[1]
            << ", which are not adjacent on device '" << device.name() << "'";
-        out.push_back(make_diag("QFS006", Severity::kError, os.str(),
+        out.push_back(make_diag("QFS006", os.str(),
                                 SourceLocation{-1, instr_index, ins.qubits[0]}));
       }
       ++instr_index;
@@ -343,7 +347,7 @@ std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
              << circuit::gate_name(spans[j].kind)
              << "' in overlapping cycles (instructions " << spans[i].instr
              << " and " << spans[j].instr << ")";
-          out.push_back(make_diag("QFS007", Severity::kError, os.str(),
+          out.push_back(make_diag("QFS007", os.str(),
                                   SourceLocation{-1, spans[j].instr, -1}));
         }
       }
@@ -376,7 +380,7 @@ std::vector<Diagnostic> lint_source(const std::string& qasm_source,
     } else if (msg.find("repeated qubit operand") != std::string::npos) {
       code = "QFS002";
     }
-    return {make_diag(code, Severity::kError, std::move(msg), loc)};
+    return {make_diag(code, std::move(msg), loc)};
   }
   return analyze_circuit(parsed.value(), options);
 }

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/checkers.h"
 #include "compiler/decompose.h"
 
 namespace qfs::analysis {
@@ -19,11 +20,14 @@ using device::Device;
 
 namespace {
 
+/// A diagnostic with its code's severity from checker_registry().
 Diagnostic make_diag(const char* code, std::string message,
                      SourceLocation loc = {}) {
+  const CheckerInfo* info = find_checker(code);
+  QFS_ASSERT_MSG(info != nullptr, std::string("unregistered code ") + code);
   Diagnostic d;
   d.code = code;
-  d.severity = Severity::kError;
+  d.severity = info->severity;
   d.message = std::move(message);
   d.location = loc;
   return d;
