@@ -153,7 +153,14 @@ class ExprParser {
       : text_(text), frame_(frame) {}
 
   qfs::StatusOr<double> parse() {
-    const double value = chain("+-");
+    // A plain literal, the common case, needs no descent: same parse_double.
+    double value = 0.0;
+    const std::size_t lead = text_.starts_with('-');
+    if (text_.size() > lead && (is_digit(text_[lead]) || text_[lead] == '.') &&
+        qfs::parse_double(text_, value)) {
+      return value;
+    }
+    value = chain("+-");
     skip_ws();
     if (pos_ < text_.size()) fail("trailing characters in expression: ", text_);
     if (!error_.empty()) return qfs::parse_error(error_);
@@ -173,9 +180,7 @@ class ExprParser {
 
   bool consume(char c) {
     skip_ws();
-    const bool hit = pos_ < text_.size() && text_[pos_] == c;
-    pos_ += hit;
-    return hit;
+    return pos_ < text_.size() && text_[pos_] == c && ++pos_;
   }
 
   /// Operands joined by `ops`: a sum ("+-") of products ("*/") of unary
@@ -549,10 +554,8 @@ class Parser {
     if (scratch.width < 0) {
       return fail(line, "mismatched register broadcast widths");
     }
-    circuit::Params p;  // a definition may take more than a gate's three
-    for (std::size_t k = 0; !def && k < params.size(); ++k) {
-      p.push_back(params[k]);
-    }
+    // A definition may take more parameters than a gate's three.
+    const circuit::Params p = def ? circuit::Params{} : circuit::Params(params);
     for (int i = 0; i < scratch.width; ++i) {  // operand i of the broadcast
       if (def != nullptr) {
         if (depth > kMaxGateExpansionDepth) {

@@ -1,16 +1,20 @@
 // OpenQASM 2.0 parser.
 //
-// Supported: the OPENQASM/include headers, one qreg and one creg, the
-// qelib1 gate names that map onto the qfs vocabulary (id x y z h s sdg t tdg
-// sx sxdg rx ry rz p/u1 u3/u cx cy cz cp/cu1 swap ccx cswap), measure,
-// reset, barrier, comments, angle expressions over + - * / ( ) pi and
-// decimal literals, **user gate definitions** (`gate name(p) a,b { ... }`,
-// expanded at invocation with parameter substitution, nested definitions
-// allowed), and **register broadcast** (`h q;`, `measure q -> c;`,
-// `cx q[0],q;`-style element-wise application).
+// Supported: the OPENQASM/include headers; any number of qreg and creg
+// declarations (quantum registers concatenate, in declaration order, into
+// the circuit's one qubit index space); the qelib1 gate names that map
+// onto the qfs vocabulary (id x y z h s sdg t tdg sx sxdg rx ry rz p/u1
+// u3/u cx cy cz cp/cu1 swap ccx ccz cswap) and the QASMBench macros u2 rzz
+// rxx crz cu3 ch, expanded inline; measure, reset, barrier, comments,
+// angle expressions over + - * / ( ) pi and decimal literals, **user gate
+// definitions** (`gate name(p) a,b { ... }`, expanded at invocation with
+// parameter substitution, nested definitions allowed), and **register
+// broadcast** (`h q;`, `measure q -> c;`, `cx q[0],q;`-style element-wise
+// application).
 //
-// Unsupported constructs (if, opaque, multiple registers) produce a parse
-// error that names the offending line.
+// Unsupported constructs (if, opaque) produce a parse error that names the
+// offending line. The parser reads the source in one pass and allocates
+// per circuit, not per gate.
 #pragma once
 
 #include <string>

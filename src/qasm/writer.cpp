@@ -66,10 +66,7 @@ struct Out {
     if constexpr (kWrite) std::memcpy(buffer + size, s.data(), s.size());
     size += s.size();
   }
-  void one(char c) {
-    if constexpr (kWrite) buffer[size] = c;
-    ++size;
-  }
+  void one(char c) { one(std::string_view(&c, 1)); }
   void one(int v) {  // qubit indices and counts: non-negative
     if constexpr (kWrite) {
       size = static_cast<std::size_t>(
@@ -96,8 +93,7 @@ void emit(Out<kWrite>& out, const circuit::Circuit& circuit,
   }();
   const auto operands = [&out](const Gate& g) {
     for (std::size_t i = 0; i < g.qubits.size(); ++i) {
-      if (i) out.put(',');
-      out.put(Qubit{g.qubits[i]});
+      out.put(i ? "," : "", Qubit{g.qubits[i]});
     }
     out.put(";\n");
   };
