@@ -19,7 +19,7 @@
 // makespan (schedule phase), the validator's verdict and rendered
 // diagnostics (validate phase) or the emitted QASM text (emit_qasm phase),
 // so cross-label byte-identity of compiler output is checkable straight
-// from the JSON.
+// from the JSON. Parse rows also carry mb_s, the QASM text's MB/s.
 //
 //   bench_compile_hotpath --label NAME [--out FILE] [--repeat N] [--smoke]
 //                         [--validate] [--floor-route-kgps X]
@@ -204,6 +204,8 @@ struct Row {
   int gates = 0;
   /// Throughput in kilogates/second (gates / ms); 0 when not meaningful.
   double kgps = 0.0;
+  /// Text throughput in MB/s of the parse phase; 0 for the others.
+  double mb_s = 0.0;
   /// Digest of the phase's output; every phase sets one.
   std::string digest;
 };
@@ -270,6 +272,9 @@ std::vector<Row> bench_class(const CircuitClass& cls,
     });
     add("parse", ms, static_cast<int>(parsed.size()),
         digest_of(qasm::to_qasm(parsed)));
+    if (ms > 0.0) {
+      rows.back().mb_s = static_cast<double>(source.size()) / 1e3 / ms;
+    }
   }
 
   // Phase: decompose to the device's primitive set. Everything downstream
@@ -483,6 +488,7 @@ int main(int argc, char** argv) {
       entry.set("gates", JsonValue::integer(row.gates));
       entry.set("smoke", JsonValue::boolean(opts.smoke));
       if (row.kgps > 0.0) entry.set("kgps", JsonValue::number(row.kgps));
+      if (row.mb_s > 0.0) entry.set("mb_s", JsonValue::number(row.mb_s));
       if (!row.digest.empty())
         entry.set("digest", JsonValue::string(row.digest));
 
