@@ -321,13 +321,6 @@ class Parser {
     return src_[i] == '/' && i + 1 < src_.size() && src_[i + 1] == '/';
   }
 
-  /// The bytes that end or interrupt a statement.
-  static constexpr auto kSpecial = [] {
-    std::array<bool, 256> special{};
-    for (char c : {';', '}', '\n', '/'}) special[std::uint8_t(c)] = true;
-    return special;
-  }();
-
   /// Moves pos_ to the next `stop` outside comments, or with stop '\0' to
   /// the next byte outside whitespace and comments, counting lines. True
   /// when it passed a comment.
@@ -337,7 +330,7 @@ class Parser {
     std::size_t i = pos_;
     for (; i < src_.size(); ++i) {
       const char c = src_[i];
-      if (stop != '\0' && !kSpecial[std::uint8_t(c)]) continue;
+      if (stop != '\0' && c != stop && c != '\n' && c != '/') continue;
       if (c == '\n') {
         ++line;
       } else if (comment_at(i)) {

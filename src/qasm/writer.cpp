@@ -1,8 +1,9 @@
 #include "qasm/writer.h"
 
-#include <array>
 #include <bit>
+#include <cfloat>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -46,18 +47,22 @@ struct AngleTexts {
   std::string formatted_;
 };
 
-/// A qubit operand, rendered "q[N]".
+/// A qubit operand, rendered "q[N]", and an angle parameter.
 struct Qubit {
   int index;
 };
+struct Angle {
+  double value;
+};
 
-/// The bytes of the program: with kWrite, written through one pointer into
-/// a buffer sized once; without, only counted to size that buffer.
+/// The program: with kWrite, written through one pointer into a buffer
+/// sized once; without, counted to size it, an angle by the most room it
+/// can need, so that each distinct angle is formatted once.
 template <bool kWrite>
 struct Out {
   char* buffer = nullptr;
   std::size_t size = 0;
-
+  AngleTexts* angles = nullptr;
   template <typename... Parts>
   void put(const Parts&... parts) {
     (one(parts), ...);
@@ -76,21 +81,18 @@ struct Out {
     }
   }
   void one(Qubit q) { put("q[", q.index, ']'); }
+  void one(Angle a) {
+    if constexpr (kWrite) {
+      one(angles->text(a.value));
+    } else {
+      // At most sign, nine digits (below 1e8), point and twelve decimals.
+      size += std::fabs(a.value) < 1e8 ? 23 : 2 + DBL_MAX_10_EXP + 1 + 12;
+    }
+  }
 };
 
 template <bool kWrite>
-void emit(Out<kWrite>& out, const circuit::Circuit& circuit,
-          AngleTexts& angles) {
-  // qelib1 calls the phase gates u1 and cu1.
-  static const auto kMnemonics = [] {
-    std::array<std::string_view, circuit::kNumGateKinds> names;
-    for (int k = 0; k < circuit::kNumGateKinds; ++k) {
-      names[k] = circuit::gate_name(static_cast<GateKind>(k));
-    }
-    names[static_cast<int>(GateKind::kPhase)] = "u1";
-    names[static_cast<int>(GateKind::kCphase)] = "cu1";
-    return names;
-  }();
+void emit(Out<kWrite>& out, const circuit::Circuit& circuit) {
   const auto operands = [&out](const Gate& g) {
     for (std::size_t i = 0; i < g.qubits.size(); ++i) {
       out.put(i ? "," : "", Qubit{g.qubits[i]});
@@ -117,11 +119,17 @@ void emit(Out<kWrite>& out, const circuit::Circuit& circuit,
         operands(g);
         out.put("h ", Qubit{g.qubits[2]}, ";\n");
         continue;
+      case GateKind::kPhase:  // qelib1 calls the phase gates u1 and cu1
+        out.put("u1");
+        break;
+      case GateKind::kCphase:
+        out.put("cu1");
+        break;
       default:
-        out.put(kMnemonics[static_cast<std::size_t>(g.kind)]);
+        out.put(std::string_view(circuit::gate_name(g.kind)));
     }
     for (std::size_t i = 0; i < g.params.size(); ++i) {
-      out.put(i == 0 ? '(' : ',', angles.text(g.params[i]));
+      out.put(i == 0 ? '(' : ',', Angle{g.params[i]});
     }
     out.put(g.params.empty() ? "" : ")", ' ');
     operands(g);
@@ -131,13 +139,14 @@ void emit(Out<kWrite>& out, const circuit::Circuit& circuit,
 }  // namespace
 
 std::string to_qasm(const circuit::Circuit& circuit) {
-  AngleTexts angles;
   Out<false> counter;
-  emit(counter, circuit, angles);
+  emit(counter, circuit);
   std::string text(counter.size, '\0');
-  Out<true> writer{text.data()};
-  emit(writer, circuit, angles);
-  QFS_ASSERT(writer.size == text.size());
+  AngleTexts angles;
+  Out<true> writer{text.data(), 0, &angles};
+  emit(writer, circuit);
+  QFS_ASSERT(writer.size <= text.size());
+  text.resize(writer.size);
   return text;
 }
 
