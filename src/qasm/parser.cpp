@@ -284,8 +284,7 @@ class Parser {
              "unterminated statement at end of input");
         return error_;
       }
-      // A definition keeps its closing brace.
-      const std::size_t end = definition ? pos_ + 1 : pos_;
+      const std::size_t end = definition ? pos_ + 1 : pos_;  // keeps the '}'
       ++pos_;
       const std::string_view text =
           commented ? stripped(begin, end) : src_.substr(begin, end - begin);

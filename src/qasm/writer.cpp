@@ -1,12 +1,12 @@
 #include "qasm/writer.h"
 
 #include <bit>
-#include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <utility>
 
 #include "support/assert.h"
 #include "support/strings.h"
@@ -18,10 +18,9 @@ using circuit::GateKind;
 
 namespace {
 
-/// The text of each angle, formatted once per distinct value and then
-/// copied. Lowered circuits repeat a few angles (+-pi/2, +-pi/4, pi), so
-/// most lookups hit. Slots are keyed by the double's bit pattern and
-/// direct-mapped: a colliding angle takes the slot over.
+/// Each distinct angle's text, formatted once and then copied: lowered
+/// circuits repeat a few angles (+-pi/2, +-pi/4, pi). Slots are keyed by
+/// the double's bits, direct-mapped; a colliding angle takes one over.
 struct AngleTexts {
   std::string_view text(double value) {
     const auto bits = std::bit_cast<std::uint64_t>(value);
@@ -36,7 +35,6 @@ struct AngleTexts {
     std::memcpy(slot.text, formatted_.data(), formatted_.size());
     return {slot.text, slot.size};
   }
-
   static constexpr int kSlotBits = 8;
   struct Slot {
     std::uint64_t bits = 0;
@@ -56,8 +54,7 @@ struct Angle {
 };
 
 /// The program: with kWrite, written through one pointer into a buffer
-/// sized once; without, counted to size it, an angle by the most room it
-/// can need, so that each distinct angle is formatted once.
+/// sized once; without, only counted to size that buffer.
 template <bool kWrite>
 struct Out {
   char* buffer = nullptr;
@@ -82,11 +79,17 @@ struct Out {
   }
   void one(Qubit q) { put("q[", q.index, ']'); }
   void one(Angle a) {
-    if constexpr (kWrite) {
+    // Counting, the length of the rendering is sign, integer digits, point
+    // and twelve decimals. Rounding can carry into a new digit only within
+    // 1e-12 below a power of ten; those angles, and huge ones, render.
+    const double m = std::fabs(a.value);
+    std::size_t digits = 1;
+    double next = 10;
+    for (; next <= m && next < 1e16; next *= 10) ++digits;
+    if (kWrite || !(m < 1e15) || next - m < 1e-12) {
       one(angles->text(a.value));
     } else {
-      // At most sign, nine digits (below 1e8), point and twelve decimals.
-      size += std::fabs(a.value) < 1e8 ? 23 : 2 + DBL_MAX_10_EXP + 1 + 12;
+      size += std::signbit(a.value) + digits + 13;
     }
   }
 };
@@ -94,9 +97,8 @@ struct Out {
 template <bool kWrite>
 void emit(Out<kWrite>& out, const circuit::Circuit& circuit) {
   const auto operands = [&out](const Gate& g) {
-    for (std::size_t i = 0; i < g.qubits.size(); ++i) {
-      out.put(i ? "," : "", Qubit{g.qubits[i]});
-    }
+    const char* separator = "";
+    for (int q : g.qubits) out.put(std::exchange(separator, ","), Qubit{q});
     out.put(";\n");
   };
   out.put("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
@@ -139,14 +141,13 @@ void emit(Out<kWrite>& out, const circuit::Circuit& circuit) {
 }  // namespace
 
 std::string to_qasm(const circuit::Circuit& circuit) {
-  Out<false> counter;
+  AngleTexts angles;
+  Out<false> counter{nullptr, 0, &angles};
   emit(counter, circuit);
   std::string text(counter.size, '\0');
-  AngleTexts angles;
   Out<true> writer{text.data(), 0, &angles};
   emit(writer, circuit);
-  QFS_ASSERT(writer.size <= text.size());
-  text.resize(writer.size);
+  QFS_ASSERT(writer.size == text.size());
   return text;
 }
 
