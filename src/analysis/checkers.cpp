@@ -60,8 +60,7 @@ void check_idle_qubits(int num_qubits, const std::vector<Gate>& gates,
     if (used[static_cast<std::size_t>(q)]) continue;
     std::ostringstream os;
     os << "qubit " << q << " is declared but never used";
-    out.push_back(make_diag("QFS004", os.str(),
-                            SourceLocation{-1, -1, q}));
+    out.push_back(make_diag("QFS004", os.str(), SourceLocation{-1, -1, q}));
   }
 }
 
@@ -166,8 +165,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
       std::ostringstream os;
       os << "qubit operand " << q << " of gate '" << gate_label(g)
          << "' is out of range for a circuit of width " << num_qubits;
-      out.push_back(make_diag("QFS001", os.str(),
-                              SourceLocation{-1, i, q}));
+      out.push_back(make_diag("QFS001", os.str(), SourceLocation{-1, i, q}));
     }
 
     // QFS002: duplicate operands.
@@ -177,8 +175,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
         std::ostringstream os;
         os << "gate '" << gate_label(g) << "' lists qubit " << q
            << " more than once";
-        out.push_back(make_diag("QFS002", os.str(),
-                                SourceLocation{-1, i, q}));
+        out.push_back(make_diag("QFS002", os.str(), SourceLocation{-1, i, q}));
       }
     }
 
@@ -190,8 +187,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
       std::ostringstream os;
       os << "operation '" << gate_label(g)
          << "' is unreachable: every used qubit has already been measured";
-      out.push_back(make_diag("QFS008", os.str(),
-                              SourceLocation{-1, i, -1}));
+      out.push_back(make_diag("QFS008", os.str(), SourceLocation{-1, i, -1}));
       measure_all_reported = true;
     }
 
@@ -209,8 +205,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
         std::ostringstream os;
         os << "gate '" << gate_label(g) << "' acts on qubit " << q
            << " after it was measured (no reset in between)";
-        out.push_back(make_diag("QFS003", os.str(),
-                                SourceLocation{-1, i, q}));
+        out.push_back(make_diag("QFS003", os.str(), SourceLocation{-1, i, q}));
       }
     }
 
@@ -219,8 +214,7 @@ std::vector<Diagnostic> analyze_gates(int num_qubits,
       std::ostringstream os;
       os << "gate '" << gate_label(g) << "' is not in device '"
          << dev->name() << "' gate set '" << dev->gateset().name() << "'";
-      out.push_back(make_diag("QFS005", os.str(),
-                              SourceLocation{-1, i, -1}));
+      out.push_back(make_diag("QFS005", os.str(), SourceLocation{-1, i, -1}));
     }
 
     // QFS006: coupling-graph adjacency (verify stage).
