@@ -9,6 +9,7 @@
 // utilisation and shared-control-group validation.
 #include <iostream>
 
+#include "analysis/checkers.h"
 #include "compiler/schedule.h"
 #include "device/device.h"
 #include "isa/pulse.h"
@@ -54,12 +55,12 @@ int main() {
   // Layer 4: quantum ISA — explicit timed bundles.
   isa::TimedProgram program =
       isa::lower_to_timed_program(mapped.mapped, schedule);
+  const bool valid = analysis::analyze_timed_program(program, chip).empty();
   std::cout << "[quantum ISA]  " << program.instruction_count()
             << " instructions in " << program.bundles().size()
             << " bundles, mean width "
             << format_double(program.average_bundle_width(), 2)
-            << ", valid on device: "
-            << (isa::program_is_valid(program, chip) ? "yes" : "NO") << "\n\n";
+            << ", valid on device: " << (valid ? "yes" : "NO") << "\n\n";
 
   // Layer 5: control electronics — analog channels and waveforms.
   auto pulses = isa::lower_to_pulses(program, chip);

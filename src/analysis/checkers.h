@@ -97,8 +97,7 @@ std::vector<Diagnostic> analyze_circuit(const circuit::Circuit& circuit,
 
 /// Validate a timed ISA program against a device: operand ranges (QFS001),
 /// coupling-graph adjacency (QFS006), qubit double-booking and control-
-/// group kind mixing (QFS007). The diagnostic-producing twin of
-/// isa::program_is_valid.
+/// group kind mixing (QFS007).
 std::vector<Diagnostic> analyze_timed_program(const isa::TimedProgram& program,
                                               const device::Device& device);
 

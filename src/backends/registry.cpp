@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "device/calibration.h"
 #include "support/strings.h"
 
 namespace qfs::backends {
@@ -349,11 +348,6 @@ qfs::StatusOr<device::Device> BackendRegistry::make(
 
 qfs::StatusOr<device::Device> make_device(std::string_view spec_text) {
   return BackendRegistry::global().make(spec_text);
-}
-
-std::string default_calibration_text(const device::Device& dev) {
-  return device::calibration_to_text(dev.error_model(), dev.num_qubits(),
-                                     dev.topology().edge_list());
 }
 
 std::string list_devices_text() {

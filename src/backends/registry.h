@@ -78,11 +78,6 @@ class BackendRegistry {
 /// Resolve `spec_text` through the global registry.
 qfs::StatusOr<device::Device> make_device(std::string_view spec_text);
 
-/// The device's effective error model rendered as a calibration file
-/// (device::parse_calibration round-trips it). This is the "default
-/// calibration" users start from when hand-tuning a backend.
-std::string default_calibration_text(const device::Device& dev);
-
 /// Human-readable registry listing for `qfsc --list-devices`: one backend
 /// per stanza with parameter ranges and defaults.
 std::string list_devices_text();

@@ -60,12 +60,6 @@ double Circuit::two_qubit_fraction() const {
   return total == 0 ? 0.0 : static_cast<double>(two_qubit_gate_count()) / total;
 }
 
-std::map<GateKind, int> Circuit::count_by_kind() const {
-  std::map<GateKind, int> counts;
-  for (const Gate& g : gates_) ++counts[g.kind];
-  return counts;
-}
-
 int Circuit::depth() const {
   std::vector<int> level(static_cast<std::size_t>(num_qubits_), 0);
   int depth = 0;

@@ -4,7 +4,6 @@
 // Circuits are value types: passes take a Circuit and return a new one.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -39,11 +38,8 @@ class Circuit {
   Circuit& z(int q) { return chain(GateKind::kZ, {q}); }
   Circuit& h(int q) { return chain(GateKind::kH, {q}); }
   Circuit& s(int q) { return chain(GateKind::kS, {q}); }
-  Circuit& sdg(int q) { return chain(GateKind::kSdg, {q}); }
   Circuit& t(int q) { return chain(GateKind::kT, {q}); }
-  Circuit& tdg(int q) { return chain(GateKind::kTdg, {q}); }
   Circuit& sx(int q) { return chain(GateKind::kSx, {q}); }
-  Circuit& sxdg(int q) { return chain(GateKind::kSxdg, {q}); }
   Circuit& rx(double theta, int q) { return chain(GateKind::kRx, {q}, {theta}); }
   Circuit& ry(double theta, int q) { return chain(GateKind::kRy, {q}, {theta}); }
   Circuit& rz(double theta, int q) { return chain(GateKind::kRz, {q}, {theta}); }
@@ -52,7 +48,6 @@ class Circuit {
     return chain(GateKind::kU3, {q}, {theta, phi, lambda});
   }
   Circuit& cx(int c, int t) { return chain(GateKind::kCx, {c, t}); }
-  Circuit& cy(int c, int t) { return chain(GateKind::kCy, {c, t}); }
   Circuit& cz(int a, int b) { return chain(GateKind::kCz, {a, b}); }
   Circuit& cp(double lambda, int a, int b) {
     return chain(GateKind::kCphase, {a, b}, {lambda});
@@ -60,7 +55,6 @@ class Circuit {
   Circuit& swap(int a, int b) { return chain(GateKind::kSwap, {a, b}); }
   Circuit& ccx(int c1, int c2, int t) { return chain(GateKind::kCcx, {c1, c2, t}); }
   Circuit& ccz(int a, int b, int c) { return chain(GateKind::kCcz, {a, b, c}); }
-  Circuit& cswap(int c, int a, int b) { return chain(GateKind::kCswap, {c, a, b}); }
   Circuit& measure(int q) { return chain(GateKind::kMeasure, {q}); }
   Circuit& reset(int q) { return chain(GateKind::kReset, {q}); }
   Circuit& barrier(Qubits qubits) {
@@ -84,9 +78,6 @@ class Circuit {
 
   /// two_qubit_gate_count / gate_count; 0 for empty circuits.
   double two_qubit_fraction() const;
-
-  /// Histogram by kind (barriers included for structural introspection).
-  std::map<GateKind, int> count_by_kind() const;
 
   /// Logical depth: gates on the same qubit serialise; a barrier serialises
   /// all listed qubits. Barriers themselves add no depth.

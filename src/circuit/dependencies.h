@@ -21,7 +21,6 @@ struct Dependencies {
   std::vector<int> succs;
 
   std::size_t size() const { return num_preds.size(); }
-  int num_predecessors(std::size_t i) const { return num_preds[i]; }
   int num_successors(std::size_t i) const {
     return succ_offsets[i + 1] - succ_offsets[i];
   }

@@ -54,22 +54,6 @@ CMatrix CMatrix::adjoint() const {
   return out;
 }
 
-CMatrix CMatrix::kron(const CMatrix& rhs) const {
-  CMatrix out(dim_ * rhs.dim_);
-  for (int r1 = 0; r1 < dim_; ++r1) {
-    for (int c1 = 0; c1 < dim_; ++c1) {
-      Complex a = at(r1, c1);
-      if (a == Complex{}) continue;
-      for (int r2 = 0; r2 < rhs.dim_; ++r2) {
-        for (int c2 = 0; c2 < rhs.dim_; ++c2) {
-          out.at(r1 * rhs.dim_ + r2, c1 * rhs.dim_ + c2) = a * rhs.at(r2, c2);
-        }
-      }
-    }
-  }
-  return out;
-}
-
 double CMatrix::max_abs_diff(const CMatrix& rhs) const {
   QFS_ASSERT_MSG(dim_ == rhs.dim_, "matrix dimension mismatch");
   double worst = 0.0;

@@ -38,9 +38,6 @@ class CMatrix {
   /// Conjugate transpose.
   CMatrix adjoint() const;
 
-  /// Kronecker product (this ⊗ rhs).
-  CMatrix kron(const CMatrix& rhs) const;
-
   /// Largest absolute entry of (this - rhs).
   double max_abs_diff(const CMatrix& rhs) const;
 

@@ -136,30 +136,6 @@ qfs::StatusOr<ErrorModel> parse_calibration(const std::string& text,
   return model;
 }
 
-std::string calibration_to_text(
-    const ErrorModel& model, int num_qubits,
-    const std::vector<std::pair<int, int>>& edges) {
-  std::ostringstream os;
-  os << "# qfs calibration\n";
-  os << "defaults," << qfs::format_double(model.single_qubit_fidelity(), 6)
-     << ',' << qfs::format_double(model.two_qubit_fidelity(), 6) << ','
-     << qfs::format_double(model.measurement_fidelity(), 6) << '\n';
-  os << "durations_ns," << qfs::format_double(model.single_qubit_duration_ns(), 1)
-     << ',' << qfs::format_double(model.two_qubit_duration_ns(), 1) << ','
-     << qfs::format_double(model.measurement_duration_ns(), 1) << '\n';
-  os << "coherence_ns," << qfs::format_double(model.t1_ns(), 1) << ','
-     << qfs::format_double(model.t2_ns(), 1) << '\n';
-  for (int q = 0; q < num_qubits; ++q) {
-    os << "qubit," << q << ','
-       << qfs::format_double(model.qubit_fidelity(q), 6) << '\n';
-  }
-  for (const auto& [a, b] : edges) {
-    os << "edge," << a << ',' << b << ','
-       << qfs::format_double(model.edge_fidelity(a, b), 6) << '\n';
-  }
-  return os.str();
-}
-
 qfs::StatusOr<Topology> parse_topology(const std::string& text) {
   std::string name = "custom";
   int num_qubits = -1;

@@ -26,13 +26,6 @@ namespace qfs::device {
 qfs::StatusOr<ErrorModel> parse_calibration(const std::string& text,
                                             int num_qubits = -1);
 
-/// Render an error model (with explicit per-qubit/per-edge rows for the
-/// given counts/edges) back into calibration text. Round-trips through
-/// parse_calibration.
-std::string calibration_to_text(
-    const ErrorModel& model, int num_qubits,
-    const std::vector<std::pair<int, int>>& edges);
-
 /// Parse a topology description:
 ///   name,<label>        (optional; defaults to "custom")
 ///   qubits,<n>

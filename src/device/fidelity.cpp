@@ -35,16 +35,4 @@ double estimate_gate_fidelity(const circuit::Circuit& circuit,
   return std::exp(estimate_log_gate_fidelity(circuit, device));
 }
 
-double estimate_total_fidelity(const circuit::Circuit& circuit,
-                               const Device& device) {
-  const ErrorModel& em = device.error_model();
-  double log_f = estimate_log_gate_fidelity(circuit, device);
-  for (const auto& g : circuit.gates()) {
-    if (g.kind == GateKind::kMeasure || g.kind == GateKind::kReset) {
-      log_f += log_clamped(em.gate_fidelity(g));
-    }
-  }
-  return std::exp(log_f);
-}
-
 }  // namespace qfs::device

@@ -28,8 +28,4 @@ double estimate_gate_fidelity(const circuit::Circuit& circuit,
 double estimate_log_gate_fidelity(const circuit::Circuit& circuit,
                                   const Device& device);
 
-/// Product including measurement and reset fidelities.
-double estimate_total_fidelity(const circuit::Circuit& circuit,
-                               const Device& device);
-
 }  // namespace qfs::device

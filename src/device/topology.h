@@ -80,14 +80,6 @@ class Topology {
                          static_cast<std::size_t>(b)];
   }
 
-  /// Row `a` of the flat distance table (num_qubits() entries); the
-  /// scan-friendly form for loops that probe many targets from one source.
-  const int* distance_row(int a) const {
-    QFS_ASSERT_MSG(0 <= a && a < num_qubits(), "qubit out of range");
-    return tables_->dist.data() +
-           static_cast<std::size_t>(a) * static_cast<std::size_t>(tables_->n);
-  }
-
   /// True when a finite hop distance exists (both qubits in range).
   bool reachable(int a, int b) const;
 

@@ -78,30 +78,6 @@ std::vector<Node> shortest_path(const Graph& g, Node source, Node target) {
   return {};
 }
 
-std::vector<double> dijkstra_distances(const Graph& g, Node source) {
-  QFS_ASSERT_MSG(0 <= source && source < g.num_nodes(), "bad source node");
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(g.num_nodes()), kInf);
-  using Item = std::pair<double, Node>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[static_cast<std::size_t>(source)] = 0.0;
-  pq.emplace(0.0, source);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[static_cast<std::size_t>(u)]) continue;
-    for (const auto& [v, w] : g.neighbors(u)) {
-      QFS_ASSERT_MSG(w >= 0.0, "dijkstra requires non-negative weights");
-      double nd = d + w;
-      if (nd < dist[static_cast<std::size_t>(v)]) {
-        dist[static_cast<std::size_t>(v)] = nd;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  return dist;
-}
-
 std::vector<int> connected_components(const Graph& g) {
   std::vector<int> comp(static_cast<std::size_t>(g.num_nodes()), -1);
   int next = 0;

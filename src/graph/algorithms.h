@@ -25,9 +25,6 @@ std::vector<int> flat_all_pairs_hop_distances(const Graph& g);
 /// so results are deterministic.
 std::vector<Node> shortest_path(const Graph& g, Node source, Node target);
 
-/// Weighted shortest-path distances (Dijkstra, weights must be >= 0).
-std::vector<double> dijkstra_distances(const Graph& g, Node source);
-
 /// Connected component id per node (ids are dense, ordered by first member).
 std::vector<int> connected_components(const Graph& g);
 

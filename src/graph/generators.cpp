@@ -46,16 +46,6 @@ Graph grid_graph(int rows, int cols) {
   return g;
 }
 
-Graph erdos_renyi(int n, double p, qfs::Rng& rng) {
-  Graph g(n);
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      if (rng.bernoulli(p)) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
 Graph random_connected_graph(int n, double extra_edge_prob, qfs::Rng& rng) {
   QFS_ASSERT_MSG(n >= 1, "need >= 1 node");
   Graph g(n);

@@ -22,9 +22,6 @@ Graph star_graph(int n);
 /// rows x cols 2D grid with nearest-neighbour edges.
 Graph grid_graph(int rows, int cols);
 
-/// Erdős–Rényi G(n, p); connectivity is not guaranteed.
-Graph erdos_renyi(int n, double p, qfs::Rng& rng);
-
 /// Connected random graph: a uniform random spanning tree plus extra
 /// G(n, p)-style edges. Every node pair stays reachable.
 Graph random_connected_graph(int n, double extra_edge_prob, qfs::Rng& rng);

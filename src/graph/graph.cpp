@@ -21,16 +21,6 @@ void Graph::add_edge(Node u, Node v, double weight) {
   if (inserted) ++num_edges_;
 }
 
-void Graph::set_edge_weight(Node u, Node v, double weight) {
-  check_node(u);
-  check_node(v);
-  QFS_ASSERT_MSG(u != v, "self-loop not allowed");
-  auto [it_u, inserted] = adjacency_[static_cast<std::size_t>(u)].try_emplace(v, 0.0);
-  it_u->second = weight;
-  adjacency_[static_cast<std::size_t>(v)][u] = weight;
-  if (inserted) ++num_edges_;
-}
-
 bool Graph::has_edge(Node u, Node v) const {
   check_node(u);
   check_node(v);
@@ -72,24 +62,6 @@ std::vector<Edge> Graph::edges() const {
     }
   }
   return out;
-}
-
-double Graph::total_weight() const {
-  double sum = 0.0;
-  for (Node u = 0; u < num_nodes(); ++u) sum += weighted_degree(u);
-  return sum / 2.0;
-}
-
-std::vector<std::vector<double>> Graph::adjacency_matrix() const {
-  std::vector<std::vector<double>> m(
-      static_cast<std::size_t>(num_nodes()),
-      std::vector<double>(static_cast<std::size_t>(num_nodes()), 0.0));
-  for (Node u = 0; u < num_nodes(); ++u) {
-    for (const auto& [v, w] : adjacency_[static_cast<std::size_t>(u)]) {
-      m[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] = w;
-    }
-  }
-  return m;
 }
 
 }  // namespace qfs::graph

@@ -43,9 +43,6 @@ class Graph {
   /// them: a two-qubit gate touches two distinct qubits).
   void add_edge(Node u, Node v, double weight = 1.0);
 
-  /// Replace the weight of edge {u, v}, creating it if absent.
-  void set_edge_weight(Node u, Node v, double weight);
-
   bool has_edge(Node u, Node v) const;
 
   /// Weight of {u, v}; 0 if the edge does not exist.
@@ -62,12 +59,6 @@ class Graph {
 
   /// All edges, each reported once with u < v, ordered lexicographically.
   std::vector<Edge> edges() const;
-
-  /// Total edge weight of the graph.
-  double total_weight() const;
-
-  /// Dense symmetric adjacency matrix (num_nodes x num_nodes), zero diagonal.
-  std::vector<std::vector<double>> adjacency_matrix() const;
 
   bool operator==(const Graph& other) const {
     return adjacency_ == other.adjacency_;

@@ -38,18 +38,6 @@ int PulseSchedule::total_pulses() const {
   return n;
 }
 
-std::map<ChannelId, double> PulseSchedule::channel_utilization(
-    int makespan_cycles) const {
-  std::map<ChannelId, double> out;
-  if (makespan_cycles <= 0) return out;
-  for (const auto& [id, pulses] : channels_) {
-    long long busy = 0;
-    for (const Pulse& p : pulses) busy += p.duration_cycles;
-    out[id] = static_cast<double>(busy) / makespan_cycles;
-  }
-  return out;
-}
-
 bool PulseSchedule::channels_exclusive() const {
   for (const auto& [id, pulses] : channels_) {
     std::vector<std::pair<int, int>> spans;

@@ -58,9 +58,6 @@ class PulseSchedule {
   int num_channels() const { return static_cast<int>(channels_.size()); }
   int total_pulses() const;
 
-  /// Fraction of the makespan each channel is driving.
-  std::map<ChannelId, double> channel_utilization(int makespan_cycles) const;
-
   /// True when no channel carries overlapping pulses.
   bool channels_exclusive() const;
 

@@ -113,61 +113,4 @@ TimedProgram lower_to_timed_program(const circuit::Circuit& circuit,
                       circuit.num_qubits(), std::move(bundles));
 }
 
-bool program_is_valid(const TimedProgram& program,
-                      const device::Device& device) {
-  if (program.num_qubits() > device.num_qubits()) return false;
-
-  // Qubit busy intervals.
-  std::vector<std::vector<std::pair<int, int>>> busy(
-      static_cast<std::size_t>(program.num_qubits()));
-  for (const Bundle& b : program.bundles()) {
-    for (const Instruction& ins : b.instructions) {
-      if (ins.duration_cycles <= 0) return false;
-      for (int q : ins.qubits) {
-        if (q < 0 || q >= program.num_qubits()) return false;
-        for (const auto& [s, e] : busy[static_cast<std::size_t>(q)]) {
-          if (b.start_cycle < e && s < b.start_cycle + ins.duration_cycles) {
-            return false;
-          }
-        }
-        busy[static_cast<std::size_t>(q)].emplace_back(
-            b.start_cycle, b.start_cycle + ins.duration_cycles);
-      }
-      if (circuit::is_two_qubit(ins.kind) &&
-          !device.topology().adjacent(ins.qubits[0], ins.qubits[1])) {
-        return false;
-      }
-    }
-  }
-
-  // Control groups: instructions overlapping in time within a group must
-  // share a kind.
-  if (device.has_control_groups()) {
-    struct Span {
-      int start, end;
-      GateKind kind;
-    };
-    std::map<int, std::vector<Span>> spans;
-    for (const Bundle& b : program.bundles()) {
-      for (const Instruction& ins : b.instructions) {
-        for (int q : ins.qubits) {
-          spans[device.control_group(q)].push_back(
-              {b.start_cycle, b.start_cycle + ins.duration_cycles, ins.kind});
-        }
-      }
-    }
-    for (const auto& [group, list] : spans) {
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        for (std::size_t j = i + 1; j < list.size(); ++j) {
-          if (list[i].kind != list[j].kind && list[i].start < list[j].end &&
-              list[j].start < list[i].end) {
-            return false;
-          }
-        }
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace qfs::isa

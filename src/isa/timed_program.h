@@ -13,7 +13,6 @@
 
 #include "circuit/circuit.h"
 #include "compiler/schedule.h"
-#include "device/device.h"
 
 namespace qfs::isa {
 
@@ -67,11 +66,5 @@ class TimedProgram {
 /// structural and dropped. The schedule must come from the same circuit.
 TimedProgram lower_to_timed_program(const circuit::Circuit& circuit,
                                     const compiler::Schedule& schedule);
-
-/// Validate a timed program against a device: operands in range,
-/// two-qubit instructions on coupled qubits, no qubit busy in two bundles
-/// at once, control groups never mixing kinds in one cycle.
-bool program_is_valid(const TimedProgram& program,
-                      const device::Device& device);
 
 }  // namespace qfs::isa

@@ -145,6 +145,10 @@ const T* bound(const std::vector<std::string>& names,
   return it == names.rend() ? nullptr : &values[names.rend() - it - 1];
 }
 
+/// Deepest parenthesis nesting an angle expression may use; each level is
+/// one more frame of ExprParser's recursion.
+constexpr int kMaxExpressionDepth = 64;
+
 /// Recursive descent over + - * / ( ), literals, pi and bound parameters.
 /// The first error sticks; what is evaluated after it is discarded.
 class ExprParser {
@@ -200,15 +204,28 @@ class ExprParser {
   }
 
   double unary() {
-    if (consume('-')) return -unary();
-    if (consume('+')) return unary();
-    return atom();
+    // A loop, not a recursion per sign: any run of signs is safe.
+    bool negate = false;
+    for (;;) {
+      if (consume('-')) {
+        negate = !negate;
+      } else if (!consume('+')) {
+        break;
+      }
+    }
+    const double v = atom();
+    return negate ? -v : v;
   }
 
   double atom() {
     skip_ws();
     if (consume('(')) {
+      if (++depth_ > kMaxExpressionDepth) {
+        return fail("expression nests parentheses more than ",
+                    std::to_string(kMaxExpressionDepth), " deep");
+      }
       const double v = chain("+-");
+      --depth_;
       return error_.empty() && !consume(')') ? fail("missing ')'") : v;
     }
     const std::string_view tail = text_.substr(pos_);
@@ -245,6 +262,7 @@ class ExprParser {
   std::string_view text_;
   const Frame* frame_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< parentheses open around the current atom
   std::string error_;
 };
 
@@ -413,6 +431,9 @@ class Parser {
     for (const Operand& op : scratch.ops) {
       for (int i = 0; i < op.width; ++i) qubits.push_back(op.first + i);
     }
+    if (!circuit::operands_distinct(qubits)) {
+      return fail(line, "repeated qubit operand");
+    }
     circuit_.add(K::kBarrier, std::move(qubits));
     return true;
   }
@@ -508,9 +529,13 @@ class Parser {
     std::vector<double>& params = scratch.params;
     params.clear();
     if (!rest.empty() && rest.front() == '(') {
-      const std::size_t close = rest.find(')');
-      if (close == std::string_view::npos) {
-        return fail(line, "missing ')' in gate parameters");
+      // The list ends at the ')' that closes its '(': angles nest them.
+      std::size_t close = 0;
+      for (int open = 1; open > 0; open += rest[close] == '(' ? 1 : -1) {
+        close = rest.find_first_of("()", close + 1);
+        if (close == std::string_view::npos) {
+          return fail(line, "missing ')' in gate parameters");
+        }
       }
       if (!for_each_field(rest.substr(1, close - 1), ',', [&](auto p) {
             auto v = ExprParser(trim(p), frame).parse();

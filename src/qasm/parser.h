@@ -6,7 +6,8 @@
 // onto the qfs vocabulary (id x y z h s sdg t tdg sx sxdg rx ry rz p/u1
 // u3/u cx cy cz cp/cu1 swap ccx ccz cswap) and the QASMBench macros u2 rzz
 // rxx crz cu3 ch, expanded inline; measure, reset, barrier, comments,
-// angle expressions over + - * / ( ) pi and decimal literals, **user gate
+// angle expressions over + - * / ( ) pi and decimal literals (parentheses
+// nest at most 64 deep), **user gate
 // definitions** (`gate name(p) a,b { ... }`, expanded at invocation with
 // parameter substitution, nested definitions allowed), and **register
 // broadcast** (`h q;`, `measure q -> c;`, `cx q[0],q;`-style element-wise

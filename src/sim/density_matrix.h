@@ -20,7 +20,6 @@ class DensityMatrix {
 
   int num_qubits() const { return num_qubits_; }
   std::size_t dim() const { return static_cast<std::size_t>(rho_.dim()); }
-  const circuit::CMatrix& matrix() const { return rho_; }
 
   /// rho -> U rho U^dagger for a unitary gate.
   void apply_gate(const circuit::Gate& g);

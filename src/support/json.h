@@ -32,7 +32,6 @@ class JsonValue {
   /// untrusted socket is the expected caller.
   static qfs::StatusOr<JsonValue> parse(std::string_view text);
 
-  bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_string() const { return kind_ == Kind::kString; }
   bool is_object() const { return kind_ == Kind::kObject; }

@@ -122,15 +122,6 @@ auto parallel_map(int jobs, std::size_t count, Fn&& fn)
   return out;
 }
 
-/// parallel_map for side-effect-only bodies.
-template <typename Fn>
-void parallel_for(int jobs, std::size_t count, Fn&& fn) {
-  parallel_map(jobs, count, [&fn](std::size_t i) {
-    fn(i);
-    return 0;
-  });
-}
-
 /// Mutex-guarded progress dots: prints '.' to `out` every `stride`
 /// completions and a final newline, from any thread (benches run
 /// interactively and want a heartbeat regardless of --jobs).

@@ -6,9 +6,6 @@ const char* status_code_name(StatusCode code) {
   switch (code) {
     case StatusCode::kOk: return "ok";
     case StatusCode::kInvalidArgument: return "invalid_argument";
-    case StatusCode::kNotFound: return "not_found";
-    case StatusCode::kOutOfRange: return "out_of_range";
-    case StatusCode::kUnimplemented: return "unimplemented";
     case StatusCode::kParseError: return "parse_error";
     case StatusCode::kIoError: return "io_error";
     case StatusCode::kFailedPrecondition: return "failed_precondition";

@@ -15,9 +15,6 @@ namespace qfs {
 enum class StatusCode {
   kOk,
   kInvalidArgument,
-  kNotFound,
-  kOutOfRange,
-  kUnimplemented,
   kParseError,
   kIoError,
   kFailedPrecondition,
@@ -50,15 +47,6 @@ class Status {
 
 inline Status invalid_argument(std::string msg) {
   return Status(StatusCode::kInvalidArgument, std::move(msg));
-}
-inline Status not_found(std::string msg) {
-  return Status(StatusCode::kNotFound, std::move(msg));
-}
-inline Status out_of_range(std::string msg) {
-  return Status(StatusCode::kOutOfRange, std::move(msg));
-}
-inline Status unimplemented(std::string msg) {
-  return Status(StatusCode::kUnimplemented, std::move(msg));
 }
 inline Status parse_error(std::string msg) {
   return Status(StatusCode::kParseError, std::move(msg));
@@ -101,12 +89,6 @@ class StatusOr {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
-
-  /// The value, or `fallback` when this holds an error.
-  T value_or(T fallback) const& { return is_ok() ? *value_ : std::move(fallback); }
-  T value_or(T fallback) && {
-    return is_ok() ? std::move(*value_) : std::move(fallback);
-  }
 
  private:
   std::optional<T> value_;

@@ -1,7 +1,6 @@
 #include "support/strings.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cfloat>
 #include <charconv>
 #include <cstdlib>
@@ -13,10 +12,6 @@ namespace qfs {
 namespace {
 /// Largest precision append_double accepts (its buffer is sized for it).
 constexpr int kMaxFormatPrecision = 17;
-
-bool is_space(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
 
 /// Levenshtein distance, one DP row (small inputs only).
 std::size_t edit_distance(std::string_view a, std::string_view b) {
@@ -46,23 +41,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
     }
   }
   return out;
-}
-
-std::vector<std::string> split_whitespace(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && is_space(s[i])) ++i;
-    std::size_t start = i;
-    while (i < s.size() && !is_space(s[i])) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 void append_double(std::string& out, double value, int precision) {

@@ -20,13 +20,9 @@ inline std::string_view trim(std::string_view s) {
 /// Split on a delimiter character; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Split on runs of ASCII whitespace; drops empty fields.
-std::vector<std::string> split_whitespace(std::string_view s);
-
 inline bool starts_with(std::string_view s, std::string_view prefix) {
   return s.starts_with(prefix);
 }
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Append the fixed-precision decimal rendering of a double (the bytes of
 /// printf %.*f, for every finite value and inf/nan) to `out`. The one

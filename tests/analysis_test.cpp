@@ -12,6 +12,8 @@
 #include "mapper/pipeline.h"
 #include "qasm/parser.h"
 #include "support/rng.h"
+#include "workloads/algorithms.h"
+#include "workloads/random_circuit.h"
 #include "workloads/suite.h"
 
 namespace qfs::analysis {
@@ -185,6 +187,10 @@ TEST(Checkers, Qfs009OversizedRegister) {
   opts.physical = true;
   auto diags = analyze_circuit(c, opts);
   EXPECT_TRUE(contains_code(diags, "QFS009"));
+
+  // A timed program wider than the device.
+  isa::TimedProgram wide("wide", 20.0, 5, {});
+  EXPECT_TRUE(contains_code(analyze_timed_program(wide, dev), "QFS009"));
 }
 
 TEST(Checkers, CleanCircuitHasNoFindings) {
@@ -215,11 +221,23 @@ TEST(TimedProgram, Qfs007ControlGroupKindMixing) {
         isa::Instruction{GateKind::kRy, {1}, {0.5}, 2}}},
   };
   isa::TimedProgram program("mixed", 20.0, 4, bundles);
-  ASSERT_FALSE(isa::program_is_valid(program, dev));
   auto diags = analyze_timed_program(program, dev);
   const Diagnostic& d = first_with_code(diags, "QFS007");
   EXPECT_EQ(d.severity, Severity::kError);
   EXPECT_NE(d.message.find("control group"), std::string::npos);
+
+  // The same clash in surface-17's own control groups (qubits 0 and 1 are
+  // both in group 0), one cycle long.
+  device::Device surface = device::surface17_device();
+  std::vector<isa::Bundle> one_cycle = {
+      {0,
+       {isa::Instruction{GateKind::kRx, {0}, {0.1}, 1},
+        isa::Instruction{GateKind::kRy, {1}, {0.1}, 1}}},
+  };
+  isa::TimedProgram clash("bad", 20.0, 17, one_cycle);
+  EXPECT_NE(first_with_code(analyze_timed_program(clash, surface), "QFS007")
+                .message.find("control group"),
+            std::string::npos);
 }
 
 TEST(TimedProgram, Qfs007QubitDoubleBooked) {
@@ -229,10 +247,20 @@ TEST(TimedProgram, Qfs007QubitDoubleBooked) {
       {1, {isa::Instruction{GateKind::kRy, {0}, {0.5}, 1}}},
   };
   isa::TimedProgram program("overlap", 20.0, 4, bundles);
-  ASSERT_FALSE(isa::program_is_valid(program, dev));
   auto diags = analyze_timed_program(program, dev);
   const Diagnostic& d = first_with_code(diags, "QFS007");
   EXPECT_NE(d.message.find("double-booked"), std::string::npos);
+
+  // A single-qubit gate starting inside a two-cycle two-qubit gate.
+  device::Device pair = device::line_device(2);
+  std::vector<isa::Bundle> inside = {
+      {0, {isa::Instruction{GateKind::kCz, {0, 1}, {}, 2}}},
+      {1, {isa::Instruction{GateKind::kX, {0}, {}, 1}}},
+  };
+  isa::TimedProgram overlap("bad", 20.0, 2, inside);
+  EXPECT_NE(first_with_code(analyze_timed_program(overlap, pair), "QFS007")
+                .message.find("double-booked"),
+            std::string::npos);
 }
 
 TEST(TimedProgram, Qfs006NonAdjacentInstruction) {
@@ -243,6 +271,15 @@ TEST(TimedProgram, Qfs006NonAdjacentInstruction) {
   isa::TimedProgram program("nonadj", 20.0, 4, bundles);
   auto diags = analyze_timed_program(program, dev);
   EXPECT_TRUE(contains_code(diags, "QFS006"));
+
+  // Two qubits of a three-qubit line with one in between.
+  device::Device line3 = device::line_device(3);
+  std::vector<isa::Bundle> skip = {
+      {0, {isa::Instruction{GateKind::kCz, {0, 2}, {}, 2}}},
+  };
+  isa::TimedProgram uncoupled("bad", 20.0, 3, skip);
+  EXPECT_TRUE(
+      contains_code(analyze_timed_program(uncoupled, line3), "QFS006"));
 }
 
 TEST(TimedProgram, CleanProgramHasNoFindings) {
@@ -255,14 +292,24 @@ TEST(TimedProgram, CleanProgramHasNoFindings) {
       {2, {isa::Instruction{GateKind::kCz, {0, 1}, {}, 1}}},
   };
   isa::TimedProgram program("clean", 20.0, 4, bundles);
-  ASSERT_TRUE(isa::program_is_valid(program, dev));
   EXPECT_TRUE(analyze_timed_program(program, dev).empty());
 }
 
 TEST(TimedProgram, Qfs007SilentOnCompiledSuitePrograms) {
-  // Compile + schedule + lower a slice of the paper suite: the compiled
-  // programs are well-formed, so every schedule checker stays silent.
+  // Compile + schedule + lower a slice of the paper suite, QFT-5 and four
+  // random circuits: the compiled programs are well-formed, so every
+  // schedule checker stays silent.
   device::Device dev = device::surface17_device();
+  auto expect_clean = [&dev](const std::string& name,
+                             const mapper::MappingResult& result) {
+    compiler::Schedule schedule = compiler::asap_schedule(result.mapped, dev);
+    isa::TimedProgram program =
+        isa::lower_to_timed_program(result.mapped, schedule);
+    EXPECT_EQ(program.instruction_count(), result.mapped.gate_count()) << name;
+    std::vector<Diagnostic> diags = analyze_timed_program(program, dev);
+    EXPECT_TRUE(diags.empty()) << name << ":\n" << render_diagnostics(diags);
+  };
+
   workloads::SuiteOptions suite_opts;
   suite_opts.random_count = 4;
   suite_opts.real_count = 4;
@@ -277,15 +324,23 @@ TEST(TimedProgram, Qfs007SilentOnCompiledSuitePrograms) {
   options.router = "lookahead";
   for (std::size_t i = 0; i < suite.size(); ++i) {
     qfs::Rng rng(i);
-    mapper::MappingResult result =
-        mapper::map_circuit(suite[i].circuit, dev, options, rng);
-    compiler::Schedule schedule = compiler::asap_schedule(result.mapped, dev);
-    isa::TimedProgram program =
-        isa::lower_to_timed_program(result.mapped, schedule);
-    std::vector<Diagnostic> diags = analyze_timed_program(program, dev);
-    EXPECT_TRUE(diags.empty())
-        << suite[i].name << ":\n"
-        << render_diagnostics(diags);
+    expect_clean(suite[i].name,
+                 mapper::map_circuit(suite[i].circuit, dev, options, rng));
+  }
+
+  // Under the default mapping options.
+  qfs::Rng qft_rng(1);
+  expect_clean("qft5", mapper::map_circuit(workloads::qft(5), dev, qft_rng));
+  qfs::Rng gen(2);
+  for (int trial = 0; trial < 4; ++trial) {
+    workloads::RandomCircuitSpec spec;
+    spec.num_qubits = 8;
+    spec.num_gates = 60;
+    spec.two_qubit_fraction = 0.35;
+    Circuit c = workloads::random_circuit(spec, gen);
+    qfs::Rng rng(static_cast<std::uint64_t>(trial));
+    expect_clean("random trial " + std::to_string(trial),
+                 mapper::map_circuit(c, dev, rng));
   }
 }
 

@@ -274,14 +274,6 @@ TEST(Circuit, InverseOfMeasureIsContractViolation) {
   EXPECT_THROW(c.inverse(), AssertionError);
 }
 
-TEST(Circuit, CountByKind) {
-  Circuit c(2);
-  c.h(0).h(1).cx(0, 1);
-  auto counts = c.count_by_kind();
-  EXPECT_EQ(counts[GateKind::kH], 2);
-  EXPECT_EQ(counts[GateKind::kCx], 1);
-}
-
 TEST(Circuit, SatisfiesConnectivity) {
   Circuit c(3);
   c.cx(0, 1).cx(1, 2);
@@ -393,7 +385,7 @@ std::vector<int> predecessors_of(const Dependencies& deps, int i) {
     }
   }
   EXPECT_EQ(static_cast<int>(preds.size()),
-            deps.num_predecessors(static_cast<std::size_t>(i)));
+            deps.num_preds[static_cast<std::size_t>(i)]);
   return preds;
 }
 
@@ -409,7 +401,7 @@ TEST(Dag, IndependentGatesHaveNoDependencies) {
   const Dependencies deps = dependencies_of(c);
   ASSERT_EQ(deps.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(deps.num_predecessors(i), 0);
+    EXPECT_EQ(deps.num_preds[i], 0);
     EXPECT_EQ(deps.num_successors(i), 0);
   }
 }
@@ -484,7 +476,7 @@ TEST(Dag, TopologicalOrderRespectsEdges) {
   for (int g = 0; g < static_cast<int>(deps.size()); ++g) {
     for (int s : successors_of(deps, g)) EXPECT_LT(g, s);
     edges += static_cast<std::size_t>(
-        deps.num_predecessors(static_cast<std::size_t>(g)));
+        deps.num_preds[static_cast<std::size_t>(g)]);
   }
   EXPECT_EQ(edges, deps.succs.size());
 }

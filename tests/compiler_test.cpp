@@ -100,10 +100,14 @@ Circuit algorithm_sampler(int variant) {
       c.h(0).cx(0, 1).cz(1, 2).swap(2, 3).t(3);
       break;
     case 1:
-      c.ccx(0, 1, 2).ccz(1, 2, 3).cswap(0, 1, 3);
+      c.ccx(0, 1, 2).ccz(1, 2, 3);
+      c.add(GateKind::kCswap, {0, 1, 3});
       break;
     case 2:
-      c.u3(0.3, -0.4, 0.5, 0).cp(0.7, 0, 3).cy(1, 2).sdg(3).sxdg(0);
+      c.u3(0.3, -0.4, 0.5, 0).cp(0.7, 0, 3);
+      c.add(GateKind::kCy, {1, 2});
+      c.add(GateKind::kSdg, {3});
+      c.add(GateKind::kSxdg, {0});
       break;
     default:
       c.rx(1.2, 0).ry(-0.3, 1).rz(2.2, 2).p(0.9, 3).cx(3, 0).s(1);

@@ -277,7 +277,6 @@ TEST(Topology, DistanceOutOfRangeIsContractViolation) {
   EXPECT_THROW(t.distance(7, 0), AssertionError);
   EXPECT_THROW(t.distance(0, 7), AssertionError);
   EXPECT_THROW(t.reachable(-1, 0), AssertionError);
-  EXPECT_THROW(t.distance_row(7), AssertionError);
 }
 
 TEST(Topology, DistanceDisconnectedPairThrowsReachableDoesNot) {
@@ -301,10 +300,8 @@ TEST(Topology, FlatTableMatchesCheckedDistance) {
   Topology t = surface17();
   EXPECT_TRUE(t.connected());
   for (int a = 0; a < t.num_qubits(); ++a) {
-    const int* row = t.distance_row(a);
     for (int b = 0; b < t.num_qubits(); ++b) {
       EXPECT_EQ(t.distance(a, b), t.distance_unchecked(a, b));
-      EXPECT_EQ(row[b], t.distance(a, b));
     }
   }
 }
@@ -491,18 +488,29 @@ TEST(TopologyFileErrors, EveryRejectionCarriesALineNumber) {
 }
 
 TEST(Calibration, RoundTrip) {
-  ErrorModel em(0.998, 0.97, 0.96);
-  em.set_durations_ns(30, 50, 400);
-  em.set_qubit_fidelity(1, 0.91);
-  em.set_edge_fidelity(0, 1, 0.88);
-  std::vector<std::pair<int, int>> edges = {{0, 1}, {1, 2}};
-  std::string text = calibration_to_text(em, 3, edges);
-  auto back = parse_calibration(text);
+  // Every record kind README documents, with comments and blank lines.
+  const char* text =
+      "# hand-tuned chip\n"
+      "defaults,0.998,0.97,0.96\n"
+      "\n"
+      "durations_ns,30,50,400   # single, two, measure\n"
+      "coherence_ns,15000,9000\n"
+      "qubit,1,0.91\n"
+      "edge,1,0,0.88\n";
+  auto back = parse_calibration(text, /*num_qubits=*/3);
   ASSERT_TRUE(back.is_ok()) << back.status().to_string();
-  EXPECT_DOUBLE_EQ(back.value().qubit_fidelity(1), 0.91);
-  EXPECT_DOUBLE_EQ(back.value().edge_fidelity(0, 1), 0.88);
-  EXPECT_DOUBLE_EQ(back.value().edge_fidelity(1, 2), 0.97);
-  EXPECT_DOUBLE_EQ(back.value().two_qubit_duration_ns(), 50);
+  const ErrorModel& em = back.value();
+  EXPECT_DOUBLE_EQ(em.single_qubit_fidelity(), 0.998);
+  EXPECT_DOUBLE_EQ(em.measurement_fidelity(), 0.96);
+  EXPECT_DOUBLE_EQ(em.qubit_fidelity(1), 0.91);
+  EXPECT_DOUBLE_EQ(em.qubit_fidelity(2), 0.998);
+  EXPECT_DOUBLE_EQ(em.edge_fidelity(0, 1), 0.88);
+  EXPECT_DOUBLE_EQ(em.edge_fidelity(1, 2), 0.97);
+  EXPECT_DOUBLE_EQ(em.single_qubit_duration_ns(), 30);
+  EXPECT_DOUBLE_EQ(em.two_qubit_duration_ns(), 50);
+  EXPECT_DOUBLE_EQ(em.measurement_duration_ns(), 400);
+  EXPECT_DOUBLE_EQ(em.t1_ns(), 15000);
+  EXPECT_DOUBLE_EQ(em.t2_ns(), 9000);
 }
 
 // ---------------------------------------------------------------------------
@@ -642,7 +650,6 @@ TEST(Fidelity, MeasurementsExcludedFromGateFidelity) {
   Circuit c(1);
   c.rx(0.5, 0).measure(0);
   EXPECT_NEAR(estimate_gate_fidelity(c, d), 0.999, 1e-12);
-  EXPECT_NEAR(estimate_total_fidelity(c, d), 0.999 * 0.997, 1e-12);
 }
 
 TEST(Fidelity, EmptyCircuitIsPerfect) {

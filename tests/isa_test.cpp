@@ -6,7 +6,6 @@
 #include "isa/timed_program.h"
 #include "mapper/pipeline.h"
 #include "workloads/algorithms.h"
-#include "workloads/random_circuit.h"
 
 namespace qfs::isa {
 namespace {
@@ -101,54 +100,6 @@ TEST(TimedProgram, BundleOrderingEnforced) {
   EXPECT_THROW(TimedProgram("bad", 20.0, 2, out_of_order), AssertionError);
 }
 
-TEST(ProgramValidation, MappedScheduledProgramIsValid) {
-  Device d = device::surface17_device();
-  qfs::Rng rng(1);
-  Circuit c = workloads::qft(5);
-  mapper::MappingResult r = mapper::map_circuit(c, d, rng);
-  auto schedule = compiler::asap_schedule(r.mapped, d);
-  TimedProgram p = lower_to_timed_program(r.mapped, schedule);
-  EXPECT_TRUE(program_is_valid(p, d));
-  EXPECT_GT(p.average_bundle_width(), 1.0);  // some parallelism exists
-}
-
-TEST(ProgramValidation, DetectsUncoupledTwoQubitInstruction) {
-  Device d = device::line_device(3);
-  Bundle b;
-  b.start_cycle = 0;
-  b.instructions.push_back(Instruction{GateKind::kCz, {0, 2}, {}, 2});
-  TimedProgram p("bad", 20.0, 3, {b});
-  EXPECT_FALSE(program_is_valid(p, d));
-}
-
-TEST(ProgramValidation, DetectsQubitOverlap) {
-  Device d = device::line_device(2);
-  Bundle b0, b1;
-  b0.start_cycle = 0;
-  b0.instructions.push_back(Instruction{GateKind::kCz, {0, 1}, {}, 2});
-  b1.start_cycle = 1;  // overlaps the 2-cycle cz
-  b1.instructions.push_back(Instruction{GateKind::kX, {0}, {}, 1});
-  TimedProgram p("bad", 20.0, 2, {b0, b1});
-  EXPECT_FALSE(program_is_valid(p, d));
-}
-
-TEST(ProgramValidation, DetectsControlGroupViolation) {
-  Device d = device::surface17_device();
-  // Qubits 0 and 1 share group 0: different kinds in one bundle = invalid.
-  Bundle b;
-  b.start_cycle = 0;
-  b.instructions.push_back(Instruction{GateKind::kRx, {0}, {0.1}, 1});
-  b.instructions.push_back(Instruction{GateKind::kRy, {1}, {0.1}, 1});
-  TimedProgram p("bad", 20.0, 17, {b});
-  EXPECT_FALSE(program_is_valid(p, d));
-}
-
-TEST(ProgramValidation, WiderThanDeviceInvalid) {
-  Device d = device::line_device(2);
-  TimedProgram p("wide", 20.0, 5, {});
-  EXPECT_FALSE(program_is_valid(p, d));
-}
-
 // ---------------------------------------------------------------------------
 // Pulse lowering (control electronics)
 // ---------------------------------------------------------------------------
@@ -217,14 +168,16 @@ TEST(Pulse, MappedScheduledCircuitLowersCleanly) {
   TimedProgram p = lower(r.mapped, d);
   auto result = lower_to_pulses(p, d);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_GT(p.average_bundle_width(), 1.0);  // some parallelism exists
   EXPECT_EQ(result.value().total_pulses(), p.instruction_count());
   EXPECT_TRUE(result.value().channels_exclusive());
-  // Utilisation is bounded by 1 everywhere.
-  for (const auto& [id, util] :
-       result.value().channel_utilization(p.makespan_cycles())) {
-    (void)id;
-    EXPECT_LE(util, 1.0 + 1e-12);
-    EXPECT_GT(util, 0.0);
+  // Every pulse lies inside the program's makespan.
+  for (const auto& [id, pulses] : result.value().channels()) {
+    for (const auto& pulse : pulses) {
+      EXPECT_GE(pulse.start_cycle, 0) << channel_name(id);
+      EXPECT_LE(pulse.start_cycle + pulse.duration_cycles, p.makespan_cycles())
+          << channel_name(id);
+    }
   }
 }
 
@@ -233,24 +186,6 @@ TEST(Pulse, ChannelNames) {
   EXPECT_EQ(channel_name(ChannelId{ChannelKind::kFlux, 1, 4}), "flux:Q1-Q4");
   EXPECT_EQ(channel_name(ChannelId{ChannelKind::kReadout, 0, -1}),
             "readout:Q0");
-}
-
-TEST(ProgramValidation, RandomMappedCircuitsLowerCleanly) {
-  Device d = device::surface17_device();
-  qfs::Rng gen(2);
-  for (int trial = 0; trial < 4; ++trial) {
-    workloads::RandomCircuitSpec spec;
-    spec.num_qubits = 8;
-    spec.num_gates = 60;
-    spec.two_qubit_fraction = 0.35;
-    Circuit c = workloads::random_circuit(spec, gen);
-    qfs::Rng rng(trial);
-    mapper::MappingResult r = mapper::map_circuit(c, d, rng);
-    auto schedule = compiler::asap_schedule(r.mapped, d);
-    TimedProgram p = lower_to_timed_program(r.mapped, schedule);
-    EXPECT_TRUE(program_is_valid(p, d)) << "trial " << trial;
-    EXPECT_EQ(p.instruction_count(), r.mapped.gate_count());
-  }
 }
 
 }  // namespace

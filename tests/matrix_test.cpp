@@ -37,22 +37,6 @@ TEST(CMatrix, AdjointOfS) {
   EXPECT_TRUE(approx_equal(s.adjoint(), sdg, kTol));
 }
 
-TEST(CMatrix, KronDimensions) {
-  CMatrix a = CMatrix::identity(2);
-  CMatrix b = CMatrix::identity(4);
-  EXPECT_EQ(a.kron(b).dim(), 8);
-}
-
-TEST(CMatrix, KronOfPaulis) {
-  CMatrix x = gate_matrix(make_gate(GateKind::kX, {0}));
-  CMatrix z = gate_matrix(make_gate(GateKind::kZ, {0}));
-  CMatrix xz = x.kron(z);
-  // (X ⊗ Z)|00> = |10>  (qubit order: first factor is MSB)
-  EXPECT_EQ(xz.at(2, 0), Complex(1));
-  // (X ⊗ Z)|01> = -|11>
-  EXPECT_EQ(xz.at(3, 1), Complex(-1));
-}
-
 TEST(CMatrix, ScaledAndNorm) {
   CMatrix m = CMatrix::identity(2).scaled(Complex(0, 2));
   EXPECT_DOUBLE_EQ(m.norm(), std::sqrt(8.0));

@@ -78,7 +78,7 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_map / parallel_for
+// parallel_map
 // ---------------------------------------------------------------------------
 
 TEST(ParallelMap, PreservesInputOrder) {
@@ -127,9 +127,9 @@ TEST(ParallelMap, PropagatesFirstExceptionByIndex) {
   }
 }
 
-TEST(ParallelFor, RunsEveryIndexOnce) {
+TEST(ParallelMap, RunsEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(100);
-  parallel_for(8, hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  parallel_map(8, hits.size(), [&hits](std::size_t i) { return ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -149,7 +149,10 @@ TEST(ProgressReporter, DotsEveryStrideAndFinalNewline) {
 TEST(ProgressReporter, ThreadSafeTicks) {
   std::ostringstream os;
   ProgressReporter progress(1, &os);
-  parallel_for(8, 40, [&progress](std::size_t) { progress.tick(); });
+  parallel_map(8, 40, [&progress](std::size_t) {
+    progress.tick();
+    return 0;
+  });
   progress.finish();
   EXPECT_EQ(os.str(), std::string(40, '.') + "\n");
 }

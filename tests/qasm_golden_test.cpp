@@ -92,24 +92,24 @@ TEST(QasmParseGolden, FixturesAndTheirMutants) {
           {"lint/qfs002_duplicate_operand.qasm", "e8e78c7c8deabd83da30d8d70fda6a61"},
           {"lint/qfs003_gate_after_measure.qasm", "2005175512e335d494b9753cc972e87e"},
           {"lint/qfs004_idle_qubit.qasm", "44180351986fe98ac8d3a5e232d8845e"},
-          {"lint/qfs005_non_native_gate.qasm", "1ba1be1f9381bb952a4ab5e48581faeb"},
+          {"lint/qfs005_non_native_gate.qasm", "e06c8aea0a8b33e46878b7dc8d778e39"},
           {"lint/qfs006_non_adjacent_pair.qasm", "f8a8978288cb4b46d97087d1b305c3c8"},
           {"lint/qfs008_unreachable_after_measure_all.qasm", "2816a1f5791dca5f9044fe27bae5a7ad"},
-          {"lint/qfs009_oversized_register.qasm", "206479ef2178cf556901083f16781e36"},
+          {"lint/qfs009_oversized_register.qasm", "3fd4db46913e0fbe6ac78a96970bfc91"},
           {"lint/qfs100_parse_error.qasm", "ce88b1d6d69f7aac0b17b854194764ad"},
           {"qasmbench/adder_n4.qasm", "3b457806b3ee85c728268c6e44b7419c"},
-          {"qasmbench/bell_n4.qasm", "67ab0f9357bc94bcba3bbb0344d2b73f"},
+          {"qasmbench/bell_n4.qasm", "b9ba1fe781d308b35f253b105b381b35"},
           {"qasmbench/bv_n8.qasm", "2bbf72f6b42cf8cfdbe44437437da8c5"},
           {"qasmbench/fredkin_n3.qasm", "0f7b102856fbaddbe236e7ed3d178dcd"},
           {"qasmbench/grover_n5.qasm", "c8877ccf8522eae065327471289dc0c3"},
-          {"qasmbench/ising_n10.qasm", "529f0fe99727d1b3c8884702f6d77c64"},
-          {"qasmbench/qaoa_n6.qasm", "00276017ba510a6c15df4d119689a9b0"},
-          {"qasmbench/qft_n7.qasm", "31586e361ed582fa8d60481f7aefea89"},
-          {"qasmbench/qpe_n9.qasm", "64086859e794f727df3bdd6e5c82158d"},
+          {"qasmbench/ising_n10.qasm", "87269b67bf748bc9d4c14ddab7c1a767"},
+          {"qasmbench/qaoa_n6.qasm", "9ec9fb2e754f8ce63c6f222ad89d9404"},
+          {"qasmbench/qft_n7.qasm", "f40709f2ba5bf42f7f65b51136c5b302"},
+          {"qasmbench/qpe_n9.qasm", "89d3efe8422c06cf0fd7869c36f9625b"},
           {"qasmbench/simon_n6.qasm", "6d40848f61d506755ee469e43b24f0bb"},
-          {"qasmbench/variational_n4.qasm", "9b0f43a1226a51656c9768bdc7841749"},
-          {"qasmbench/wstate_n3.qasm", "0d75d443e12d2072a2775cc8484f96c0"},
-          {"qft4.qasm", "8e60e8fb3a462a3b8615a8294e13e765"},
+          {"qasmbench/variational_n4.qasm", "7992faad88bb7f4ea963a0a59192fb49"},
+          {"qasmbench/wstate_n3.qasm", "e2d6ea734e73442cc8ddc44b30128ab8"},
+          {"qft4.qasm", "b7f4d2cc9846ae09225e55aaebe304c2"},
           {"shared_group_xy.qasm", "0f3b21b8209853ee6b7e56d3bb62ca3e"},
           {"toffoli3.qasm", "49cae98180d443357a409c47becffc1d"},
           {"truncated.qasm", "ac4a75a15f31fa73a84b6b17743603f2"},
@@ -120,9 +120,9 @@ TEST(QasmParseGolden, InlineProgramsAndTheirMutants) {
   expect_corpus(
       corpus::inline_seeds(),
       {
-          {"inline/gatedefs", "d0c13fea88b078e98d1d8ce11c7dd20d"},
-          {"inline/macros", "416d068acfd5f1a65156f9c49af44584"},
-          {"inline/layout", "8fba7999ef9b391700d2bba3a3f96652"},
+          {"inline/gatedefs", "23ccfbe6c8347cfeda8261041948e4bf"},
+          {"inline/macros", "25ab3eba1813ecab8bc0250ca8ed75e1"},
+          {"inline/layout", "81d1aed1417f3c6dddb8d665a1f5abee"},
       });
 }
 

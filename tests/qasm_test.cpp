@@ -42,6 +42,14 @@ TEST(AngleExpr, ArithmeticAndParens) {
   EXPECT_DOUBLE_EQ(evaluate_angle_expression("1-2-3").value(), -4.0);
   EXPECT_DOUBLE_EQ(evaluate_angle_expression("8/2/2").value(), 2.0);
   EXPECT_DOUBLE_EQ(evaluate_angle_expression("--2").value(), 2.0);
+  // Nesting up to the cap, and a long run of signs.
+  EXPECT_DOUBLE_EQ(evaluate_angle_expression(std::string(64, '(') + "3" +
+                                             std::string(64, ')'))
+                       .value(),
+                   3.0);
+  EXPECT_DOUBLE_EQ(
+      evaluate_angle_expression(std::string(1000001, '-') + "2").value(),
+      -2.0);
 }
 
 TEST(AngleExpr, Whitespace) {
@@ -54,6 +62,11 @@ TEST(AngleExpr, Errors) {
   EXPECT_FALSE(evaluate_angle_expression("(1+2").is_ok());
   EXPECT_FALSE(evaluate_angle_expression("1/0").is_ok());
   EXPECT_FALSE(evaluate_angle_expression("abc").is_ok());
+  auto deep = evaluate_angle_expression(std::string(65, '(') + "3" +
+                                        std::string(65, ')'));
+  ASSERT_FALSE(deep.is_ok());
+  EXPECT_NE(deep.status().message().find("more than 64 deep"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -82,14 +95,22 @@ TEST(Parser, ParametrisedGates) {
       "qreg q[2];\n"
       "rz(pi/4) q[0];\n"
       "u3(pi/2, 0, pi) q[1];\n"
-      "cu1(0.25) q[0],q[1];\n");
+      "cu1(0.25) q[0],q[1];\n"
+      "rz((pi)/2) q[0];\n"
+      "u3((1+2)*0.5, -(pi/4), ((0))) q[1];\n");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const auto& gates = result.value().gates();
-  ASSERT_EQ(gates.size(), 3u);
+  ASSERT_EQ(gates.size(), 5u);
   EXPECT_DOUBLE_EQ(gates[0].params[0], M_PI / 4);
   EXPECT_EQ(gates[1].kind, GateKind::kU3);
   ASSERT_EQ(gates[1].params.size(), 3u);
   EXPECT_EQ(gates[2].kind, GateKind::kCphase);
+  // A parameter list ends at the ')' that closes it, not at the first one.
+  EXPECT_DOUBLE_EQ(gates[3].params[0], M_PI / 2);
+  ASSERT_EQ(gates[4].params.size(), 3u);
+  EXPECT_DOUBLE_EQ(gates[4].params[0], 1.5);
+  EXPECT_DOUBLE_EQ(gates[4].params[1], -M_PI / 4);
+  EXPECT_DOUBLE_EQ(gates[4].params[2], 0.0);
 }
 
 TEST(Parser, MeasureResetBarrier) {
@@ -163,6 +184,13 @@ TEST(Parser, ErrorRepeatedOperand) {
   auto result = parse("qreg q[2]; cx q[0],q[0];");
   ASSERT_FALSE(result.is_ok());
   EXPECT_NE(result.status().message().find("repeated"), std::string::npos);
+  // A barrier that names a qubit twice, directly or through its register.
+  for (const char* barrier : {"barrier q[0],q[0];", "barrier q[1],q;"}) {
+    auto b = parse(std::string("OPENQASM 2.0;\nqreg q[2];\n") + barrier);
+    ASSERT_FALSE(b.is_ok()) << barrier;
+    EXPECT_EQ(b.status().message(), "line 3: repeated qubit operand")
+        << barrier;
+  }
 }
 
 TEST(Parser, ErrorMentionsLineNumber) {
@@ -233,6 +261,20 @@ TEST(Parser, BadAngleExpressionCarriesLineNumber) {
   auto garbage = parse("qreg q[1];\nrz(1+*2) q[0];\n");
   ASSERT_FALSE(garbage.is_ok());
   EXPECT_NE(garbage.status().message().find("line 2"), std::string::npos);
+  // An angle that opens a million parentheses is an error, not a stack
+  // overflow, whether or not it closes them.
+  const std::string opens(1000000, '(');
+  const std::string closes(1000000, ')');
+  auto deep = parse("OPENQASM 2.0;\nqreg q[1];\nrz(" + opens + "pi" +
+                    closes + ") q[0];\n");
+  ASSERT_FALSE(deep.is_ok());
+  EXPECT_EQ(deep.status().message(),
+            "line 3: expression nests parentheses more than 64 deep");
+  auto unclosed = parse("OPENQASM 2.0;\nqreg q[1];\nrz(" + opens +
+                        "pi) q[0];\n");
+  ASSERT_FALSE(unclosed.is_ok());
+  EXPECT_EQ(unclosed.status().message(),
+            "line 3: missing ')' in gate parameters");
 }
 
 TEST(Parser, UnknownStatementCarriesLineNumber) {
@@ -278,9 +320,12 @@ TEST(Broadcast, SingleQubitGateOverRegister) {
 TEST(Broadcast, MeasureAndResetOverRegister) {
   auto result = parse("qreg q[3]; creg c[3]; reset q; measure q -> c;");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  auto counts = result.value().count_by_kind();
-  EXPECT_EQ(counts[GateKind::kReset], 3);
-  EXPECT_EQ(counts[GateKind::kMeasure], 3);
+  const auto& gates = result.value().gates();
+  ASSERT_EQ(gates.size(), 6u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(gates[i].kind, GateKind::kReset);
+    EXPECT_EQ(gates[i + 3].kind, GateKind::kMeasure);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -412,6 +457,21 @@ TEST(GateDef, ParameterSubstitution) {
   EXPECT_DOUBLE_EQ(gates[0].params[0], M_PI / 2);
   EXPECT_DOUBLE_EQ(gates[1].params[0], -M_PI / 2);
   EXPECT_DOUBLE_EQ(gates[2].params[0], M_PI);
+
+  // qelib1's own cu3 body nests parentheses in its angles.
+  auto cu3 = parse(
+      "qreg q[2];\n"
+      "gate cu3q(theta,phi,lambda) c, t {\n"
+      "  u1((lambda+phi)/2) c; u1((lambda-phi)/2) t; cx c,t;\n"
+      "  u3(-theta/2,0,-(phi+lambda)/2) t; cx c,t; u3(theta/2,phi,0) t;\n"
+      "}\n"
+      "cu3q(0.2, 0.4, 0.6) q[0],q[1];\n");
+  ASSERT_TRUE(cu3.is_ok()) << cu3.status().to_string();
+  const auto& body = cu3.value().gates();
+  ASSERT_EQ(body.size(), 6u);
+  EXPECT_DOUBLE_EQ(body[0].params[0], (0.6 + 0.4) / 2);
+  EXPECT_DOUBLE_EQ(body[1].params[0], (0.6 - 0.4) / 2);
+  EXPECT_DOUBLE_EQ(body[3].params[2], -(0.4 + 0.6) / 2);
 }
 
 TEST(GateDef, NestedDefinitions) {
@@ -540,7 +600,9 @@ TEST(Writer, MeasureArrow) {
 
 TEST(RoundTrip, StructurePreserved) {
   Circuit c(3);
-  c.h(0).t(1).sdg(2).cx(0, 1).cz(1, 2).swap(0, 2);
+  c.h(0).t(1);
+  c.add(GateKind::kSdg, {2});
+  c.cx(0, 1).cz(1, 2).swap(0, 2);
   c.rx(0.3, 0).ry(-0.7, 1).rz(M_PI / 3, 2).p(0.9, 0).cp(0.11, 0, 1);
   c.ccx(0, 1, 2);
   c.barrier({0, 1, 2});
@@ -584,7 +646,9 @@ TEST(Cqasm, HeaderAndKernel) {
 
 TEST(Cqasm, SpellingTable) {
   Circuit c(2);
-  c.sdg(0).tdg(1).sx(0).measure(1).reset(0).cp(0.5, 0, 1);
+  c.add(GateKind::kSdg, {0});
+  c.add(GateKind::kTdg, {1});
+  c.sx(0).measure(1).reset(0).cp(0.5, 0, 1);
   std::string text = to_cqasm(c);
   EXPECT_NE(text.find("sdag q[0]"), std::string::npos);
   EXPECT_NE(text.find("tdag q[1]"), std::string::npos);
@@ -609,7 +673,7 @@ TEST(Cqasm, BarrierOmitted) {
 
 TEST(Cqasm, UnsupportedGateIsContractViolation) {
   Circuit c(3);
-  c.cswap(0, 1, 2);  // no cQASM 1.0 spelling; must decompose first
+  c.add(GateKind::kCswap, {0, 1, 2});  // no cQASM 1.0 spelling
   EXPECT_THROW((void)to_cqasm(c), AssertionError);
 }
 

@@ -566,7 +566,8 @@ TEST(Service, DirectMapperAbortFailsCompilation) {
                           "attempt(s); last error: failed_precondition: "
                           "mapper aborted: assertion failed: "))
       << resp.error_message;
-  EXPECT_TRUE(ends_with(resp.error_message, "placement is not injective"))
+  EXPECT_TRUE(std::string_view(resp.error_message)
+                  .ends_with("placement is not injective"))
       << resp.error_message;
   EXPECT_NE(resp.attempt_log.find("attempt 0 [placer=trivial"),
             std::string::npos)

@@ -61,13 +61,12 @@ TEST(Status, ErrorCarriesCodeAndMessage) {
 TEST(Status, AllCodeNamesAreDistinct) {
   std::set<std::string> names;
   for (auto code : {StatusCode::kOk, StatusCode::kInvalidArgument,
-                    StatusCode::kNotFound, StatusCode::kOutOfRange,
-                    StatusCode::kUnimplemented, StatusCode::kParseError,
-                    StatusCode::kIoError, StatusCode::kFailedPrecondition,
+                    StatusCode::kParseError, StatusCode::kIoError,
+                    StatusCode::kFailedPrecondition,
                     StatusCode::kResourceExhausted}) {
     names.insert(status_code_name(code));
   }
-  EXPECT_EQ(names.size(), 9u);
+  EXPECT_EQ(names.size(), 6u);
 }
 
 TEST(Status, ResilienceCodes) {
@@ -87,22 +86,9 @@ TEST(StatusOr, HoldsValue) {
 }
 
 TEST(StatusOr, HoldsError) {
-  StatusOr<int> v = not_found("missing");
+  StatusOr<int> v = invalid_argument("missing");
   ASSERT_FALSE(v.is_ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
-}
-
-TEST(StatusOr, ValueOrReturnsValueWhenOk) {
-  StatusOr<int> v = 7;
-  EXPECT_EQ(v.value_or(99), 7);
-  EXPECT_EQ((StatusOr<std::string>("hi")).value_or("bye"), "hi");
-}
-
-TEST(StatusOr, ValueOrReturnsFallbackOnError) {
-  StatusOr<int> v = resource_exhausted("none left");
-  EXPECT_EQ(v.value_or(99), 99);
-  StatusOr<std::string> s = not_found("gone");
-  EXPECT_EQ(std::move(s).value_or("fallback"), "fallback");
+  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(StatusOr, ValueOnErrorIsContractViolation) {
@@ -275,18 +261,9 @@ TEST(Strings, SplitSingleField) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Strings, SplitWhitespaceDropsEmpties) {
-  auto parts = split_whitespace("  a \t b\n c  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(starts_with("surface-17", "surface"));
   EXPECT_FALSE(starts_with("surf", "surface"));
-  EXPECT_TRUE(ends_with("test.qasm", ".qasm"));
-  EXPECT_FALSE(ends_with("qasm", ".qasm"));
 }
 
 
@@ -473,7 +450,7 @@ TEST(Csv, RowWidthMismatchIsContractViolation) {
 // ---------------------------------------------------------------------------
 
 TEST(JsonParse, Scalars) {
-  EXPECT_TRUE(JsonValue::parse("null").value().is_null());
+  EXPECT_EQ(JsonValue::parse("null").value().to_string(), "null");
   EXPECT_TRUE(JsonValue::parse("true").value().as_bool());
   EXPECT_FALSE(JsonValue::parse("false").value().as_bool());
   EXPECT_EQ(JsonValue::parse("\"hi\"").value().as_string(), "hi");
