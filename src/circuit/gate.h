@@ -93,6 +93,12 @@ class InlineVec {
 
  public:
   InlineVec() = default;
+  /// `n` value-initialised elements.
+  explicit InlineVec(std::size_t n) {
+    QFS_ASSERT_MSG(n <= UINT32_MAX, "too many elements for an InlineVec");
+    size_ = static_cast<std::uint32_t>(n);
+    if (spilled()) set_heap(new T[std::bit_ceil(size_)]());
+  }
   InlineVec(std::initializer_list<T> init) {
     assign(init.begin(), init.size());
   }
@@ -159,7 +165,7 @@ class InlineVec {
     std::memcpy(&p, slots_, sizeof p);
     return p;
   }
-  void set_heap(T* p) { std::memcpy(slots_, &p, sizeof p); }
+  void set_heap(T* p) { std::memcpy(static_cast<void*>(slots_), &p, sizeof p); }
   void release() {
     if (spilled()) delete[] heap();
   }

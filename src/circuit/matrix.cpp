@@ -8,12 +8,6 @@ namespace {
 constexpr Complex kI1(0.0, 1.0);
 }
 
-CMatrix::CMatrix(int dim, std::vector<Complex> data)
-    : dim_(dim), data_(std::move(data)) {
-  QFS_ASSERT_MSG(data_.size() == static_cast<std::size_t>(dim) * dim,
-                 "matrix data size mismatch");
-}
-
 CMatrix CMatrix::identity(int dim) {
   CMatrix m(dim);
   for (int i = 0; i < dim; ++i) m.at(i, i) = 1.0;
@@ -104,7 +98,12 @@ bool approx_equal_up_to_phase(const CMatrix& a, const CMatrix& b, double tol) {
 namespace {
 
 CMatrix mat2(Complex a, Complex b, Complex c, Complex d) {
-  return CMatrix(2, {a, b, c, d});
+  CMatrix m(2);
+  m.at(0, 0) = a;
+  m.at(0, 1) = b;
+  m.at(1, 0) = c;
+  m.at(1, 1) = d;
+  return m;
 }
 
 CMatrix u3_matrix(double theta, double phi, double lambda) {

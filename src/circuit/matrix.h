@@ -1,11 +1,11 @@
 // Small dense complex matrices and the unitary matrices of the gate set.
 // Dimensions stay tiny (2/4/8 for gate matrices, up to 2^n for unitary
-// equivalence checks on few-qubit circuits), so a flat row-major vector is
-// the right representation.
+// equivalence checks on few-qubit circuits), so a flat row-major array is
+// the right representation. A 2x2 matrix keeps its entries inline, so the
+// single-qubit algebra of the lowering never touches the heap.
 #pragma once
 
 #include <complex>
-#include <vector>
 
 #include "circuit/gate.h"
 
@@ -17,8 +17,8 @@ using Complex = std::complex<double>;
 class CMatrix {
  public:
   CMatrix() = default;
-  explicit CMatrix(int dim) : dim_(dim), data_(static_cast<std::size_t>(dim) * dim) {}
-  CMatrix(int dim, std::vector<Complex> data);
+  explicit CMatrix(int dim)
+      : dim_(dim), data_(static_cast<std::size_t>(dim) * dim) {}
 
   static CMatrix identity(int dim);
 
@@ -48,7 +48,7 @@ class CMatrix {
 
  private:
   int dim_ = 0;
-  std::vector<Complex> data_;
+  InlineVec<Complex, 4> data_;
 };
 
 /// Entrywise closeness.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -33,8 +34,14 @@ using Templates =
 /// the gates the rules would. Parametrised kinds go through the rules.
 class Lowerer {
  public:
-  Lowerer(Circuit& out, const device::GateSet& target, Templates& templates)
-      : out_(out), target_(target), templates_(templates) {}
+  /// With `keep_identities` no rotation is dropped as the identity, so a
+  /// parametrised gate emits the most gates any angle can give it.
+  Lowerer(Circuit& out, const device::GateSet& target, Templates& templates,
+          bool keep_identities = false)
+      : out_(out),
+        target_(target),
+        templates_(templates),
+        keep_identities_(keep_identities) {}
 
   void lower(const Gate& g) {
     if (target_.supports(g.kind)) {
@@ -48,11 +55,36 @@ class Lowerer {
     apply_rule(g);
   }
 
+  /// The most gates lower() can emit for one gate of `kind`: 1 for a
+  /// native or non-unitary kind, the template's size for a parameter-free
+  /// kind, and for a parametrised kind its rule run with no rotation
+  /// dropped (the angles decide nothing else).
+  std::size_t max_lowered_size(GateKind kind) {
+    if (target_.supports(kind)) return 1;
+    if (circuit::gate_param_count(kind) == 0) return template_for(kind).size();
+    const circuit::Params zeros(
+        static_cast<std::size_t>(circuit::gate_param_count(kind)));
+    Circuit worst(circuit::gate_arity(kind));
+    Lowerer(worst, target_, templates_, /*keep_identities=*/true)
+        .apply_rule(Gate{kind, canonical_qubits(kind), zeros});
+    return worst.size();
+  }
+
  private:
+  static circuit::Qubits canonical_qubits(GateKind kind) {
+    circuit::Qubits canonical;
+    for (int q = 0; q < circuit::gate_arity(kind); ++q) canonical.push_back(q);
+    return canonical;
+  }
+
+  const std::vector<Gate>& template_for(GateKind kind) {
+    auto& lowered = templates_[static_cast<std::size_t>(kind)];
+    if (!lowered) lowered = build_template(kind);
+    return *lowered;
+  }
+
   void emit_template(const Gate& g) {
-    auto& lowered = templates_[static_cast<std::size_t>(g.kind)];
-    if (!lowered) lowered = build_template(g.kind);
-    for (const Gate& t : *lowered) {
+    for (const Gate& t : template_for(g.kind)) {
       Gate relabelled = t;
       for (auto& q : relabelled.qubits) {
         q = g.qubits[static_cast<std::size_t>(q)];
@@ -62,11 +94,9 @@ class Lowerer {
   }
 
   std::vector<Gate> build_template(GateKind kind) {
-    const int arity = circuit::gate_arity(kind);
-    circuit::Qubits canonical;
-    for (int q = 0; q < arity; ++q) canonical.push_back(q);
-    Circuit lowered(arity);
-    Lowerer(lowered, target_, templates_).apply_rule(Gate{kind, canonical, {}});
+    Circuit lowered(circuit::gate_arity(kind));
+    Lowerer(lowered, target_, templates_)
+        .apply_rule(Gate{kind, canonical_qubits(kind), {}});
     return lowered.gates();
   }
 
@@ -195,7 +225,8 @@ class Lowerer {
     // Skip exact multiples of 2*pi only when they produce the identity for
     // rotations (global phase is irrelevant to circuit semantics here).
     double normalized = std::remainder(angle, 4.0 * kPi);
-    if (std::abs(std::remainder(normalized, 2.0 * kPi)) < 1e-12) {
+    if (!keep_identities_ &&
+        std::abs(std::remainder(normalized, 2.0 * kPi)) < 1e-12) {
       // Rz(2pi) = -I: a pure global phase; safe to drop.
       return;
     }
@@ -205,6 +236,7 @@ class Lowerer {
   Circuit& out_;
   const device::GateSet& target_;
   Templates& templates_;
+  const bool keep_identities_;
 };
 
 }  // namespace
@@ -212,9 +244,20 @@ class Lowerer {
 Circuit decompose_to_gateset(const Circuit& input,
                              const device::GateSet& target) {
   Circuit out(input.num_qubits(), input.name());
-  out.reserve(input.size());
   Templates templates;
   Lowerer lowerer(out, target, templates);
+  // Size the output before emitting into it, so it is never reallocated:
+  // the bound is exact unless a parametrised kind loses a rotation.
+  constexpr std::size_t kUnsized = SIZE_MAX;
+  std::array<std::size_t, circuit::kNumGateKinds> max_size;
+  max_size.fill(kUnsized);
+  std::size_t capacity = 0;
+  for (const Gate& g : input.gates()) {
+    std::size_t& bound = max_size[static_cast<std::size_t>(g.kind)];
+    if (bound == kUnsized) bound = lowerer.max_lowered_size(g.kind);
+    capacity += bound;
+  }
+  out.reserve(capacity);
   for (const Gate& g : input.gates()) {
     if (!circuit::is_unitary(g.kind)) {
       out.add(g);  // measure/reset/barrier pass through
@@ -222,6 +265,7 @@ Circuit decompose_to_gateset(const Circuit& input,
     }
     lowerer.lower(g);
   }
+  QFS_ASSERT_MSG(out.size() <= capacity, "lowering outgrew its size bound");
   return out;
 }
 

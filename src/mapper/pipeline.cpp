@@ -73,21 +73,34 @@ MappingResult map_circuit(const Circuit& circuit, const Device& device,
   }
   RoutingResult routed = router->route(decomposed, device, initial, rng);
 
-  // Step 4: expand SWAPs, then lower any CX they introduced on CZ devices.
-  Circuit final_circuit = compiler::decompose_to_gateset(
-      compiler::expand_swaps(routed.mapped), device.gateset());
+  // Each circuit below is freed once its last reader returns, so at most
+  // two of them are live at a time. The "before" metrics are the last
+  // readers of `decomposed`.
+  MappingResult result;
+  result.gates_before = decomposed.gate_count();
+  result.depth_before = decomposed.depth();
+  result.log_fidelity_before = log_fidelity_uniform(decomposed, device);
+  compiler::ScheduleOptions sched;
+  if (options.compute_latency) {
+    result.latency_before_ns =
+        compiler::asap_schedule(decomposed, device, sched).makespan_ns();
+  }
+  decomposed = Circuit();
 
-  QFS_ASSERT_MSG(respects_connectivity(final_circuit, device),
+  // Step 4: expand SWAPs, then lower any CX they introduced on CZ devices.
+  Circuit expanded = compiler::expand_swaps(routed.mapped);
+  routed.mapped = Circuit();
+  result.mapped = compiler::decompose_to_gateset(expanded, device.gateset());
+  expanded = Circuit();
+
+  QFS_ASSERT_MSG(respects_connectivity(result.mapped, device),
                  "routing postcondition violated");
 
-  MappingResult result;
-  result.mapped = std::move(final_circuit);
   result.initial_layout = initial.initial_segment(circuit.num_qubits());
   result.final_layout =
       routed.final_layout.initial_segment(circuit.num_qubits());
   result.swaps_inserted = routed.swaps_inserted;
 
-  result.gates_before = decomposed.gate_count();
   result.gates_after = result.mapped.gate_count();
   if (result.gates_before > 0) {
     result.gate_overhead_pct =
@@ -95,7 +108,6 @@ MappingResult map_circuit(const Circuit& circuit, const Device& device,
         static_cast<double>(result.gates_before);
   }
 
-  result.depth_before = decomposed.depth();
   result.depth_after = result.mapped.depth();
   if (result.depth_before > 0) {
     result.depth_overhead_pct =
@@ -103,7 +115,6 @@ MappingResult map_circuit(const Circuit& circuit, const Device& device,
         static_cast<double>(result.depth_before);
   }
 
-  result.log_fidelity_before = log_fidelity_uniform(decomposed, device);
   result.log_fidelity_after =
       device::estimate_log_gate_fidelity(result.mapped, device);
   result.fidelity_before = std::exp(result.log_fidelity_before);
@@ -113,9 +124,6 @@ MappingResult map_circuit(const Circuit& circuit, const Device& device,
       (1.0 - std::exp(result.log_fidelity_after - result.log_fidelity_before));
 
   if (options.compute_latency) {
-    compiler::ScheduleOptions sched;
-    result.latency_before_ns =
-        compiler::asap_schedule(decomposed, device, sched).makespan_ns();
     result.latency_after_ns =
         compiler::asap_schedule(result.mapped, device, sched).makespan_ns();
     if (result.latency_before_ns > 0.0) {

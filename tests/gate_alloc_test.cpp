@@ -1,11 +1,14 @@
 // Pins the no-heap-per-gate layout of circuit::Gate with a counting global
 // operator new: copying, building and appending gates of up to three
 // operands allocates nothing; only a barrier wider than that does. Also
-// pins that decompose_to_gateset lowers each parameter-free kind once per
-// call: its allocations do not grow with the number of gates it lowers,
-// and that qasm::parse and qasm::to_qasm allocate per circuit, not per
-// gate.
+// pins that decompose_to_gateset sizes its output once and lowers each
+// parameter-free kind once per call, so its allocations do not grow with
+// the number of gates it lowers, parametrised ones included; that
+// map_circuit frees each intermediate circuit after its last reader, so at
+// most the expanded and the lowered routed circuit are live at once; and
+// that qasm::parse and qasm::to_qasm allocate per circuit, not per gate.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <bit>
@@ -16,30 +19,67 @@
 
 #include "circuit/circuit.h"
 #include "compiler/decompose.h"
+#include "device/device.h"
 #include "device/gateset.h"
+#include "mapper/pipeline.h"
 #include "qasm/parser.h"
 #include "qasm/writer.h"
+#include "support/rng.h"
 
 namespace {
 std::atomic<long> g_allocations{0};
+/// Usable bytes of the blocks now allocated, and the most of them since
+/// peak_bytes_in() last reset the mark.
+std::atomic<long> g_live_bytes{0};
+std::atomic<long> g_peak_bytes{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) return nullptr;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto bytes = static_cast<long>(malloc_usable_size(p));
+  const long live = g_live_bytes.fetch_add(bytes) + bytes;
+  long peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<long>(malloc_usable_size(p)));
+  std::free(p);
+}
 }  // namespace
 
 // Not inlined, so the compiler never pairs an inlined malloc with a free.
 __attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 __attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
-// The array forms too: a sanitizer runtime may replace them on its own.
+// The array and nothrow forms too: a sanitizer runtime may replace them on
+// its own, and every block must be counted by the same pair.
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace qfs::circuit {
 namespace {
@@ -50,6 +90,16 @@ long allocations_in(Fn&& fn) {
   const long before = g_allocations.load();
   fn();
   return g_allocations.load() - before;
+}
+
+/// The most heap bytes live at once while running `fn`, above those live
+/// when it starts.
+template <typename Fn>
+long peak_bytes_in(Fn&& fn) {
+  const long before = g_live_bytes.load();
+  g_peak_bytes.store(before);
+  fn();
+  return g_peak_bytes.load() - before;
 }
 
 TEST(GateAlloc, CopyingANarrowGateAllocatesNothing) {
@@ -120,11 +170,38 @@ Circuit h_t_ccx_swap(int n) {
   return c;
 }
 
+/// h_t_ccx_swap(n) interleaved with rz, cp and u3 at angles that vary from
+/// gate to gate. The rules drop some of their rotations (every one at the
+/// zero angle each 97th gate gets), so the output falls short of its
+/// per-kind bound.
+Circuit with_parametrised(int n) {
+  const Circuit base = h_t_ccx_swap(n);
+  Circuit c(16);
+  c.reserve(2 * base.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    c.add(base.gates()[i]);
+    const double angle = 0.001 * static_cast<double>(i % 97);
+    const int q = static_cast<int>(i % 16);
+    switch (i % 3) {
+      case 0: c.rz(angle, q); break;
+      case 1: c.cp(angle, q, (q + 9) % 16); break;
+      default: c.u3(angle, 2 * angle, 3 * angle, q); break;
+    }
+  }
+  return c;
+}
+
 TEST(GateAlloc, LoweringAllocatesPerKindNotPerGate) {
   for (const device::GateSet& gs :
        {device::surface_code_gateset(), device::ibm_gateset()}) {
-    const Circuit small = h_t_ccx_swap(64);
-    const Circuit large = h_t_ccx_swap(4096);
+    // The native x gates make the small output grow by a smaller factor
+    // than the large one, so an output grown by doubling from any size
+    // proportional to the input would need more blocks for the large one.
+    Circuit small = with_parametrised(64);
+    for (std::size_t i = 0, n = 3 * small.size(); i < n; ++i) {
+      small.x(static_cast<int>(i % 16));
+    }
+    const Circuit large = with_parametrised(4096);
     Circuit lowered_small;
     Circuit lowered_large;
     const long small_allocs = allocations_in(
@@ -132,14 +209,58 @@ TEST(GateAlloc, LoweringAllocatesPerKindNotPerGate) {
     const long large_allocs = allocations_in(
         [&] { lowered_large = compiler::decompose_to_gateset(large, gs); });
     ASSERT_GT(lowered_large.size(), large.size()) << gs.name();
-    // Both calls lower the same kinds, so they build the same templates.
-    // What may grow with the input is the output vector, which doubles
-    // from the input's size: at most bit_width(output size) more blocks.
-    EXPECT_LE(large_allocs - small_allocs,
-              static_cast<long>(std::bit_width(lowered_large.size())))
-        << gs.name() << ": " << small_allocs << " allocations for 64 gates, "
-        << large_allocs << " for 4096";
+    // Both calls lower the same kinds, so they build the same templates
+    // and size bounds, and each sizes its output once.
+    EXPECT_EQ(large_allocs, small_allocs)
+        << gs.name() << ": " << small_allocs << " allocations for "
+        << small.size() << " gates, " << large_allocs << " for "
+        << large.size();
   }
+}
+
+/// `n` two-qubit gates between qubits far apart on surface97, each
+/// followed by an h: the router inserts many SWAPs, and on the CZ set every
+/// expanded SWAP lowers to nine gates.
+Circuit swap_heavy(int n) {
+  Circuit c(97);
+  c.reserve(2 * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const int a = (37 * i) % 97;
+    const int b = (a + 48) % 97;
+    c.cx(a, b);
+    c.h(b);
+  }
+  return c;
+}
+
+TEST(GateAlloc, MapCircuitHoldsTwoBigCircuitsAtATime) {
+  const device::Device device = device::surface97_device();
+  const Circuit source = swap_heavy(2000);
+  mapper::MappingOptions options;
+  options.placer = "trivial";
+  options.router = "lookahead";
+  options.compute_latency = true;
+  auto map = [&] {
+    qfs::Rng rng(7);
+    return mapper::map_circuit(source, device, options, rng);
+  };
+  // The first call grows the lookahead router's thread-local scratch to
+  // this circuit; the measured call reuses it.
+  (void)map();
+  mapper::MappingResult result;
+  const long peak = peak_bytes_in([&] { result = map(); });
+  ASSERT_GT(result.swaps_inserted, 1000);
+  // The routed circuit is the lowered source plus the SWAPs, and expanding
+  // turns each SWAP into three cx. Both of these vectors are sized exactly.
+  const auto expanded_gates = static_cast<std::size_t>(
+      result.gates_before + 3 * result.swaps_inserted);
+  const long circuit_bytes = static_cast<long>(
+      (expanded_gates + result.mapped.size()) * sizeof(Gate));
+  // Layouts, lowering templates and per-qubit counters.
+  constexpr long kSlack = 16 * 1024;
+  EXPECT_LE(peak, circuit_bytes + kSlack)
+      << "expanded " << expanded_gates << " gates, lowered "
+      << result.mapped.size() << ", " << result.swaps_inserted << " swaps";
 }
 
 /// h_t_ccx_swap(n) with an rz of a varying angle after every fourth gate.
