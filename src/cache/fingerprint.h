@@ -25,7 +25,7 @@ namespace qfs::cache {
 
 /// Version salt folded into every cache key and printed by `qfsc --version`.
 /// Bump the suffix to invalidate all previously stored artifacts.
-inline constexpr std::string_view kCacheVersionSalt = "qfs-compile-cache-v2";
+inline constexpr std::string_view kCacheVersionSalt = "qfs-compile-cache-v3";
 
 /// Accumulates tagged, length-prefixed fields into one digest.
 class FingerprintBuilder {

@@ -11,15 +11,6 @@ Circuit::Circuit(int num_qubits, std::string name)
   QFS_ASSERT_MSG(num_qubits >= 0, "negative qubit count");
 }
 
-void Circuit::add(Gate g) {
-  for (int q : g.qubits) {
-    QFS_ASSERT_MSG(q < num_qubits_, "gate operand exceeds circuit width");
-  }
-  // Check in place, so raw Gate{} literals obey the contract too.
-  check_gate(g);
-  gates_.push_back(std::move(g));
-}
-
 void Circuit::add(GateKind kind, Qubits qubits, Params params) {
   add(Gate{kind, std::move(qubits), std::move(params)});
 }

@@ -28,7 +28,14 @@ class Circuit {
   void reserve(std::size_t n) { gates_.reserve(n); }
 
   /// Append a gate; validates kind/operand contract and qubit range.
-  void add(Gate g);
+  void add(Gate g) {
+    for (int q : g.qubits) {
+      QFS_ASSERT_MSG(q < num_qubits_, "gate operand exceeds circuit width");
+    }
+    // Check in place, so raw Gate{} literals obey the contract too.
+    check_gate(g);
+    gates_.push_back(std::move(g));
+  }
   void add(GateKind kind, Qubits qubits, Params params = {});
 
   // Fluent single-gate builders (return *this for chaining).

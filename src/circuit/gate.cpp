@@ -40,58 +40,6 @@ const char* gate_name(GateKind kind) {
   return "?";
 }
 
-int gate_arity(GateKind kind) {
-  switch (kind) {
-    case GateKind::kI:
-    case GateKind::kX:
-    case GateKind::kY:
-    case GateKind::kZ:
-    case GateKind::kH:
-    case GateKind::kS:
-    case GateKind::kSdg:
-    case GateKind::kT:
-    case GateKind::kTdg:
-    case GateKind::kSx:
-    case GateKind::kSxdg:
-    case GateKind::kRx:
-    case GateKind::kRy:
-    case GateKind::kRz:
-    case GateKind::kPhase:
-    case GateKind::kU3:
-    case GateKind::kMeasure:
-    case GateKind::kReset:
-      return 1;
-    case GateKind::kCx:
-    case GateKind::kCy:
-    case GateKind::kCz:
-    case GateKind::kCphase:
-    case GateKind::kSwap:
-      return 2;
-    case GateKind::kCcx:
-    case GateKind::kCcz:
-    case GateKind::kCswap:
-      return 3;
-    case GateKind::kBarrier:
-      return 0;  // variable
-  }
-  return 0;
-}
-
-int gate_param_count(GateKind kind) {
-  switch (kind) {
-    case GateKind::kRx:
-    case GateKind::kRy:
-    case GateKind::kRz:
-    case GateKind::kPhase:
-    case GateKind::kCphase:
-      return 1;
-    case GateKind::kU3:
-      return 3;
-    default:
-      return 0;
-  }
-}
-
 bool is_unitary(GateKind kind) {
   switch (kind) {
     case GateKind::kMeasure:
@@ -107,34 +55,15 @@ bool is_two_qubit(GateKind kind) {
   return is_unitary(kind) && gate_arity(kind) == 2;
 }
 
-bool operands_distinct(const Qubits& qubits) {
-  const std::size_t n = qubits.size();
-  if (n <= 3) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (qubits[i] == qubits[j]) return false;
-      }
-    }
-    return true;
-  }
+namespace detail {
+
+bool wide_operands_distinct(const Qubits& qubits) {
   std::vector<int> sorted(qubits.begin(), qubits.end());
   std::sort(sorted.begin(), sorted.end());
   return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
 }
 
-void check_gate(const Gate& g) {
-  const int arity = gate_arity(g.kind);
-  if (arity != 0) {
-    QFS_ASSERT_MSG(static_cast<int>(g.qubits.size()) == arity,
-                   std::string("wrong operand count for ") + gate_name(g.kind));
-  } else {
-    QFS_ASSERT_MSG(!g.qubits.empty(), "barrier needs at least one qubit");
-  }
-  QFS_ASSERT_MSG(static_cast<int>(g.params.size()) == gate_param_count(g.kind),
-                 std::string("wrong parameter count for ") + gate_name(g.kind));
-  QFS_ASSERT_MSG(operands_distinct(g.qubits), "repeated qubit operand in gate");
-  for (int q : g.qubits) QFS_ASSERT_MSG(q >= 0, "negative qubit index");
-}
+}  // namespace detail
 
 Gate make_gate(GateKind kind, Qubits qubits, Params params) {
   Gate g{kind, std::move(qubits), std::move(params)};

@@ -68,11 +68,43 @@ inline constexpr int kNumGateKinds = static_cast<int>(GateKind::kBarrier) + 1;
 /// gate exists there.
 const char* gate_name(GateKind kind);
 
+namespace detail {
+
+/// Operand and parameter counts of one kind.
+struct KindShape {
+  std::uint8_t arity;
+  std::uint8_t num_params;
+};
+
+/// The shape of every kind, indexed by GateKind: the one source of
+/// gate_arity, gate_param_count and the checks of check_gate.
+inline constexpr KindShape kKindShapes[kNumGateKinds] = {
+    {1, 0}, {1, 0}, {1, 0}, {1, 0}, {1, 0}, {1, 0},  // i x y z h s
+    {1, 0}, {1, 0}, {1, 0}, {1, 0}, {1, 0},          // sdg t tdg sx sxdg
+    {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 3},          // rx ry rz p u3
+    {2, 0}, {2, 0}, {2, 0}, {2, 1}, {2, 0},          // cx cy cz cp swap
+    {3, 0}, {3, 0}, {3, 0},                          // ccx ccz cswap
+    {1, 0}, {1, 0}, {0, 0},                          // measure reset barrier
+};
+
+}  // namespace detail
+
 /// Number of qubit operands; 0 means variable arity (barrier only).
-int gate_arity(GateKind kind);
+constexpr int gate_arity(GateKind kind) {
+  return detail::kKindShapes[static_cast<int>(kind)].arity;
+}
 
 /// Number of angle parameters the kind carries.
-int gate_param_count(GateKind kind);
+constexpr int gate_param_count(GateKind kind) {
+  return detail::kKindShapes[static_cast<int>(kind)].num_params;
+}
+
+static_assert(gate_param_count(GateKind::kU3) == 3 &&
+                  gate_arity(GateKind::kCphase) == 2 &&
+                  gate_param_count(GateKind::kCphase) == 1 &&
+                  gate_arity(GateKind::kCswap) == 3 &&
+                  gate_arity(GateKind::kReset) == 1,
+              "kKindShapes must follow the order of GateKind");
 
 /// True for gates with a unitary matrix (everything except measure, reset,
 /// barrier).
@@ -202,14 +234,41 @@ struct Gate {
 
 static_assert(sizeof(Gate) <= 56, "a Gate must stay a small fixed-size value");
 
+namespace detail {
+/// operands_distinct for more than three operands: sorts a copy.
+bool wide_operands_distinct(const Qubits& qubits);
+}  // namespace detail
+
 /// True when no qubit appears twice. Allocates only for more than three
 /// operands (wide barriers).
-bool operands_distinct(const Qubits& qubits);
+inline bool operands_distinct(const Qubits& qubits) {
+  const std::size_t n = qubits.size();
+  if (n > 3) return detail::wide_operands_distinct(qubits);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (qubits[i] == qubits[j]) return false;
+    }
+  }
+  return true;
+}
 
 /// The gate contract: arity, parameter count, operand distinctness and
 /// non-negative operands, checked in that order. make_gate and
-/// Circuit::add both check through it.
-void check_gate(const Gate& g);
+/// Circuit::add both check through it. Inline and table-driven, since
+/// every append runs it.
+inline void check_gate(const Gate& g) {
+  const detail::KindShape shape = detail::kKindShapes[static_cast<int>(g.kind)];
+  if (shape.arity != 0) {
+    QFS_ASSERT_MSG(g.qubits.size() == std::size_t{shape.arity},
+                   std::string("wrong operand count for ") + gate_name(g.kind));
+  } else {
+    QFS_ASSERT_MSG(!g.qubits.empty(), "barrier needs at least one qubit");
+  }
+  QFS_ASSERT_MSG(g.params.size() == std::size_t{shape.num_params},
+                 std::string("wrong parameter count for ") + gate_name(g.kind));
+  QFS_ASSERT_MSG(operands_distinct(g.qubits), "repeated qubit operand in gate");
+  for (int q : g.qubits) QFS_ASSERT_MSG(q >= 0, "negative qubit index");
+}
 
 /// Validated constructor: builds the gate and checks it with check_gate.
 Gate make_gate(GateKind kind, Qubits qubits, Params params = {});

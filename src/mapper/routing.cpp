@@ -197,6 +197,10 @@ struct AheadNode {
 /// times on one thread, and SABRE refinement routes it forward and backward
 /// per round — every attempt reuses these allocations (a per-circuit arena)
 /// instead of re-growing a fresh bookkeeping set each time.
+///
+/// A route that grows them past kRetainedScratchBytes releases them when it
+/// returns, so a thread keeps no bookkeeping sized by the largest circuit it
+/// ever routed; retries of such a circuit re-grow them.
 struct LookaheadScratch {
   circuit::Dependencies deps;
   std::vector<std::uint8_t> emitted;
@@ -204,7 +208,19 @@ struct LookaheadScratch {
   std::vector<int> ahead;
   std::vector<QubitSlot> slots;
   std::vector<AheadNode> nodes;
+
+  template <typename T>
+  static std::size_t bytes(const std::vector<T>& v) {
+    return v.capacity() * sizeof(T);
+  }
+  std::size_t capacity_bytes() const {
+    return bytes(deps.num_preds) + bytes(deps.succ_offsets) +
+           bytes(deps.succs) + bytes(emitted) + bytes(ready) + bytes(ahead) +
+           bytes(slots) + bytes(nodes);
+  }
 };
+
+constexpr std::size_t kRetainedScratchBytes = std::size_t{1} << 20;
 
 LookaheadScratch& lookahead_scratch() {
   static thread_local LookaheadScratch scratch;
@@ -476,6 +492,9 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
     last_swap_a = best_a;
     last_swap_b = best_b;
     ++swaps_since_progress;
+  }
+  if (scratch.capacity_bytes() > kRetainedScratchBytes) {
+    scratch = LookaheadScratch{};
   }
   return result;
 }

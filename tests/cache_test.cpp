@@ -103,14 +103,14 @@ device::Device registry_device(const char* spec) {
 // canonical_options_text or the field framing shows here.
 TEST(FingerprintGolden, Surface97) {
   EXPECT_EQ(fingerprint_hexes(registry_device("surface97")),
-            (std::vector<std::string>{"09f1029ea18e503a28eab9d1ba63b2c1",
-                                      "8dfb39fa279a758a4d2e3a2597d9d8de"}));
+            (std::vector<std::string>{"ada52423361c5767f69abc0a07f07eff",
+                                      "8f579a0341247263f7735b01fe671d4b"}));
 }
 
 TEST(FingerprintGolden, HeavyHex13x29) {
   EXPECT_EQ(fingerprint_hexes(registry_device("heavy_hex(rows=13,cols=29)")),
-            (std::vector<std::string>{"bc43fa0dcfed2e68b1869941d96381b5",
-                                      "ef23a3c5f138f4f28e63750ff0263f33"}));
+            (std::vector<std::string>{"161ac3106b3e86ad584b6e0dd9b88818",
+                                      "7b339352739d1da2bda1f5a04516f419"}));
 }
 
 TEST(FingerprintGolden, CalibrationFile) {
@@ -123,8 +123,8 @@ TEST(FingerprintGolden, CalibrationFile) {
   ASSERT_TRUE(model.is_ok()) << model.status().to_string();
   dev.mutable_error_model() = model.value();
   EXPECT_EQ(fingerprint_hexes(dev),
-            (std::vector<std::string>{"293699cdf251e6d10f5bda5edbc94af5",
-                                      "1c5e185477abab351d0e9ae28913417d"}));
+            (std::vector<std::string>{"2f8d46b05509a6c8e9b490cd1f8114f4",
+                                      "7b2ccf62b5c0cb6861802f000afc9e7f"}));
 }
 
 TEST(FingerprintGolden, FaultInjectedDevice) {
@@ -135,8 +135,8 @@ TEST(FingerprintGolden, FaultInjectedDevice) {
                       .apply(registry_device("surface97"));
   ASSERT_TRUE(degraded.is_ok());
   EXPECT_EQ(fingerprint_hexes(degraded.value().device),
-            (std::vector<std::string>{"481638e6ed22acae42024049e5d82a15",
-                                      "86d1f43d484f7cee53af07684feafd20"}));
+            (std::vector<std::string>{"423ca688c769be529fd89c4a77bfb154",
+                                      "5167adeeb4fa9e92afb1b2efb2ce6b2e"}));
 }
 
 TEST(FingerprintTest, StableAndSensitive) {
@@ -321,17 +321,23 @@ TEST(ArtifactTest, MalformedPayloadsAreErrorsNotCrashes) {
 }
 
 TEST(ArtifactTest, HandcraftedMalformedPayloadsAreErrors) {
-  // Three qubits named "t", one cx(0, 1). Byte offsets of that payload:
-  // magic [0, 4), version [4, 8), width [8], name length [9], name [10],
-  // gate count [11], kind [12], operand count [13], operands [14, 22).
+  // Three qubits named "t": cx(0, 1), rz(0.5, 2), rz(0.25, 2). Byte offsets
+  // of that payload: magic [0, 4), version [4, 8), width [8], name length
+  // [9], name [10], angle count [11], angles [12, 20) and [20, 28), gate
+  // count [28], cx kind [29] and operands [30, 32), the first rz's kind
+  // [32], operand [33] and angle index [34], the second rz's [35, 38).
   mapper::MappingResult result;
   result.mapped = circuit::Circuit(3, "t");
-  result.mapped.cx(0, 1);
+  result.mapped.cx(0, 1).rz(0.5, 2).rz(0.25, 2);
   const std::string good = serialize_mapping_result(result);
   ASSERT_TRUE(deserialize_mapping_result(good).is_ok());
-  ASSERT_EQ(good[12], static_cast<char>(circuit::GateKind::kCx));
-  ASSERT_EQ(good[13], 2);
-  ASSERT_EQ(good[18], 1);
+  ASSERT_EQ(good[11], 2);
+  ASSERT_EQ(good[28], 3);
+  ASSERT_EQ(good[29], static_cast<char>(circuit::GateKind::kCx));
+  ASSERT_EQ(good[31], 1);
+  ASSERT_EQ(good[32], static_cast<char>(circuit::GateKind::kRz));
+  ASSERT_EQ(good[34], 0);
+  ASSERT_EQ(good[37], 1);
 
   auto patched = [&good](std::size_t at, char byte) {
     std::string bytes = good;
@@ -343,20 +349,28 @@ TEST(ArtifactTest, HandcraftedMalformedPayloadsAreErrors) {
     std::string bytes;
   } cases[] = {
       {"kind byte == kNumGateKinds",
-       patched(12, static_cast<char>(circuit::kNumGateKinds))},
-      // 2^31 as a five-byte LEB128 count in place of the one-byte count 1.
+       patched(29, static_cast<char>(circuit::kNumGateKinds))},
+      // 2^31 as a five-byte LEB128 count in place of the one-byte count 3.
       {"gate count 2^31",
-       good.substr(0, 11) + std::string("\x80\x80\x80\x80\x08", 5) +
-           good.substr(12)},
-      {"out-of-range qubit", patched(18, 3)},
-      {"repeated operand", patched(18, 0)},
-      {"wrong arity", patched(13, 1)},
+       good.substr(0, 28) + std::string("\x80\x80\x80\x80\x08", 5) +
+           good.substr(29)},
+      {"out-of-range qubit", patched(31, 3)},
+      {"repeated operand", patched(31, 0)},
       {"empty barrier",
-       good.substr(0, 12) +
+       good.substr(0, 29) +
            std::string{static_cast<char>(circuit::GateKind::kBarrier), 0} +
-           good.substr(22)},
+           good.substr(32)},
       {"trailing bytes", good + std::string(1, '\0')},
       {"version 1", patched(4, 1)},
+      {"version 2", patched(4, 2)},
+      {"angle index past the table", patched(37, 2)},
+      {"angle index ahead of its first reference", patched(34, 1)},
+      {"repeated table entry",
+       good.substr(0, 20) + good.substr(12, 8) + good.substr(28)},
+      {"unused table entry", patched(37, 0)},
+      // Operand 1 as the two-byte 0x81 0x00.
+      {"overlong operand varint",
+       good.substr(0, 31) + std::string("\x81\x00", 2) + good.substr(32)},
   };
   for (const auto& c : cases) {
     try {
@@ -365,6 +379,38 @@ TEST(ArtifactTest, HandcraftedMalformedPayloadsAreErrors) {
       ADD_FAILURE() << c.what << ": " << e.what();
     }
   }
+}
+
+TEST(ArtifactTest, PayloadIsCompact) {
+  // Surface-97's operands fit in one byte, and a lowered circuit repeats a
+  // few angles, so a mapped gate costs a kind byte, its operands and about
+  // one byte per angle index.
+  device::Device dev = device::surface97_device();
+  Rng rng(2022);
+  workloads::SuiteOptions suite_opts;
+  suite_opts.random_count = 4;
+  suite_opts.real_count = 4;
+  suite_opts.reversible_count = 2;
+  suite_opts.max_qubits = 40;
+  suite_opts.max_gates = 2000;
+  auto suite = workloads::make_suite(suite_opts, rng);
+  mapper::MappingOptions options;
+  options.placer = "degree-match";
+  options.router = "lookahead";
+  std::size_t payload_bytes = 0;
+  std::size_t mapped_gates = 0;
+  for (const auto& b : suite) {
+    Rng map_rng(7);
+    const mapper::MappingResult result =
+        mapper::map_circuit(b.circuit, dev, options, map_rng);
+    payload_bytes += serialize_mapping_result(result).size();
+    mapped_gates += result.mapped.size();
+  }
+  ASSERT_GT(mapped_gates, 1000u);
+  const double per_gate = static_cast<double>(payload_bytes) /
+                          static_cast<double>(mapped_gates);
+  EXPECT_LE(per_gate, 4.0) << payload_bytes << " bytes for " << mapped_gates
+                           << " mapped gates";
 }
 
 TEST(CompileCacheTest, MemoryOnlyStoreAndLookup) {

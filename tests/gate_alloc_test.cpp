@@ -6,7 +6,9 @@
 // the number of gates it lowers, parametrised ones included; that
 // map_circuit frees each intermediate circuit after its last reader, so at
 // most the expanded and the lowered routed circuit are live at once; and
-// that qasm::parse and qasm::to_qasm allocate per circuit, not per gate.
+// that the lookahead router keeps no more than 1 MiB of scratch after a big
+// route; and that qasm::parse and qasm::to_qasm allocate per circuit, not
+// per gate.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -21,7 +23,9 @@
 #include "compiler/decompose.h"
 #include "device/device.h"
 #include "device/gateset.h"
+#include "mapper/layout.h"
 #include "mapper/pipeline.h"
+#include "mapper/routing.h"
 #include "qasm/parser.h"
 #include "qasm/writer.h"
 #include "support/rng.h"
@@ -261,6 +265,37 @@ TEST(GateAlloc, MapCircuitHoldsTwoBigCircuitsAtATime) {
   EXPECT_LE(peak, circuit_bytes + kSlack)
       << "expanded " << expanded_gates << " gates, lowered "
       << result.mapped.size() << ", " << result.swaps_inserted << " swaps";
+}
+
+TEST(GateAlloc, RouterReleasesAnOversizedScratch) {
+  // 150,000 gates: the router's predecessor counts, successor offsets and
+  // emitted flags alone take 9 bytes per gate, 1.35 MB in all. One gate in
+  // 25 is a cx between qubits far apart, so the route inserts SWAPs too.
+  constexpr int kGates = 150'000;
+  constexpr long kRetainedLimit = 1L << 20;
+  const device::Device device = device::surface97_device();
+  Circuit source(97);
+  source.reserve(kGates);
+  for (int i = 0; i < kGates; ++i) {
+    const int a = (37 * i) % 97;
+    if (i % 25 == 0) {
+      source.cx(a, (a + 48) % 97);
+    } else {
+      source.h(a);
+    }
+  }
+  const mapper::LookaheadRouter router;
+  const mapper::Layout initial = mapper::Layout::identity(device.num_qubits());
+  int swaps = 0;
+  const long before = g_live_bytes.load();
+  {
+    qfs::Rng rng(7);
+    swaps = router.route(source, device, initial, rng).swaps_inserted;
+  }
+  // The routed circuit is gone; what is still live is the scratch.
+  const long retained = g_live_bytes.load() - before;
+  ASSERT_GT(swaps, 0);
+  EXPECT_LE(retained, kRetainedLimit) << retained << " bytes still live";
 }
 
 /// h_t_ccx_swap(n) with an rz of a varying angle after every fourth gate.
