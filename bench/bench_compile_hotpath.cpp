@@ -1,7 +1,9 @@
 // Compile hot-path harness: times each pipeline phase (parse, decompose,
 // place, route, routed-circuit lowering, schedule, full pipeline, validate,
 // QASM emit, cache store/hit) per circuit class, each class on its own
-// device (surface-97 unless the row says otherwise), and appends
+// device (surface-97 unless the row says otherwise), plus the device build
+// the service runs per request (device_build, on surface-97 and the
+// 467-qubit heavy-hex lattice), and appends
 // machine-readable rows to BENCH_compile.json, the perf trajectory the
 // hot-path work is pinned against (DESIGN.md §13).
 //
@@ -17,7 +19,8 @@
 // for it (cache_store and cache_hit phases, so equal digests show an exact
 // round trip), the routed circuit (routing phases), start cycles and
 // makespan (schedule phase), the validator's verdict and rendered
-// diagnostics (validate phase) or the emitted QASM text (emit_qasm phase),
+// diagnostics (validate phase), the emitted QASM text (emit_qasm phase) or
+// canonical_device_text followed by the hop-distance table (device_build),
 // so cross-label byte-identity of compiler output is checkable straight
 // from the JSON. Parse rows also carry mb_s, the QASM text's MB/s.
 //
@@ -61,6 +64,7 @@
 #include "qasm/parser.h"
 #include "qasm/writer.h"
 #include "report/table.h"
+#include "service/service.h"
 #include "stats/descriptive.h"
 #include "support/hash.h"
 #include "support/json.h"
@@ -409,6 +413,27 @@ std::vector<Row> bench_class(const CircuitClass& cls,
   return rows;
 }
 
+/// The device_build phase: CompileService::parse_device on `spec`, as the
+/// service resolves a request's device. The digest covers the canonical
+/// device text and the hop-distance table.
+Row bench_device_build(const std::string& spec, int repeat) {
+  device::Device device;
+  const double ms = median_ms(repeat, [&] {
+    std::string error;
+    const bool ok = service::CompileService::parse_device(spec, device, error);
+    QFS_ASSERT_MSG(ok, error);
+  });
+  const std::vector<int>& dist = device.topology().tables()->dist;
+  Row row;
+  row.phase = "device_build";
+  row.ms = ms;
+  row.digest = digest_of(
+      cache::canonical_device_text(device) +
+      std::string(reinterpret_cast<const char*>(dist.data()),
+                  dist.size() * sizeof(int)));
+  return row;
+}
+
 // --- BENCH_compile.json rows and deltas -----------------------------------
 
 std::string check_compile_row(const JsonValue& row) {
@@ -469,54 +494,66 @@ int main(int argc, char** argv) {
   bool floor_ok = true;
   double floor_kgps_seen = -1.0;
 
+  auto record = [&](const std::string& cls, const std::string& device_spec,
+                    bool floor_carrier, const Row& row) {
+    JsonValue entry = JsonValue::object();
+    entry.set("label", JsonValue::string(opts.label));
+    entry.set("class", JsonValue::string(cls));
+    // The file header names the default device; other rows carry theirs.
+    if (device_spec != "surface97")
+      entry.set("device", JsonValue::string(device_spec));
+    entry.set("phase", JsonValue::string(row.phase));
+    entry.set("ms", JsonValue::number(row.ms));
+    entry.set("reps", JsonValue::integer(opts.repeat));
+    entry.set("gates", JsonValue::integer(row.gates));
+    entry.set("smoke", JsonValue::boolean(opts.smoke));
+    if (row.kgps > 0.0) entry.set("kgps", JsonValue::number(row.kgps));
+    if (row.mb_s > 0.0) entry.set("mb_s", JsonValue::number(row.mb_s));
+    if (!row.digest.empty())
+      entry.set("digest", JsonValue::string(row.digest));
+
+    std::string delta_text = "-";
+    const JsonValue* prior =
+        find_predecessor(file.rows, cls, row.phase, opts.label);
+    if (prior != nullptr) {
+      const JsonValue* prior_ms = prior->find("ms");
+      const JsonValue* prior_label = prior->find("label");
+      if (prior_ms != nullptr && prior_ms->as_number() > 0.0 && row.ms > 0.0) {
+        const double speedup = prior_ms->as_number() / row.ms;
+        JsonValue delta = JsonValue::object();
+        delta.set("label", *prior_label);
+        delta.set("ms", *prior_ms);
+        delta.set("speedup", JsonValue::number(speedup));
+        entry.set("speedup_vs", std::move(delta));
+        delta_text = bench::fmt(speedup, 2) + "x vs " +
+                     prior_label->as_string();
+      }
+    }
+
+    if (floor_carrier && row.phase == "route_lookahead")
+      floor_kgps_seen = row.kgps;
+    table.add_row({cls, row.phase, bench::fmt(row.ms, 3),
+                   row.kgps > 0.0 ? bench::fmt(row.kgps, 1) : "-",
+                   delta_text});
+    file.rows.push_back(std::move(entry));
+  };
+
   for (const auto& cls : make_classes(opts.smoke)) {
     std::cerr << cls.name << " ";
     auto device = backends::make_device(cls.device);
     QFS_ASSERT_MSG(device.is_ok(), device.status().to_string());
-    std::vector<Row> rows =
-        bench_class(cls, device.value(), opts.repeat, cache_dir);
-    for (const Row& row : rows) {
-      JsonValue entry = JsonValue::object();
-      entry.set("label", JsonValue::string(opts.label));
-      entry.set("class", JsonValue::string(cls.name));
-      // The file header names the default device; other rows carry theirs.
-      if (cls.device != "surface97")
-        entry.set("device", JsonValue::string(cls.device));
-      entry.set("phase", JsonValue::string(row.phase));
-      entry.set("ms", JsonValue::number(row.ms));
-      entry.set("reps", JsonValue::integer(opts.repeat));
-      entry.set("gates", JsonValue::integer(row.gates));
-      entry.set("smoke", JsonValue::boolean(opts.smoke));
-      if (row.kgps > 0.0) entry.set("kgps", JsonValue::number(row.kgps));
-      if (row.mb_s > 0.0) entry.set("mb_s", JsonValue::number(row.mb_s));
-      if (!row.digest.empty())
-        entry.set("digest", JsonValue::string(row.digest));
-
-      std::string delta_text = "-";
-      const JsonValue* prior =
-          find_predecessor(file.rows, cls.name, row.phase, opts.label);
-      if (prior != nullptr) {
-        const JsonValue* prior_ms = prior->find("ms");
-        const JsonValue* prior_label = prior->find("label");
-        if (prior_ms != nullptr && prior_ms->as_number() > 0.0 && row.ms > 0.0) {
-          const double speedup = prior_ms->as_number() / row.ms;
-          JsonValue delta = JsonValue::object();
-          delta.set("label", *prior_label);
-          delta.set("ms", *prior_ms);
-          delta.set("speedup", JsonValue::number(speedup));
-          entry.set("speedup_vs", std::move(delta));
-          delta_text = bench::fmt(speedup, 2) + "x vs " +
-                       prior_label->as_string();
-        }
-      }
-
-      if (cls.floor_carrier && row.phase == "route_lookahead")
-        floor_kgps_seen = row.kgps;
-      table.add_row({cls.name, row.phase, bench::fmt(row.ms, 3),
-                     row.kgps > 0.0 ? bench::fmt(row.kgps, 1) : "-",
-                     delta_text});
-      file.rows.push_back(std::move(entry));
+    for (const Row& row :
+         bench_class(cls, device.value(), opts.repeat, cache_dir)) {
+      record(cls.name, cls.device, cls.floor_carrier, row);
     }
+  }
+  // The device build has no circuit: one row per device, its class named
+  // after the device.
+  for (const auto& [cls, spec] :
+       {std::pair<std::string, std::string>{"surface97", "surface97"},
+        {"hh467", "heavy_hex(rows=13,cols=29)"}}) {
+    std::cerr << cls << " ";
+    record(cls, spec, false, bench_device_build(spec, opts.repeat));
   }
   std::cerr << "\n";
   std::cout << table.to_string() << "\n";

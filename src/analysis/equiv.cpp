@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -136,22 +138,57 @@ void check_structure(const Circuit& source, const Device& device,
 }
 
 /// QFS105/QFS106: every gate native, every multi-qubit unitary on a live
-/// coupler. Independent of the matching walk so a corrupted permutation
-/// cannot mask a dead-coupler gate.
-void check_physical_legality(const Device& device, const Circuit& mapped,
-                             std::vector<Diagnostic>& out, int budget) {
-  const auto& topo = device.topology();
-  const auto& gateset = device.gateset();
-  for (int i = 0; i < static_cast<int>(mapped.gates().size()); ++i) {
-    if (static_cast<int>(out.size()) >= budget) return;
-    const Gate& g = mapped.gates()[static_cast<std::size_t>(i)];
+/// coupler. A cursor over the mapped circuit that the matching walk
+/// advances as it passes each gate or window, so legality and matching
+/// share one walk. Its findings go to `out` in gate order, ahead of the
+/// matcher's, which the matcher holds back; and it judges every gate the
+/// walk passes whatever the matcher made of it, so a corrupted
+/// permutation cannot mask a dead-coupler gate. Once `out` fills the
+/// budget at a gate, no later gate is judged.
+class Legality {
+ public:
+  Legality(const Device& device, const Circuit& mapped,
+           std::vector<Diagnostic>& out, int budget)
+      : device_(device), gates_(mapped.gates()), out_(out), budget_(budget) {}
+
+  int count() const { return static_cast<int>(out_.size()); }
+  bool full() const { return count() >= budget_; }
+
+  /// Judge every gate before `end` not judged yet; false once full.
+  bool check_through(int end) {
+    for (; next_ < end; ++next_) {
+      if (full()) return false;
+      check_gate(next_);
+    }
+    return !full();
+  }
+
+  /// The SWAP window [next, end) equals the lowered swap template on
+  /// (pa, pb). When that template is native, every gate of the window is,
+  /// and every multi-qubit gate acts on (pa, pb), so one adjacency test
+  /// stands for the per-gate checks; when it fails, each gate is judged
+  /// as usual so the findings are the same.
+  bool check_swap_window(int end, int pa, int pb, bool native_template) {
+    if (full()) return false;
+    if (native_template && device_.topology().adjacent(pa, pb)) {
+      next_ = end;
+      return true;
+    }
+    return check_through(end);
+  }
+
+ private:
+  void check_gate(int i) {
+    const Gate& g = gates_[static_cast<std::size_t>(i)];
+    const auto& gateset = device_.gateset();
     if (!gateset.supports(g.kind)) {
       std::ostringstream os;
       os << "mapped gate " << i << " '" << circuit::gate_name(g.kind)
          << "' is not native to gate set '" << gateset.name() << "'";
-      out.push_back(make_diag("QFS106", os.str(), SourceLocation{-1, i, -1}));
+      out_.push_back(make_diag("QFS106", os.str(), SourceLocation{-1, i, -1}));
     }
-    if (!circuit::is_unitary(g.kind) || g.qubits.size() < 2) continue;
+    if (!circuit::is_unitary(g.kind) || g.qubits.size() < 2) return;
+    const auto& topo = device_.topology();
     for (std::size_t a = 0; a < g.qubits.size(); ++a) {
       for (std::size_t b = a + 1; b < g.qubits.size(); ++b) {
         if (topo.adjacent(g.qubits[a], g.qubits[b])) continue;
@@ -159,16 +196,23 @@ void check_physical_legality(const Device& device, const Circuit& mapped,
         os << "mapped gate " << i << " '" << gate_text(g)
            << "' couples physical qubits " << g.qubits[a] << " and "
            << g.qubits[b] << ", which share no live coupler on device '"
-           << device.name() << "'";
-        out.push_back(
+           << device_.name() << "'";
+        out_.push_back(
             make_diag("QFS105", os.str(), SourceLocation{-1, i, g.qubits[a]}));
       }
     }
   }
-}
+
+  const Device& device_;
+  const std::vector<Gate>& gates_;
+  std::vector<Diagnostic>& out_;
+  const int budget_;
+  int next_ = 0;  ///< first gate not judged yet
+};
 
 /// The matching engine: reference stream + per-qubit FIFO cursors + the
-/// tracked permutation.
+/// tracked permutation. The per-qubit FIFOs are one CSR array: qubit q's
+/// pending reference indices are queue_[heads[q] .. queue_offsets_[q+1]).
 class Matcher {
  public:
   Matcher(const Circuit& source, const Device& device,
@@ -180,85 +224,85 @@ class Matcher {
             compiler::decompose_to_gateset(source, device.gateset())),
         perm_(Perm::from_partial(artifact.initial_layout,
                                  device.num_qubits())),
-        templates_(device.gateset()) {
-    queues_.resize(static_cast<std::size_t>(num_virtual_));
-    heads_.assign(static_cast<std::size_t>(num_virtual_), 0);
+        templates_(device.gateset()),
+        swap_native_(std::all_of(
+            templates_.swap.begin(), templates_.swap.end(),
+            [&](const Gate& g) { return device.gateset().supports(g.kind); })) {
+    // Counting pass, then fill each qubit's range in reference order,
+    // using heads_ as the write cursors.
+    const auto nv = static_cast<std::size_t>(num_virtual_);
+    queue_offsets_.assign(nv + 1, 0);
     const auto& gates = reference_.gates();
+    for (const Gate& g : gates) {
+      for (int q : g.qubits) ++queue_offsets_[static_cast<std::size_t>(q) + 1];
+    }
+    for (std::size_t q = 0; q < nv; ++q) {
+      queue_offsets_[q + 1] += queue_offsets_[q];
+    }
+    queue_.resize(static_cast<std::size_t>(queue_offsets_[nv]));
+    heads_.assign(queue_offsets_.begin(), queue_offsets_.end() - 1);
     for (int i = 0; i < static_cast<int>(gates.size()); ++i) {
       for (int q : gates[static_cast<std::size_t>(i)].qubits) {
-        queues_[static_cast<std::size_t>(q)].push_back(i);
+        int& cursor = heads_[static_cast<std::size_t>(q)];
+        queue_[static_cast<std::size_t>(cursor++)] = i;
       }
     }
+    heads_.assign(queue_offsets_.begin(), queue_offsets_.end() - 1);
   }
 
   /// Walk the mapped circuit, consuming reference gates and swap/bridge
-  /// templates; emits QFS102/103/104/107/109/110 findings.
+  /// templates, and advance `legality` past each gate or window as it goes.
+  /// Holds its own QFS102/103/104/107/109/110 findings back in `held`; the
+  /// caller appends them after the legality findings. Returns early, with
+  /// `legality` short of the end, when legality fills the budget (the
+  /// held findings are then dropped) or the walk loses alignment (the
+  /// caller judges the remaining gates).
   void run(const TranslationArtifact& artifact, const EquivOptions& options,
-           std::vector<Diagnostic>& out) {
+           Legality& legality, std::vector<Diagnostic>& held) {
     const auto& gates = mapped_.gates();
     int swaps_seen = 0;
     int i = 0;
     while (i < static_cast<int>(gates.size())) {
-      if (static_cast<int>(out.size()) >= options.max_diagnostics) return;
-
-      // Zero-operand gates (an operand-less barrier) are structural no-ops
-      // on both sides of the translation.
-      if (gates[static_cast<std::size_t>(i)].qubits.empty()) {
+      const Gate& g = gates[static_cast<std::size_t>(i)];
+      std::optional<SwapWindow> swap;
+      if (g.qubits.empty()) {
+        // Zero-operand gates (an operand-less barrier) are structural
+        // no-ops on both sides of the translation.
         ++i;
-        continue;
-      }
-
-      // Inserted SWAP? A router SWAP expands to a fixed template
-      // (cx a,b; cx b,a; cx a,b — further lowered on CZ-only targets) that
-      // is always contiguous in the mapped circuit, because expansion
-      // happens after routing.
-      if (auto tmpl = swap_template_at(i)) {
-        // Disambiguate against a *source* swap: the source gate lowers to
-        // the identical window but consumes a reference gate and leaves the
-        // permutation alone (its state exchange is the program's own).
-        if (auto ri = ready_reference_swap(tmpl->pa, tmpl->pb)) {
-          consume(*ri, heads_);
-          i += tmpl->length;
-          continue;
-        }
-        // ... or against the source genuinely containing the whole expanded
-        // pattern gate for gate (e.g. three alternating CXs): prefer the
-        // reference reading, which keeps the queues and permutation in sync.
-        if (!window_matches_references(i, tmpl->length)) {
-          perm_.apply_swap(tmpl->pa, tmpl->pb);
-          ++swaps_seen;
-          i += tmpl->length;
-          continue;
-        }
-      }
-
-      // Ordinary gate: one mapped gate realizes one reference gate.
-      if (auto ri = match_reference_at(gates[static_cast<std::size_t>(i)],
-                                       heads_)) {
+      } else if ((swap = consumed_swap_at(i, swaps_seen))) {
+        i += swap->length;
+      } else if (auto ri = match_reference_at(g, heads_)) {
+        // Ordinary gate: one mapped gate realizes one reference gate.
         consume(*ri, heads_);
         ++i;
-        continue;
-      }
-
-      // Bridge? BridgeRouter realizes a distance-2 CX/CZ as a 4-CX bridge
-      // (CZ conjugated by H on the target) without touching the layout.
-      if (auto bridge = bridge_at(i)) {
+      } else if (auto bridge = bridge_at(i)) {
+        // BridgeRouter realizes a distance-2 CX/CZ as a 4-CX bridge (CZ
+        // conjugated by H on the target) without touching the layout.
         consume(bridge->reference_index, heads_);
         i += bridge->length;
-        continue;
+      } else {
+        diagnose_mismatch(i, held);
+        return;  // alignment is lost; later findings would be noise
       }
-
-      diagnose_mismatch(i, out);
-      return;  // alignment is lost; later findings would be noise
+      const bool room =
+          swap ? legality.check_swap_window(i, swap->pa, swap->pb,
+                                            swap_native_)
+               : legality.check_through(i);
+      if (!room) return;
     }
 
+    // Legality has judged every gate and left room; the held findings
+    // share what is left of the budget.
+    const int budget = options.max_diagnostics - legality.count();
+    auto full = [&] { return static_cast<int>(held.size()) >= budget; };
+
     // Every reference gate must have been realized.
-    report_unconsumed(options, out);
-    if (static_cast<int>(out.size()) >= options.max_diagnostics) return;
+    report_unconsumed(held, budget);
+    if (full()) return;
 
     // The accumulated permutation must equal the reported final layout.
     for (int v = 0; v < num_virtual_; ++v) {
-      if (static_cast<int>(out.size()) >= options.max_diagnostics) return;
+      if (full()) return;
       int expected = perm_.v2p[static_cast<std::size_t>(v)];
       int reported = artifact.final_layout[static_cast<std::size_t>(v)];
       if (expected == reported) continue;
@@ -266,17 +310,17 @@ class Matcher {
       os << "final layout maps virtual qubit " << v << " to physical "
          << reported << ", but the tracked permutation ends at physical "
          << expected;
-      out.push_back(make_diag("QFS107", os.str(), SourceLocation{-1, -1, v}));
+      held.push_back(make_diag("QFS107", os.str(), SourceLocation{-1, -1, v}));
     }
 
     // Router-reported swap count vs what the walk actually saw.
     if (artifact.swaps_inserted >= 0 && swaps_seen != artifact.swaps_inserted &&
-        static_cast<int>(out.size()) < options.max_diagnostics) {
+        !full()) {
       std::ostringstream os;
       os << "artifact metadata reports " << artifact.swaps_inserted
          << " inserted swap(s) but the mapped circuit contains " << swaps_seen
          << " swap expansion(s)";
-      out.push_back(make_diag("QFS109", os.str()));
+      held.push_back(make_diag("QFS109", os.str()));
     }
   }
 
@@ -301,8 +345,8 @@ class Matcher {
       if (virtual_of(p) >= num_virtual_) return std::nullopt;  // padding
     }
     auto q0 = static_cast<std::size_t>(virtual_of(g.qubits[0]));
-    if (heads[q0] >= static_cast<int>(queues_[q0].size())) return std::nullopt;
-    int ri = queues_[q0][static_cast<std::size_t>(heads[q0])];
+    if (!pending(q0, heads)) return std::nullopt;
+    int ri = queue_[static_cast<std::size_t>(heads[q0])];
     const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
     if (ref.kind != g.kind || ref.qubits.size() != g.qubits.size() ||
         ref.params != g.params) {
@@ -315,6 +359,11 @@ class Matcher {
     return ri;
   }
 
+  /// Qubit q's FIFO is not exhausted under cursors `heads`.
+  bool pending(std::size_t q, const std::vector<int>& heads) const {
+    return heads[q] < queue_offsets_[q + 1];
+  }
+
   int virtual_of(int physical) const {
     return perm_.p2v[static_cast<std::size_t>(physical)];
   }
@@ -323,10 +372,8 @@ class Matcher {
     const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
     for (int q : ref.qubits) {
       auto idx = static_cast<std::size_t>(q);
-      if (heads[idx] >= static_cast<int>(queues_[idx].size())) return false;
-      if (queues_[idx][static_cast<std::size_t>(heads[idx])] != ri) {
-        return false;
-      }
+      if (!pending(idx, heads)) return false;
+      if (queue_[static_cast<std::size_t>(heads[idx])] != ri) return false;
     }
     return true;
   }
@@ -404,6 +451,30 @@ class Matcher {
     return SwapWindow{pa, pb, static_cast<int>(tmpl.size())};
   }
 
+  /// A SWAP window at `start` that the walk consumes as a swap: an inserted
+  /// SWAP (applied to the permutation, counted in `swaps_seen`) or a source
+  /// swap. A router SWAP expands to a fixed template (cx a,b; cx b,a; cx a,b
+  /// — further lowered on CZ-only targets) that is always contiguous in
+  /// the mapped circuit, because expansion happens after routing.
+  std::optional<SwapWindow> consumed_swap_at(int start, int& swaps_seen) {
+    auto tmpl = swap_template_at(start);
+    if (!tmpl) return std::nullopt;
+    // Disambiguate against a *source* swap: the source gate lowers to the
+    // identical window but consumes a reference gate and leaves the
+    // permutation alone (its state exchange is the program's own).
+    if (auto ri = ready_reference_swap(tmpl->pa, tmpl->pb)) {
+      consume(*ri, heads_);
+      return tmpl;
+    }
+    // ... or against the source genuinely containing the whole expanded
+    // pattern gate for gate (e.g. three alternating CXs): prefer the
+    // reference reading, which keeps the queues and permutation in sync.
+    if (window_matches_references(start, tmpl->length)) return std::nullopt;
+    perm_.apply_swap(tmpl->pa, tmpl->pb);
+    ++swaps_seen;
+    return tmpl;
+  }
+
   /// Ready reference kSwap whose remapped expansion produced this window
   /// (only reachable on gate sets where the source's own swaps survive
   /// step-1 decomposition and are expanded after routing).
@@ -412,10 +483,8 @@ class Matcher {
     int vb = perm_.p2v[static_cast<std::size_t>(pb)];
     if (va >= num_virtual_ || vb >= num_virtual_) return std::nullopt;
     auto qa = static_cast<std::size_t>(va);
-    if (heads_[qa] >= static_cast<int>(queues_[qa].size())) {
-      return std::nullopt;
-    }
-    int ri = queues_[qa][static_cast<std::size_t>(heads_[qa])];
+    if (!pending(qa, heads_)) return std::nullopt;
+    int ri = queue_[static_cast<std::size_t>(heads_[qa])];
     const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
     if (ref.kind != GateKind::kSwap || ref.qubits[0] != va ||
         ref.qubits[1] != vb) {
@@ -450,8 +519,8 @@ class Matcher {
     const auto& topo = device_.topology();
     for (int v = 0; v < num_virtual_; ++v) {
       auto idx = static_cast<std::size_t>(v);
-      if (heads_[idx] >= static_cast<int>(queues_[idx].size())) continue;
-      int ri = queues_[idx][static_cast<std::size_t>(heads_[idx])];
+      if (!pending(idx, heads_)) continue;
+      int ri = queue_[static_cast<std::size_t>(heads_[idx])];
       const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
       if (ref.qubits.empty() || ref.qubits[0] != v) continue;  // once per ref
       if (ref.kind != GateKind::kCx && ref.kind != GateKind::kCz) continue;
@@ -486,8 +555,8 @@ class Matcher {
     }
     if (!padding && !virt.empty()) {
       auto q0 = static_cast<std::size_t>(virt[0]);
-      if (heads_[q0] < static_cast<int>(queues_[q0].size())) {
-        int ri = queues_[q0][static_cast<std::size_t>(heads_[q0])];
+      if (pending(q0, heads_)) {
+        int ri = queue_[static_cast<std::size_t>(heads_[q0])];
         const Gate& ref = reference_.gates()[static_cast<std::size_t>(ri)];
         if (ref.kind == g.kind && ready(ri, heads_)) {
           std::vector<int> reversed(virt.rbegin(), virt.rend());
@@ -532,24 +601,21 @@ class Matcher {
     out.push_back(make_diag("QFS102", os.str(), SourceLocation{-1, i, -1}));
   }
 
-  void report_unconsumed(const EquivOptions& options,
-                         std::vector<Diagnostic>& out) const {
+  void report_unconsumed(std::vector<Diagnostic>& out, int budget) const {
     int missing = 0;
     int first = -1;
     std::vector<bool> reported(reference_.gates().size(), false);
     for (int q = 0; q < num_virtual_; ++q) {
       auto idx = static_cast<std::size_t>(q);
-      for (int h = heads_[idx]; h < static_cast<int>(queues_[idx].size());
-           ++h) {
-        int ri = queues_[idx][static_cast<std::size_t>(h)];
+      for (int h = heads_[idx]; h < queue_offsets_[idx + 1]; ++h) {
+        int ri = queue_[static_cast<std::size_t>(h)];
         if (reported[static_cast<std::size_t>(ri)]) continue;
         reported[static_cast<std::size_t>(ri)] = true;
         ++missing;
         if (first < 0 || ri < first) first = ri;
       }
     }
-    if (missing == 0 || static_cast<int>(out.size()) >= options.max_diagnostics)
-      return;
+    if (missing == 0 || static_cast<int>(out.size()) >= budget) return;
     const Gate& ref = reference_.gates()[static_cast<std::size_t>(first)];
     std::ostringstream os;
     os << "source gate " << first << " '" << gate_text(ref)
@@ -563,10 +629,12 @@ class Matcher {
   int num_virtual_;
   Circuit reference_;
   Perm perm_;
-  std::vector<std::vector<int>> queues_;  ///< per-virtual-qubit ref indices
-  std::vector<int> heads_;                ///< per-qubit cursor into queues_
-  std::vector<int> scratch_heads_;        ///< trial cursors for a SWAP window
-  const WindowTemplates templates_;       ///< lowered once, matched relabelled
+  const WindowTemplates templates_;  ///< lowered once, matched relabelled
+  const bool swap_native_;           ///< every swap-template gate is native
+  std::vector<int> queue_offsets_;   ///< qubit q's FIFO starts here in queue_
+  std::vector<int> queue_;           ///< ref indices, grouped by qubit
+  std::vector<int> heads_;           ///< per-qubit cursor into queue_
+  std::vector<int> scratch_heads_;   ///< trial cursors for a SWAP window
 };
 
 /// QFS108: the timed program must carry exactly the mapped circuit's gates
@@ -714,11 +782,25 @@ std::vector<Diagnostic> validate_translation(const Circuit& source,
   check_structure(source, device, artifact, out);
   if (!out.empty()) return out;  // matching needs a well-formed skeleton
 
-  check_physical_legality(device, *artifact.mapped, out,
-                          options.max_diagnostics);
-  if (static_cast<int>(out.size()) < options.max_diagnostics) {
+  // One walk: the matcher advances the legality cursor as it passes each
+  // gate, and the cursor judges the rest once the matcher stops early.
+  // Legality findings come first in gate order; the matcher's follow only
+  // while legality leaves room. The matcher may throw (a gate set that
+  // cannot lower the source); that exception surfaces under the same
+  // condition, after legality has judged every gate.
+  Legality legality(device, *artifact.mapped, out, options.max_diagnostics);
+  std::vector<Diagnostic> held;
+  std::exception_ptr matcher_failure;
+  try {
     Matcher matcher(source, device, artifact);
-    matcher.run(artifact, options, out);
+    matcher.run(artifact, options, legality, held);
+  } catch (...) {
+    matcher_failure = std::current_exception();
+  }
+  if (legality.check_through(static_cast<int>(artifact.mapped->size()))) {
+    if (matcher_failure) std::rethrow_exception(matcher_failure);
+    out.insert(out.end(), std::make_move_iterator(held.begin()),
+               std::make_move_iterator(held.end()));
   }
   if (artifact.timed != nullptr &&
       static_cast<int>(out.size()) < options.max_diagnostics) {

@@ -40,17 +40,6 @@ const char* gate_name(GateKind kind) {
   return "?";
 }
 
-bool is_unitary(GateKind kind) {
-  switch (kind) {
-    case GateKind::kMeasure:
-    case GateKind::kReset:
-    case GateKind::kBarrier:
-      return false;
-    default:
-      return true;
-  }
-}
-
 bool is_two_qubit(GateKind kind) {
   return is_unitary(kind) && gate_arity(kind) == 2;
 }

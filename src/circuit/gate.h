@@ -108,7 +108,10 @@ static_assert(gate_param_count(GateKind::kU3) == 3 &&
 
 /// True for gates with a unitary matrix (everything except measure, reset,
 /// barrier).
-bool is_unitary(GateKind kind);
+constexpr bool is_unitary(GateKind kind) {
+  return kind != GateKind::kMeasure && kind != GateKind::kReset &&
+         kind != GateKind::kBarrier;
+}
 
 /// True for two-qubit unitary gates (what an interaction graph records).
 bool is_two_qubit(GateKind kind);

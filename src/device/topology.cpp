@@ -14,24 +14,25 @@ std::shared_ptr<const TopologyTables> build_tables(const graph::Graph& g) {
   auto tables = std::make_shared<TopologyTables>();
   const int n = g.num_nodes();
   tables->n = n;
-  // BFS rows land directly in the row-major buffer; no nested vectors.
-  tables->dist = graph::flat_all_pairs_hop_distances(g);
+  // CSR neighbour arrays first (ascending per qubit); the all-pairs BFS
+  // walks them, so its rows land directly in the row-major buffer.
+  graph::CsrAdjacency csr = graph::csr_adjacency(g);
+  tables->nbr_offsets = std::move(csr.offsets);
+  tables->nbr = std::move(csr.targets);
+  tables->dist =
+      graph::flat_all_pairs_hop_distances(tables->nbr_offsets, tables->nbr);
   tables->connected =
       std::none_of(tables->dist.begin(), tables->dist.end(),
                    [](int d) { return d == graph::kUnreachable; });
   // Lexicographic edge list (the order graph::Graph::edges() reports and
-  // canonical_device_text fingerprints).
-  for (const auto& e : g.edges()) tables->edges.emplace_back(e.u, e.v);
-  // CSR neighbour arrays (ascending per qubit: Graph stores neighbours in
-  // an ordered map).
-  tables->nbr_offsets.reserve(static_cast<std::size_t>(n) + 1);
-  tables->nbr_offsets.push_back(0);
+  // canonical_device_text fingerprints), read off the ascending CSR rows.
+  tables->edges.reserve(static_cast<std::size_t>(g.num_edges()));
   for (int q = 0; q < n; ++q) {
-    for (const auto& [v, w] : g.neighbors(q)) {
-      (void)w;
-      tables->nbr.push_back(v);
+    for (int k = tables->nbr_offsets[static_cast<std::size_t>(q)];
+         k < tables->nbr_offsets[static_cast<std::size_t>(q) + 1]; ++k) {
+      const int v = tables->nbr[static_cast<std::size_t>(k)];
+      if (q < v) tables->edges.emplace_back(q, v);
     }
-    tables->nbr_offsets.push_back(static_cast<int>(tables->nbr.size()));
   }
   // Edge index per CSR slot. The lexicographic edge list meets each
   // qubit's neighbours in ascending order (first as the larger endpoint of

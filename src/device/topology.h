@@ -58,7 +58,14 @@ class Topology {
   int num_qubits() const { return coupling_.num_nodes(); }
   const graph::Graph& coupling() const { return coupling_; }
 
-  bool adjacent(int a, int b) const { return coupling_.has_edge(a, b); }
+  /// True when a and b share a coupler: one load from the distance table
+  /// (distance 1). Both must be in [0, num_qubits()); violations throw
+  /// qfs::AssertionError ("qubit out of range").
+  bool adjacent(int a, int b) const {
+    QFS_ASSERT_MSG(0 <= a && a < num_qubits() && 0 <= b && b < num_qubits(),
+                   "qubit out of range");
+    return distance_unchecked(a, b) == 1;
+  }
 
   /// Hop distance between physical qubits (0 for a==b).
   ///

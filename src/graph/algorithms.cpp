@@ -24,26 +24,50 @@ std::vector<int> bfs_distances(const Graph& g, Node source) {
   return dist;
 }
 
-std::vector<int> flat_all_pairs_hop_distances(const Graph& g) {
-  const std::size_t n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<int> flat(n * n, kUnreachable);
-  std::queue<Node> q;
+CsrAdjacency csr_adjacency(const Graph& g) {
+  CsrAdjacency csr;
+  csr.offsets.reserve(static_cast<std::size_t>(g.num_nodes()) + 1);
+  csr.targets.reserve(static_cast<std::size_t>(g.num_edges()) * 2);
+  csr.offsets.push_back(0);
   for (Node u = 0; u < g.num_nodes(); ++u) {
-    int* row = flat.data() + static_cast<std::size_t>(u) * n;
+    // Graph keeps neighbours in an ordered map: ascending per node.
+    for (const auto& [v, w] : g.neighbors(u)) csr.targets.push_back(v);
+    csr.offsets.push_back(static_cast<int>(csr.targets.size()));
+  }
+  return csr;
+}
+
+std::vector<int> flat_all_pairs_hop_distances(std::span<const int> offsets,
+                                              std::span<const int> targets) {
+  QFS_ASSERT_MSG(!offsets.empty(), "CSR offsets need num_nodes + 1 entries");
+  const std::size_t n = offsets.size() - 1;
+  std::vector<int> flat(n * n, kUnreachable);
+  // A BFS enqueues each node at most once, so n slots hold any queue.
+  std::vector<int> queue(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    int* row = flat.data() + u * n;
     row[u] = 0;
-    q.push(u);
-    while (!q.empty()) {
-      Node a = q.front();
-      q.pop();
-      for (const auto& [b, w] : g.neighbors(a)) {
+    queue[0] = static_cast<int>(u);
+    std::size_t head = 0;
+    std::size_t tail = 1;
+    while (head < tail) {
+      const auto a = static_cast<std::size_t>(queue[head++]);
+      const int next = row[a] + 1;
+      for (int k = offsets[a]; k < offsets[a + 1]; ++k) {
+        const int b = targets[static_cast<std::size_t>(k)];
         if (row[b] == kUnreachable) {
-          row[b] = row[a] + 1;
-          q.push(b);
+          row[b] = next;
+          queue[tail++] = b;
         }
       }
     }
   }
   return flat;
+}
+
+std::vector<int> flat_all_pairs_hop_distances(const Graph& g) {
+  const CsrAdjacency csr = csr_adjacency(g);
+  return flat_all_pairs_hop_distances(csr.offsets, csr.targets);
 }
 
 std::vector<Node> shortest_path(const Graph& g, Node source, Node target) {
@@ -109,15 +133,9 @@ bool is_connected(const Graph& g) {
 
 int diameter(const Graph& g) {
   if (g.num_nodes() <= 1) return 0;
-  int best = 0;
-  for (Node u = 0; u < g.num_nodes(); ++u) {
-    auto dist = bfs_distances(g, u);
-    for (int d : dist) {
-      if (d == kUnreachable) return kUnreachable;
-      best = std::max(best, d);
-    }
-  }
-  return best;
+  // kUnreachable is the largest int, so it wins the max when present.
+  const std::vector<int> dist = flat_all_pairs_hop_distances(g);
+  return *std::max_element(dist.begin(), dist.end());
 }
 
 std::vector<Node> bfs_order(const Graph& g, Node source) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -14,10 +15,26 @@ inline constexpr int kUnreachable = std::numeric_limits<int>::max();
 /// Hop distances from `source` to every node (BFS); kUnreachable if none.
 std::vector<int> bfs_distances(const Graph& g, Node source);
 
+/// Compressed sparse row adjacency: the neighbours of node u are
+/// targets[offsets[u] .. offsets[u+1]), ascending.
+struct CsrAdjacency {
+  std::vector<int> offsets;  ///< num_nodes + 1 entries
+  std::vector<int> targets;
+};
+
+/// The CSR arrays of `g`.
+CsrAdjacency csr_adjacency(const Graph& g);
+
 /// All-pairs hop distances as one flat row-major buffer: entry u*n + v is
-/// the hop count from u to v, kUnreachable when disconnected. Rows are
-/// BFS-filled in place, so no per-row vectors are allocated; this is the
-/// layout device::TopologyTables serves to the routing inner loops.
+/// the hop count from u to v, kUnreachable when disconnected, where n is
+/// offsets.size() - 1 and (offsets, targets) are CSR arrays as
+/// csr_adjacency builds them. Each row is one BFS over the CSR arrays
+/// through a flat queue of n slots, filled in place; this is the layout
+/// device::TopologyTables serves to the routing inner loops.
+std::vector<int> flat_all_pairs_hop_distances(std::span<const int> offsets,
+                                              std::span<const int> targets);
+
+/// The same table for `g`, whose CSR arrays are built first.
 std::vector<int> flat_all_pairs_hop_distances(const Graph& g);
 
 /// One shortest (fewest-hop) path from `source` to `target`, inclusive of

@@ -156,23 +156,6 @@ RoutingResult BridgeRouter::route(const Circuit& circuit, const Device& device,
 
 namespace {
 
-/// Per-kind unitarity, precomputed so the inner loops replace the
-/// is_unitary(kind) switch with one table load.
-struct KindTraits {
-  bool is_unitary[circuit::kNumGateKinds] = {};
-};
-
-const KindTraits& kind_traits() {
-  static const KindTraits traits = [] {
-    KindTraits t;
-    for (int k = 0; k < circuit::kNumGateKinds; ++k) {
-      t.is_unitary[k] = circuit::is_unitary(static_cast<GateKind>(k));
-    }
-    return t;
-  }();
-  return traits;
-}
-
 /// Decision state of one physical qubit, valid while `stamp` equals the
 /// router's current epoch (a rebuild bumps the epoch instead of clearing
 /// the array). It describes the virtual qubit held there, so a SWAP on
@@ -265,7 +248,6 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
   Layout& layout = result.final_layout;
   const auto& gates = circuit.gates();
   const std::vector<int>& v2p = layout.v2p();
-  const KindTraits& traits = kind_traits();
 
   LookaheadScratch& scratch = lookahead_scratch();
   const std::size_t num_gates = gates.size();
@@ -288,7 +270,7 @@ RoutingResult LookaheadRouter::route(const Circuit& circuit,
   auto row = [&](int p) { return dist + static_cast<std::size_t>(p) * n; };
   auto is_2q = [&](std::size_t i) {
     return gates[i].qubits.size() == 2 &&
-           traits.is_unitary[static_cast<int>(gates[i].kind)];
+           circuit::is_unitary(gates[i].kind);
   };
   auto is_blocked_2q = [&](int gi) {
     const Gate& g = gates[static_cast<std::size_t>(gi)];

@@ -366,5 +366,26 @@ TEST(DeviceZooAcceptance, NeutralAtomCompilesAndValidatesPaperSuite) {
   EXPECT_EQ(compile_and_validate_suite(dev.value()), "");
 }
 
+TEST(TopologyTest, AdjacentMatchesCouplingGraph) {
+  // adjacent() reads distance 1 off the shared table; it must agree with
+  // the coupling graph on every pair of every registry backend, and keep
+  // the range check the graph lookup had.
+  for (const BackendInfo& info : BackendRegistry::global().entries()) {
+    SCOPED_TRACE(info.name);
+    auto dev = make_device(info.name);
+    ASSERT_TRUE(dev.is_ok()) << dev.status().to_string();
+    const device::Topology& topo = dev.value().topology();
+    const int n = topo.num_qubits();
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        ASSERT_EQ(topo.adjacent(a, b), topo.coupling().has_edge(a, b))
+            << a << "-" << b;
+      }
+    }
+    EXPECT_THROW((void)topo.adjacent(-1, 0), AssertionError);
+    EXPECT_THROW((void)topo.adjacent(0, n), AssertionError);
+  }
+}
+
 }  // namespace
 }  // namespace qfs::backends

@@ -300,6 +300,81 @@ TEST(EquivMutation, ReversedCxOperandsAreQFS110) {
   EXPECT_TRUE(found) << "no reversed CX produced an operand-order finding";
 }
 
+TEST(EquivMutation, LegalityFindingsPrecedeMatcherFindings) {
+  // Early in the mapped circuit, reverse an adjacent CX (a matcher finding,
+  // QFS110); later, retarget a two-qubit gate onto a dead coupler (a
+  // legality finding, QFS105). Legality findings come first whatever their
+  // gate index, and the matcher's are dropped once legality fills the
+  // budget.
+  Compiled c;
+  c.device = device::heavy_hex27_device();
+  Circuit src(6, "legality-order");
+  src.h(0);
+  for (int q = 0; q + 1 < 6; ++q) src.cx(q, q + 1);
+  c.source = src;
+  mapper::MappingOptions options;
+  options.placer = "degree-match";
+  options.router = "lookahead";
+  qfs::Rng rng(3);
+  c.result = mapper::map_circuit(c.source, c.device, options, rng);
+  const auto& gates = c.result.mapped.gates();
+  const device::Topology& topology = c.device.topology();
+  auto reverse_at = [](int i) {
+    return [i](std::vector<Gate>& m) {
+      std::swap(m[static_cast<std::size_t>(i)].qubits[0],
+                m[static_cast<std::size_t>(i)].qubits[1]);
+    };
+  };
+
+  // The first CX whose reversal alone is reported as QFS110.
+  int reversed = -1;
+  for (int i = 0; i < static_cast<int>(gates.size()) && reversed < 0; ++i) {
+    if (gates[static_cast<std::size_t>(i)].kind != GateKind::kCx) continue;
+    Circuit mutated = mutate_gates(c.result.mapped, reverse_at(i));
+    if (codes_of(c, artifact_of(c, mutated)) ==
+        std::set<std::string>{"QFS110"}) {
+      reversed = i;
+    }
+  }
+  ASSERT_GE(reversed, 0);
+  // The last two-qubit gate, retargeted onto a physical qubit its first
+  // operand shares no coupler with.
+  int retargeted = -1;
+  int dead = -1;
+  for (int i = static_cast<int>(gates.size()) - 1;
+       i > reversed && retargeted < 0; --i) {
+    const Gate& g = gates[static_cast<std::size_t>(i)];
+    if (g.qubits.size() != 2) continue;
+    for (int p = 0; p < c.device.num_qubits(); ++p) {
+      if (p == g.qubits[0] || p == g.qubits[1] ||
+          topology.adjacent(g.qubits[0], p)) {
+        continue;
+      }
+      retargeted = i;
+      dead = p;
+      break;
+    }
+  }
+  ASSERT_GT(retargeted, reversed);
+
+  Circuit mutated = mutate_gates(c.result.mapped, reverse_at(reversed));
+  mutated = mutate_gates(mutated, [retargeted, dead](std::vector<Gate>& m) {
+    m[static_cast<std::size_t>(retargeted)].qubits[1] = dead;
+  });
+  TranslationArtifact a = artifact_of(c, mutated);
+  auto codes = [&](int max_diagnostics) {
+    EquivOptions eo;
+    eo.max_diagnostics = max_diagnostics;
+    std::vector<std::string> out;
+    for (const Diagnostic& d : validate_translation(c.source, c.device, a, eo))
+      out.push_back(d.code);
+    return out;
+  };
+  EXPECT_EQ(codes(EquivOptions{}.max_diagnostics),
+            (std::vector<std::string>{"QFS105", "QFS110"}));
+  EXPECT_EQ(codes(1), std::vector<std::string>{"QFS105"});
+}
+
 TEST(EquivMutation, ScheduleCorruptionIsQFS108) {
   Compiled c = compile_fixture();
   compiler::ScheduleOptions sched;

@@ -19,6 +19,7 @@
 #include <numeric>
 #include <vector>
 
+#include "analysis/equiv.h"
 #include "circuit/circuit.h"
 #include "compiler/decompose.h"
 #include "device/device.h"
@@ -339,6 +340,53 @@ TEST(GateAlloc, EmitAllocatesPerCircuitNotPerGate) {
             static_cast<long>(std::bit_width(large_size)))
       << small_allocs << " allocations for 64 gates, " << large_allocs
       << " for 4096";
+}
+
+/// 200 gates, gate k an h or a t on qubit k % width, as a `width`-qubit
+/// circuit mapped onto surface97, with its translation artifact.
+struct WidthFixture {
+  Circuit source;
+  mapper::MappingResult mapping;
+  analysis::TranslationArtifact artifact;
+};
+
+WidthFixture width_fixture(const device::Device& device, int width) {
+  WidthFixture f{Circuit(width, "width"), {}, {}};
+  for (int k = 0; k < 200; ++k) {
+    if (k % 2 == 0) {
+      f.source.h(k % width);
+    } else {
+      f.source.t(k % width);
+    }
+  }
+  mapper::MappingOptions options;
+  options.placer = "trivial";
+  options.router = "trivial";
+  qfs::Rng rng(7);
+  f.mapping = mapper::map_circuit(f.source, device, options, rng);
+  f.artifact.mapped = &f.mapping.mapped;
+  f.artifact.initial_layout = f.mapping.initial_layout;
+  f.artifact.final_layout = f.mapping.final_layout;
+  f.artifact.swaps_inserted = f.mapping.swaps_inserted;
+  return f;
+}
+
+TEST(GateAlloc, ValidatorAllocationsDoNotGrowWithWidth) {
+  // The same gates spread over 5 and over 50 virtual qubits: the matcher's
+  // per-qubit queues are one CSR array, so the validator allocates as often
+  // for either width.
+  const device::Device device = device::surface97_device();
+  const WidthFixture narrow = width_fixture(device, 5);
+  const WidthFixture wide = width_fixture(device, 50);
+  ASSERT_EQ(narrow.mapping.mapped.size(), wide.mapping.mapped.size());
+  auto validate = [&device](const WidthFixture& f) {
+    return allocations_in([&] {
+      EXPECT_TRUE(
+          analysis::validate_translation(f.source, device, f.artifact).empty());
+    });
+  };
+  (void)validate(narrow);  // warm any lazily built tables
+  EXPECT_EQ(validate(wide), validate(narrow));
 }
 
 }  // namespace
